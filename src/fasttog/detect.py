@@ -1,22 +1,29 @@
 """Size-constrained community detection with snapshot backtracking.
 
 Five detectors share one driver contract: run the algorithm on each connected
-component to its natural stop, record the partition trajectory ordered from
+component to its natural stop, record the state trajectory ordered from
 finest to coarsest, then walk the trajectory from the coarse end back toward
 the fine end and keep the first state whose communities all fit within the
 size bound. The finest state is always all singletons, so a feasible state
 always exists for any bound >= 1.
 
+States are recorded compactly: the scan reads only each state's largest
+block size, so only the chosen state of each component becomes a
+:class:`Partition`. The full snapshot list of a component is built on first
+access to :attr:`ComponentTrace.snapshots`.
+
 Trajectory recording per detector:
 
-* louvain      -- singletons, then one snapshot per accepted local move
+* louvain      -- singletons, then one state per accepted local move
                   (across aggregation levels), so the trajectory passes
-                  through every intermediate grouping.
+                  through every intermediate grouping. A state is the
+                  community label of each node of its aggregation level,
+                  expanded to member sets only when chosen or inspected.
 * girvan_newman -- edge removals by highest betweenness down to the empty
                   graph; one state per change of the component structure,
                   recorded in reverse removal order so the list still runs
                   fine to coarse.
-* hierarchical -- singletons, then one snapshot per merge (average-linkage
+* hierarchical -- singletons, then one state per merge (average-linkage
                   over shared-neighbor Jaccard similarity; only clusters
                   joined by at least one edge may merge).
 * spectral     -- normalized-Laplacian embedding with seeded k-means; k is
@@ -31,7 +38,8 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -43,11 +51,29 @@ DETECTOR_KINDS = ("louvain", "girvan_newman", "hierarchical", "spectral", "rando
 
 @dataclass
 class ComponentTrace:
-    """Recorded trajectory and chosen state for one connected component."""
+    """Recorded trajectory and chosen state for one connected component.
+
+    ``snapshots`` is built from the recorded states on first access and then
+    cached; the chosen step's snapshot holds the ``chosen`` object itself.
+    """
 
     nodes: tuple[EntityId, ...]
-    snapshots: list[PartitionSnapshot]
     chosen: Partition
+    _states: list = field(repr=False)
+    _chosen_step: int
+    _g: Subgraph = field(repr=False)
+
+    @cached_property
+    def snapshots(self) -> list[PartitionSnapshot]:
+        return [
+            PartitionSnapshot(
+                i,
+                self.chosen
+                if i == self._chosen_step
+                else Partition.from_member_sets(state, self._g),
+            )
+            for i, state in enumerate(self._states)
+        ]
 
 
 @dataclass
@@ -116,12 +142,13 @@ def detect_full(g: Subgraph, kind: str, m_max: int, seed: int = 0) -> DetectionO
     chosen_communities = []
     for comp in connected_components(g):
         states = _component_states(g, comp, kind, m_max, rng, np_rng)
-        snapshots = [
-            PartitionSnapshot(i, Partition.from_member_sets(ms, g))
-            for i, ms in enumerate(states)
-        ]
-        chosen = backtrack_to_size(snapshots, m_max, g)
-        traces.append(ComponentTrace(tuple(sorted(comp)), snapshots, chosen))
+        # the same scan as backtrack_to_size, on block sizes alone; the
+        # finest state always fits, so the scan always stops
+        step = next(
+            i for i in reversed(range(len(states))) if _largest_block(states[i]) <= m_max
+        )
+        chosen = Partition.from_member_sets(states[step], g)
+        traces.append(ComponentTrace(tuple(sorted(comp)), chosen, states, step, g))
         chosen_communities.extend(chosen.communities)
 
     partition = Partition(
@@ -129,6 +156,11 @@ def detect_full(g: Subgraph, kind: str, m_max: int, seed: int = 0) -> DetectionO
     )
     validate_partition(partition, g.nodes)
     return DetectionOutcome(partition, traces)
+
+
+def _largest_block(state) -> int:
+    # louvain labellings track their largest block; other states are set lists
+    return state.max_size if isinstance(state, _Labelling) else max(map(len, state))
 
 
 def _component_states(g, comp, kind, m_max, rng, np_rng):
@@ -149,6 +181,26 @@ def _component_states(g, comp, kind, m_max, rng, np_rng):
 # -- louvain ----------------------------------------------------------------
 
 
+@dataclass(slots=True)
+class _Labelling:
+    """One louvain state: the community label of each node of its level.
+
+    Iterating yields the member sets over original nodes; ``members`` is the
+    level's map from (super-)node to the original nodes it stands for.
+    """
+
+    level_nodes: tuple[EntityId, ...]
+    labels: tuple[EntityId, ...]
+    members: dict[EntityId, frozenset[EntityId]]
+    max_size: int
+
+    def __iter__(self):
+        grouped: dict[EntityId, set[EntityId]] = {}
+        for x, c in zip(self.level_nodes, self.labels):
+            grouped.setdefault(c, set()).update(self.members[x])
+        return iter(grouped.values())
+
+
 def _louvain_states(g: Subgraph, comp: frozenset[EntityId], rng: random.Random):
     nodes = sorted(comp)
     # working (possibly aggregated) weighted graph; weights stay component-local
@@ -162,15 +214,16 @@ def _louvain_states(g: Subgraph, comp: frozenset[EntityId], rng: random.Random):
                 weight[u][v] = weight[v][u] = 1.0
                 two_m += 2.0
 
-    states: list[list[set[EntityId]]] = [[{u} for u in nodes]]
+    states = [_Labelling(tuple(nodes), tuple(nodes), members, 1)]
     if two_m == 0.0:
         return states
 
     while True:
-        level_nodes = sorted(weight)
+        level_nodes = tuple(sorted(weight))
         k_w = {u: self_w[u] + sum(weight[u].values()) for u in level_nodes}
-        comm_of = {u: u for u in level_nodes}
+        comm_of = {u: u for u in level_nodes}  # keys stay in level_nodes order
         comm_tot = dict(k_w)
+        size = {u: len(members[u]) for u in level_nodes}
         moved_any_level = False
 
         while True:
@@ -195,16 +248,19 @@ def _louvain_states(g: Subgraph, comp: frozenset[EntityId], rng: random.Random):
                 if best_comm != old:
                     moved_in_pass = True
                     moved_any_level = True
-                    # snapshot per accepted move: the trajectory must pass
+                    size[old] -= len(members[u])
+                    size[best_comm] += len(members[u])
+                    # state per accepted move: the trajectory must pass
                     # through fine intermediate states or backtracking would
                     # overshoot straight to singletons whenever the natural
-                    # optimum violates the size bound
-                    grouped: dict[EntityId, set[EntityId]] = {}
-                    for x in level_nodes:
-                        grouped.setdefault(comm_of[x], set()).update(members[x])
-                    state = [set(s) for s in grouped.values()]
-                    if _state_key(state) != _state_key(states[-1]):
-                        states.append(state)
+                    # optimum violates the size bound. The move joins u to a
+                    # block holding a neighbour, so each state differs from
+                    # the one before.
+                    states.append(
+                        _Labelling(
+                            level_nodes, tuple(comm_of.values()), members, max(size.values())
+                        )
+                    )
             if not moved_in_pass:
                 break
 
@@ -241,10 +297,6 @@ def _louvain_states(g: Subgraph, comp: frozenset[EntityId], rng: random.Random):
         weight, self_w, members = new_weight, new_self, new_members
         if len(weight) == 1:
             return states
-
-
-def _state_key(state):
-    return tuple(sorted(tuple(sorted(block)) for block in state))
 
 
 # -- girvan-newman -----------------------------------------------------------

@@ -11,6 +11,7 @@ once; transport retries never inflate the counts.
 
 from __future__ import annotations
 
+import functools
 import importlib.resources
 import json
 import os
@@ -125,12 +126,16 @@ class CallLedger:
         return self.counts()["g2t"]
 
 
+@functools.lru_cache(maxsize=64)
 def load_template(name: str, templates_dir: str | Path | None = None) -> tuple[str, str]:
     """Load a prompt template: first line is the system preamble, rest the body.
 
     Body templates carry named placeholders such as ``{question}``,
     ``{premise}``, ``{selection}``, ``{context}``. A directory override lets
     callers swap the wording without touching code.
+
+    Each ``(name, templates_dir)`` is read from disk once per process; a
+    missing template raises on every call.
     """
     if templates_dir is not None:
         text = (Path(templates_dir) / f"{name}.txt").read_text(encoding="utf-8")

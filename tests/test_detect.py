@@ -3,6 +3,7 @@ import random
 import pytest
 
 from fasttog import (
+    Community,
     KnowledgeGraph,
     Partition,
     Triple,
@@ -140,6 +141,50 @@ def test_louvain_snapshots_monotone_modularity():
                 others = [{v} for v in g.nodes - comp_nodes]
                 scores.append(eq1_direct(g, sets + others))
             assert all(b >= a - 1e-9 for a, b in zip(scores, scores[1:]))
+
+
+def test_louvain_trajectory_steps_are_distinct_from_singletons():
+    rng = random.Random(29)
+    for trial in range(20):
+        kg = random_graph(rng.randint(4, 30), rng.choice([0.1, 0.2, 0.3]), rng)
+        g = full_subgraph(kg)
+        outcome = detect_full(g, "louvain", rng.randint(2, 8), seed=trial)
+        for comp in outcome.components:
+            snaps = comp.snapshots
+            assert [s.step_index for s in snaps] == list(range(len(snaps)))
+            assert member_sets(snaps[0].partition) == [(v,) for v in comp.nodes]
+            # every recorded move joins a node to a neighbour's block
+            for a, b in zip(snaps, snaps[1:]):
+                assert member_sets(a.partition) != member_sets(b.partition)
+
+
+@pytest.mark.parametrize("kind", DETECTOR_KINDS)
+def test_detect_builds_only_the_chosen_communities(kind, monkeypatch):
+    calls = []
+    real = Community.from_members.__func__
+
+    def counting(cls, members, g):
+        calls.append(frozenset(members))
+        return real(cls, members, g)
+
+    monkeypatch.setattr(Community, "from_members", classmethod(counting))
+    rng = random.Random(43)
+    for trial in range(6):
+        kg = random_graph(rng.randint(8, 18), 0.3, rng)
+        g = full_subgraph(kg)
+        m_max = rng.choice([2, 3, 4])
+        calls.clear()
+        p = detect(g, kind, m_max, seed=trial)
+        assert len(calls) == len(p)
+
+        outcome = detect_full(g, kind, m_max, seed=trial)
+        for comp in outcome.components:
+            calls.clear()
+            snaps = comp.snapshots
+            rebuilt = sum(len(s.partition) for s in snaps if s.partition is not comp.chosen)
+            assert len(calls) == rebuilt
+            assert comp.snapshots is snaps  # built once, then cached
+            assert backtrack_to_size(snaps, m_max, g) is comp.chosen
 
 
 def test_girvan_newman_components_nondecreasing(triangles_g):

@@ -11,6 +11,7 @@ from fasttog import (
     triple2text,
 )
 from fasttog.errors import ProviderError
+from fasttog.gateway import load_template
 from fasttog.verbalize import CommunityText
 
 from helpers import full_subgraph
@@ -192,3 +193,16 @@ def test_template_override(tmp_path):
     bundle = build_pruning_prompt("why?", [ct(0, "ctx")], [ct(1, "c")], 1, templates_dir=tmp_path)
     assert bundle.system_preamble == "CUSTOM PREAMBLE"
     assert bundle.body.startswith("Q=why?")
+
+
+def test_template_read_from_disk_once(tmp_path):
+    path = tmp_path / "pruning.txt"
+    # a missing template raises, and the failure is not remembered
+    for _ in range(2):
+        with pytest.raises(FileNotFoundError):
+            load_template("pruning", tmp_path)
+    path.write_text("PRE\nQ={question}\n", encoding="utf-8")
+    assert load_template("pruning", tmp_path) == ("PRE", "Q={question}")
+    path.unlink()
+    # the second load never touches disk, so the deleted file is not missed
+    assert load_template("pruning", tmp_path) == ("PRE", "Q={question}")
