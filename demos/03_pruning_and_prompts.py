@@ -11,7 +11,6 @@ from pathlib import Path
 
 from fasttog import (
     Community,
-    History,
     KnowledgeGraph,
     SamplerConfig,
     ScriptedGateway,
@@ -31,7 +30,7 @@ g = extract_subgraph(kg, [center], SamplerConfig(rho=1.0, r_max=2, seed=0))
 partition = detect(g, "louvain", 4, seed=0)
 current = Community.from_members({center}, g)
 
-cands = candidate_communities(partition, current, History(), g)
+cands = candidate_communities(partition, current, set(), g)
 print(f"candidates adjacent to {center!r} (score-ranked):")
 for cand in cands:
     print(f"   {cand.modularity:7.3f}  {','.join(cand.community.sorted_members)}")

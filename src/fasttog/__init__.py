@@ -54,7 +54,6 @@ from .gateway import (
 from .kg import KnowledgeGraph, SamplerConfig, Subgraph, Triple, extract_subgraph
 from .pruning import (
     CandidateCommunity,
-    History,
     PruneOutcome,
     candidate_communities,
     coarse_prune,
@@ -88,7 +87,6 @@ __all__ = [
     "GatewayError",
     "GenerationRequest",
     "GenerationResponse",
-    "History",
     "KnowledgeGraph",
     "NotFoundError",
     "ParsedVerdict",

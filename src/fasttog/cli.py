@@ -182,18 +182,12 @@ def _cmd_eval(args) -> int:
         def gateway_factory(_record):
             return endpoint
 
-    if args.mode == "g2t" and args.g2t_script:
-        def backend_factory(_record):
-            return ScriptedGateway.from_file(args.g2t_script)
-    else:
-        backend_factory = None
-
     report = evaluate(
         records,
         graph,
         config,
         gateway_factory,
-        g2t_backend_factory=backend_factory,
+        g2t_backend_factory=lambda _record: _make_g2t_backend(args),
         parallelism=args.parallelism,
         trace_dir=args.trace_dir,
     )

@@ -26,9 +26,7 @@ from .community import Community
 from .detect import DETECTOR_KINDS, detect
 from .errors import FastToGError, ResolutionError
 from .gateway import (
-    DEFAULT_MAX_OUTPUT_TOKENS,
     PRUNING_TEMPERATURE,
-    REASONING_TEMPERATURE,
     GenerationRequest,
     ParsedVerdict,
     baseline_answer,
@@ -36,9 +34,8 @@ from .gateway import (
     parse_verdict,
     PromptBundle,
 )
-from .kg import KnowledgeGraph, SamplerConfig, Subgraph, Triple, extract_subgraph
+from .kg import KnowledgeGraph, SamplerConfig, Subgraph, extract_subgraph
 from .pruning import (
-    History,
     PruneOutcome,
     candidate_communities,
     coarse_prune,
@@ -61,11 +58,6 @@ class EngineConfig:
     prune_mode: str = "modularity"  # or "random" (ablation baseline)
     degrade_mode: str = "io"
     seed: int = 0
-    pruning_temperature: float = PRUNING_TEMPERATURE
-    reasoning_temperature: float = REASONING_TEMPERATURE
-    max_output_tokens: int = DEFAULT_MAX_OUTPUT_TOKENS
-    g2t_fallback: bool = True
-    cot_sc_samples: int = 5
     templates_dir: str | None = None
 
     def __post_init__(self):
@@ -108,7 +100,6 @@ class EngineConfig:
 class ReasoningChain:
     communities: list[Community] = field(default_factory=list)
     texts: list[CommunityText] = field(default_factory=list)
-    bridges: list[tuple[Triple, ...]] = field(default_factory=list)
     active: bool = True
 
     def last(self) -> Community:
@@ -178,7 +169,7 @@ class Engine:
     def _run(self, question, start_entities, trace) -> tuple[ParsedVerdict, RunTrace]:
         cfg = self.config
         start_label = self._resolve_start(question, start_entities, trace)
-        history = History()
+        history: set[str] = set()
         chainset = self._initial_phase(question, start_label, history, trace)
 
         verdict = ParsedVerdict("unknown")
@@ -200,11 +191,7 @@ class Engine:
                 degraded = True
                 trace.add("degrade", mode=cfg.degrade_mode, depth=trace.depth_reached)
                 verdict = baseline_answer(
-                    question,
-                    cfg.degrade_mode,
-                    self.gateway,
-                    samples=cfg.cot_sc_samples,
-                    templates_dir=cfg.templates_dir,
+                    question, cfg.degrade_mode, self.gateway, templates_dir=cfg.templates_dir
                 )
 
         trace.answer = verdict
@@ -234,10 +221,9 @@ class Engine:
         bundle = PromptBundle(
             system_preamble=preamble,
             body=body_tpl.format(question=question),
-            temperature=self.config.pruning_temperature,
-            max_output_tokens=self.config.max_output_tokens,
+            temperature=PRUNING_TEMPERATURE,
         )
-        resp = self.gateway.generate(GenerationRequest.from_bundle(bundle, "pruning"))
+        resp = self.gateway.generate(GenerationRequest(bundle, "pruning"))
         label = resp.text.strip().strip('"')
         if label not in self.omega.nodes:
             raise ResolutionError(f"extracted entity not in graph: {label!r}")
@@ -262,7 +248,6 @@ class Engine:
         for i, (cand, text) in enumerate(zip(outcome.chosen, outcome.chosen_texts)):
             chains[i].communities.append(cand.community)
             chains[i].texts.append(text)
-            chains[i].bridges.append(cand.bridge_edges)
             history.add(cand.community.canonical_id)
         for chain in chains:
             if not chain.communities:
@@ -304,8 +289,6 @@ class Engine:
                 self.gateway,
                 k=1,
                 verbalizer=lambda _c, _t=cand_text: _t,
-                temperature=self.config.pruning_temperature,
-                max_output_tokens=self.config.max_output_tokens,
                 templates_dir=self.config.templates_dir,
             )
             trace.add(
@@ -322,7 +305,6 @@ class Engine:
                 continue
             chain.communities.append(cand.community)
             chain.texts.append(cand_text)
-            chain.bridges.append(cand.bridge_edges)
             history.add(cand.community.canonical_id)
             trace.add(
                 "chain_grew",
@@ -338,11 +320,9 @@ class Engine:
             question,
             [chain.texts for chain in chainset.chains],
             chainset.start_text,
-            temperature=self.config.reasoning_temperature,
-            max_output_tokens=self.config.max_output_tokens,
             templates_dir=self.config.templates_dir,
         )
-        resp = self.gateway.generate(GenerationRequest.from_bundle(bundle, "reasoning"))
+        resp = self.gateway.generate(GenerationRequest(bundle, "reasoning"))
         verdict = parse_verdict(resp.text)
         trace.add(
             "verdict",
@@ -359,7 +339,7 @@ class Engine:
         self,
         question,
         current_members: frozenset,
-        history: History,
+        history: set[str],
         n_pick: int,
         context_texts,
         trace: RunTrace,
@@ -422,8 +402,6 @@ class Engine:
             verbalizer=lambda cand, _g=g: self._community_text(
                 cand.community, cand.bridge_edges, _g, trace
             ),
-            temperature=cfg.pruning_temperature,
-            max_output_tokens=cfg.max_output_tokens,
             templates_dir=cfg.templates_dir,
         )
         trace.add(
@@ -445,7 +423,6 @@ class Engine:
                 list(bridges),
                 self.g2t_backend,
                 g,
-                fallback=self.config.g2t_fallback,
                 templates_dir=self.config.templates_dir,
             )
             if text.fallback and trace is not None:

@@ -39,39 +39,27 @@ DEFAULT_MAX_OUTPUT_TOKENS = 1024
 
 @dataclass(frozen=True)
 class PromptBundle:
-    """A composed prompt plus the generation knobs it should run with."""
+    """A composed prompt plus the sampling temperature its call kind runs at."""
 
     system_preamble: str
     body: str
     option_labels: tuple[str, ...] = ()
     option_texts: tuple[str, ...] = ()
     temperature: float = REASONING_TEMPERATURE
-    max_output_tokens: int = DEFAULT_MAX_OUTPUT_TOKENS
+
+    def __post_init__(self):
+        if not (0.0 <= self.temperature <= 2.0):
+            raise ValueError(f"temperature out of range: {self.temperature}")
 
 
 @dataclass(frozen=True)
 class GenerationRequest:
     prompt: PromptBundle
-    temperature: float
-    max_output_tokens: int
     tag: str
 
     def __post_init__(self):
         if self.tag not in TAGS:
             raise ValueError(f"unknown request tag: {self.tag!r}")
-        if not (0.0 <= self.temperature <= 2.0):
-            raise ValueError(f"temperature out of range: {self.temperature}")
-        if self.max_output_tokens < 1:
-            raise ValueError("max_output_tokens must be positive")
-
-    @classmethod
-    def from_bundle(cls, bundle: PromptBundle, tag: str) -> "GenerationRequest":
-        return cls(
-            prompt=bundle,
-            temperature=bundle.temperature,
-            max_output_tokens=bundle.max_output_tokens,
-            tag=tag,
-        )
 
 
 @dataclass(frozen=True)
@@ -108,22 +96,6 @@ class CallLedger:
     def total(self) -> int:
         with self._lock:
             return sum(self._counts.values())
-
-    @property
-    def pruning_calls(self) -> int:
-        return self.counts()["pruning"]
-
-    @property
-    def reasoning_calls(self) -> int:
-        return self.counts()["reasoning"]
-
-    @property
-    def baseline_calls(self) -> int:
-        return self.counts()["baseline"]
-
-    @property
-    def g2t_calls(self) -> int:
-        return self.counts()["g2t"]
 
 
 @functools.lru_cache(maxsize=64)
@@ -238,8 +210,8 @@ class ChatEndpoint:
                 {"role": "system", "content": req.prompt.system_preamble},
                 {"role": "user", "content": req.prompt.body},
             ],
-            "temperature": req.temperature,
-            "max_tokens": req.max_output_tokens,
+            "temperature": req.prompt.temperature,
+            "max_tokens": DEFAULT_MAX_OUTPUT_TOKENS,
         }
         headers = {"Content-Type": "application/json"}
         if self.api_key:
@@ -274,33 +246,43 @@ class ChatEndpoint:
 
 # -- reply parsing ------------------------------------------------------------
 
-_NONE_RE = re.compile(r"\bnone\b|\bno\s+relevant\b|\bnot\s+relevant\b", re.IGNORECASE)
+_NONE_RE = re.compile(r"\bnone\b", re.IGNORECASE)
+_NOT_RELEVANT_RE = re.compile(r"\bno\s+relevant\b|\bnot\s+relevant\b", re.IGNORECASE)
 _LETTER_RE = re.compile(r"(?<![A-Za-z])([A-Za-z])(?![A-Za-z])")
+# a letter opening the reply, set off by punctuation or the end ("B," "(C)")
+_LEADING_LETTER_RE = re.compile(r"[\W_]*([A-Za-z])(?:[^\w\s]|$)")
 _UNKNOWN_RE = re.compile(r"^[\s\W]*unknown\b", re.IGNORECASE)
 _ANSWER_MARKER_RE = re.compile(r"answer\s*:", re.IGNORECASE)
+
+
+def _option_index(letter: str) -> int:
+    return ord(letter.upper()) - ord("A")
 
 
 def parse_choice(text: str, n_options: int, k: int) -> list[int] | None:
     """Extract up to ``k`` distinct option indices from a reply.
 
     Accepts bare letters in any common dressing ("B", "B.", "(B)", "Option B",
-    case-insensitive). Replies declaring no option relevant return ``None``.
-    Letters beyond ``n_options`` are ignored. A reply with neither a usable
-    letter nor a none-phrase raises ReplyParseError.
+    case-insensitive). When the reply holds a capital option letter, lowercase
+    ones are read as words ("is a strong match: B" picks B). Replies declaring
+    no option relevant return ``None``; a bare "none" loses to an option letter
+    that opens the reply ("B, because none of the others..."). Letters beyond
+    ``n_options`` are ignored. A reply with neither a usable letter nor a
+    none-phrase raises ReplyParseError.
     """
     if n_options < 1:
         raise ValueError("n_options must be >= 1")
     if not (1 <= k <= n_options):
         raise ValueError(f"k must be in [1, {n_options}], got {k}")
-    if _NONE_RE.search(text):
+    if _NOT_RELEVANT_RE.search(text):
         return None
-    indices: list[int] = []
-    for letter in _LETTER_RE.findall(text):
-        idx = ord(letter.upper()) - ord("A")
-        if 0 <= idx < n_options and idx not in indices:
-            indices.append(idx)
-            if len(indices) == k:
-                break
+    if _NONE_RE.search(text):
+        lead = _LEADING_LETTER_RE.match(text)
+        if not (lead and _option_index(lead.group(1)) < n_options):
+            return None
+    letters = [ch for ch in _LETTER_RE.findall(text) if _option_index(ch) < n_options]
+    letters = [ch for ch in letters if ch.isupper()] or letters
+    indices = list(dict.fromkeys(_option_index(ch) for ch in letters))[:k]
     if not indices:
         raise ReplyParseError("no option letter or none-phrase found", text)
     return indices
@@ -361,15 +343,14 @@ def baseline_answer(
         system_preamble=preamble,
         body=body_tpl.format(question=question),
         temperature=REASONING_TEMPERATURE if mode != "cot_sc" else 0.7,
-        max_output_tokens=DEFAULT_MAX_OUTPUT_TOKENS,
     )
     if mode in ("io", "cot"):
-        resp = gateway.generate(GenerationRequest.from_bundle(bundle, "baseline"))
+        resp = gateway.generate(GenerationRequest(bundle, "baseline"))
         return parse_verdict(resp.text)
 
     verdicts = []
     for _ in range(samples):
-        resp = gateway.generate(GenerationRequest.from_bundle(bundle, "baseline"))
+        resp = gateway.generate(GenerationRequest(bundle, "baseline"))
         verdicts.append(parse_verdict(resp.text))
     counts: dict[str, int] = {}
     first_seen: dict[str, int] = {}

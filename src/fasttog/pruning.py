@@ -18,22 +18,6 @@ from .kg import Subgraph, Triple
 from .verbalize import CommunityText, build_pruning_prompt
 
 
-class History:
-    """Canonical ids of communities already explored in one run."""
-
-    def __init__(self):
-        self.visited: set[str] = set()
-
-    def add(self, canonical_id: str) -> None:
-        self.visited.add(canonical_id)
-
-    def __contains__(self, canonical_id: str) -> bool:
-        return canonical_id in self.visited
-
-    def __len__(self) -> int:
-        return len(self.visited)
-
-
 @dataclass(frozen=True)
 class CandidateCommunity:
     community: Community
@@ -50,7 +34,7 @@ class PruneOutcome:
 
 
 def candidate_communities(
-    p: Partition, current: Community, h: History, g: Subgraph
+    p: Partition, current: Community, h: set[str], g: Subgraph
 ) -> list[CandidateCommunity]:
     """One-hop-adjacent, unvisited communities of ``p`` around ``current``.
 
@@ -104,8 +88,6 @@ def fine_prune(
     gateway,
     k: int,
     verbalizer: Callable[[CandidateCommunity], CommunityText],
-    temperature: float = 0.4,
-    max_output_tokens: int = 1024,
     templates_dir=None,
 ) -> PruneOutcome:
     """Model-driven final selection among the coarse survivors.
@@ -119,16 +101,8 @@ def fine_prune(
         raise ValueError("cands must be non-empty")
     k = min(k, len(cands))
     texts = [verbalizer(c) for c in cands]
-    bundle = build_pruning_prompt(
-        question,
-        context_chain,
-        texts,
-        k,
-        temperature=temperature,
-        max_output_tokens=max_output_tokens,
-        templates_dir=templates_dir,
-    )
-    resp = gateway.generate(GenerationRequest.from_bundle(bundle, "pruning"))
+    bundle = build_pruning_prompt(question, context_chain, texts, k, templates_dir=templates_dir)
+    resp = gateway.generate(GenerationRequest(bundle, "pruning"))
     indices = parse_choice(resp.text, len(cands), k)
     if indices is None:
         return PruneOutcome((), (), True, resp.text)

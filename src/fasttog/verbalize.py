@@ -18,7 +18,6 @@ from typing import Sequence
 from .community import Community
 from .errors import GatewayError, ProviderError
 from .gateway import (
-    DEFAULT_MAX_OUTPUT_TOKENS,
     PRUNING_TEMPERATURE,
     REASONING_TEMPERATURE,
     GenerationRequest,
@@ -88,10 +87,9 @@ def graph2text(
         system_preamble=preamble,
         body=body_tpl.format(triples=base.text),
         temperature=REASONING_TEMPERATURE,
-        max_output_tokens=DEFAULT_MAX_OUTPUT_TOKENS,
     )
     try:
-        resp = backend.generate(GenerationRequest.from_bundle(bundle, "g2t"))
+        resp = backend.generate(GenerationRequest(bundle, "g2t"))
     except GatewayError:
         if fallback:
             return dataclasses.replace(base, fallback=True)
@@ -109,8 +107,6 @@ def build_pruning_prompt(
     context_chain: Sequence[CommunityText],
     candidates: Sequence[CommunityText],
     k: int,
-    temperature: float = PRUNING_TEMPERATURE,
-    max_output_tokens: int = DEFAULT_MAX_OUTPUT_TOKENS,
     templates_dir=None,
 ) -> PromptBundle:
     """Multiple-choice selection prompt over candidate communities.
@@ -139,8 +135,7 @@ def build_pruning_prompt(
         body=body_tpl.format(question=question, premise=premise, selection=selection),
         option_labels=labels,
         option_texts=tuple(ct.text for ct in candidates),
-        temperature=temperature,
-        max_output_tokens=max_output_tokens,
+        temperature=PRUNING_TEMPERATURE,
     )
 
 
@@ -148,8 +143,6 @@ def build_reasoning_prompt(
     question: str,
     chains: Sequence[Sequence[CommunityText]],
     start: CommunityText,
-    temperature: float = REASONING_TEMPERATURE,
-    max_output_tokens: int = DEFAULT_MAX_OUTPUT_TOKENS,
     templates_dir=None,
 ) -> PromptBundle:
     """Answer-generation prompt over all chains.
@@ -169,6 +162,5 @@ def build_reasoning_prompt(
     return PromptBundle(
         system_preamble=preamble,
         body=body_tpl.format(question=question, context=context),
-        temperature=temperature,
-        max_output_tokens=max_output_tokens,
+        temperature=REASONING_TEMPERATURE,
     )

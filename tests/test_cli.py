@@ -125,6 +125,53 @@ def test_eval_writes_report(tmp_path, capsys):
     assert "hit@1=0.5000" in table
 
 
+def test_eval_g2t_with_endpoint_builds_backend(tmp_path, monkeypatch):
+    from fasttog.gateway import load_template
+
+    from test_gateway import FakeResponse, ok_payload
+
+    graph, start, target = path_fixture(tmp_path)
+    data = tmp_path / "data.jsonl"
+    data.write_text(
+        json.dumps({"id": "q", "question": "q?", "answers": [target], "start_entities": [start]})
+        + "\n",
+        encoding="utf-8",
+    )
+    script = script_file(tmp_path, ["A", f"Answer: {target}"])
+    g2t_preamble = load_template("g2t")[0]
+    posted = []
+
+    def fake_post(url, json=None, headers=None, timeout=None):
+        posted.append(json["messages"][0]["content"])
+        return FakeResponse(200, ok_payload("fluent facts"))
+
+    monkeypatch.setattr("fasttog.gateway.requests.post", fake_post)
+    trace_dir = tmp_path / "traces"
+    code = main(
+        [
+            "eval",
+            "--graph", str(graph),
+            "--data", str(data),
+            "--width", "1",
+            "--max-depth", "2",
+            "--mode", "g2t",
+            "--mock-script", str(script),
+            "--endpoint", "http://x",
+            "--model", "m",
+            "--trace-dir", str(trace_dir),
+        ]
+    )
+    assert code == 0
+    # the scripted gateway answers retrieval; only g2t rewrites go to the endpoint
+    assert posted and set(posted) == {g2t_preamble}
+    events = [
+        json.loads(line)
+        for path in trace_dir.iterdir()
+        for line in path.read_text(encoding="utf-8").splitlines()
+    ]
+    assert events and not [e for e in events if e["event"] == "g2t_fallback"]
+
+
 def test_trace_subcommand_renders_dot(tmp_path, capsys):
     graph, start, target = path_fixture(tmp_path)
     script = script_file(tmp_path, ["A", "Unknown", "A", "A", f"Answer: {target}"])

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from fasttog import Engine, EngineConfig, History, RunTrace, ScriptedGateway, trace_to_dot
+from fasttog import Engine, EngineConfig, RunTrace, ScriptedGateway, trace_to_dot
 from fasttog.errors import ResolutionError
 
 from helpers import (
@@ -35,7 +35,7 @@ def test_width_one_uses_single_choice():
     assert verdict.kind == "answer"
     assert trace.depth_reached == 0
     # single-choice prompt was parseable with a bare letter
-    assert gw.ledger.pruning_calls == 1 and gw.ledger.reasoning_calls == 1
+    assert gw.ledger.counts()["pruning"] == 1 and gw.ledger.counts()["reasoning"] == 1
 
 
 def test_none_at_initial_phase_degrades_immediately():
@@ -44,8 +44,8 @@ def test_none_at_initial_phase_degrades_immediately():
     assert trace.degraded
     assert trace.depth_reached == 0
     # no reasoning call over empty context; only the degrade baseline call
-    assert gw.ledger.reasoning_calls == 0
-    assert gw.ledger.baseline_calls == 1
+    assert gw.ledger.counts()["reasoning"] == 0
+    assert gw.ledger.counts()["baseline"] == 1
     assert verdict.text == "fallback"
 
 
@@ -83,7 +83,7 @@ def test_not_confirmed_stops_chain():
     assert trace.degraded
     # dead chains skip the remaining iterations entirely
     assert trace.depth_reached == 1
-    assert gw.ledger.baseline_calls == 1
+    assert gw.ledger.counts()["baseline"] == 1
 
 
 @pytest.mark.parametrize("width,depth", [(1, 1), (2, 3)])
@@ -91,9 +91,9 @@ def test_call_accounting_closed_form(width, depth):
     eng, gw, hub = spider_engine(width, depth, never_answer_script(width, depth))
     verdict, trace = eng.run("q?", [hub])
     expected = 2 * width * depth + depth + 2
-    assert gw.ledger.pruning_calls + gw.ledger.reasoning_calls == expected
+    assert gw.ledger.counts()["pruning"] + gw.ledger.counts()["reasoning"] == expected
     assert trace.degraded
-    assert gw.ledger.baseline_calls == 1
+    assert gw.ledger.counts()["baseline"] == 1
 
 
 def test_chain_adjacency_invariant():
@@ -166,7 +166,7 @@ def test_run_total_never_exceeds_worst_case_bound():
     for script in stall_scripts:
         eng, gw, hub = spider_engine(1, 3, script)
         eng.run("q?", [hub])
-        total = gw.ledger.pruning_calls + gw.ledger.reasoning_calls
+        total = gw.ledger.counts()["pruning"] + gw.ledger.counts()["reasoning"]
         assert total <= bound, script
 
 
@@ -193,7 +193,7 @@ def test_degrade_cot_sc_samples_ledger():
     eng, gw, hub = spider_engine(1, 2, script, degrade_mode="cot_sc")
     verdict, trace = eng.run("q?", [hub])
     assert trace.degraded
-    assert gw.ledger.baseline_calls == 5
+    assert gw.ledger.counts()["baseline"] == 5
     assert verdict.text == "vote a"
 
 
@@ -253,7 +253,7 @@ def test_local_search_walks_to_opposite_triangle():
     eng._seed_counter = 0
     eng._rng = random.Random(0)
     outcome, _g, _current = eng._local_community_search(
-        "q?", frozenset({"a", "b", "c"}), History(), 1, None, RunTrace(), 0, None
+        "q?", frozenset({"a", "b", "c"}), set(), 1, None, RunTrace(), 0, None
     )
     assert not outcome.none_selected
     assert outcome.chosen[0].community.sorted_members == ("d", "e", "f")
@@ -261,9 +261,7 @@ def test_local_search_walks_to_opposite_triangle():
 
 
 def test_g2t_mode_without_backend_falls_back_with_trace_flag():
-    eng, gw, hub = spider_engine(
-        1, 1, ["A", "Unknown", "A", "A", "Answer: ok"], mode="g2t", g2t_fallback=True
-    )
+    eng, gw, hub = spider_engine(1, 1, ["A", "Unknown", "A", "A", "Answer: ok"], mode="g2t")
     verdict, trace = eng.run("q?", [hub])
     assert verdict.text == "ok"
     fallbacks = [e for e in trace.events if e["event"] == "g2t_fallback"]
@@ -279,7 +277,7 @@ def test_g2t_mode_with_backend_rewrites():
     eng = Engine(kg, gw, cfg, g2t_backend=backend)
     verdict, trace = eng.run("q?", [hub])
     assert verdict.text == "ok"
-    assert backend.ledger.g2t_calls > 0
+    assert backend.ledger.counts()["g2t"] > 0
     assert not [e for e in trace.events if e["event"] == "g2t_fallback"]
     # rewritten text flows into the prompts
-    assert gw.ledger.pruning_calls >= 1
+    assert gw.ledger.counts()["pruning"] >= 1

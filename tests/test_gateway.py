@@ -22,9 +22,7 @@ from fasttog.errors import (
 
 
 def req(tag="pruning", body="hello"):
-    return GenerationRequest.from_bundle(
-        PromptBundle(system_preamble="sys", body=body), tag
-    )
+    return GenerationRequest(PromptBundle(system_preamble="sys", body=body), tag)
 
 
 # -- scripted gateway -----------------------------------------------------------
@@ -41,14 +39,14 @@ def test_scripted_fail_twice_then_succeed():
     resp = gw.generate(req())
     assert resp.text == "B"
     assert resp.attempt == 2
-    assert gw.ledger.pruning_calls == 1  # retries never double-count
+    assert gw.ledger.counts()["pruning"] == 1  # retries never double-count
 
 
 def test_scripted_retry_budget_exhausted():
     gw = ScriptedGateway(["FAIL"] * 5, retry_budget=3)
     with pytest.raises(TransportError):
         gw.generate(req())
-    assert gw.ledger.pruning_calls == 1
+    assert gw.ledger.counts()["pruning"] == 1
 
 
 def test_scripted_exhaustion():
@@ -76,7 +74,7 @@ def test_request_validation():
     with pytest.raises(ValueError):
         req(tag="bogus")
     with pytest.raises(ValueError):
-        GenerationRequest(PromptBundle("s", "b"), temperature=3.0, max_output_tokens=10, tag="pruning")
+        PromptBundle("s", "b", temperature=3.0)
 
 
 # -- choice parsing --------------------------------------------------------------
@@ -104,6 +102,9 @@ CHOICE_CASES = [
     ("No relevant option here", 3, 1, "none"),
     ("NONE.", 3, 1, "none"),
     ("There is no relevant community", 3, 1, "none"),
+    ("This is a strong match: B", 3, 1, [1]),  # the article "a" is not option A
+    ("B, because none of the others mention the river", 3, 1, [1]),  # leading letter wins
+    ("A is not relevant", 1, 1, "none"),
 ]
 
 
@@ -186,21 +187,21 @@ def test_baseline_io_single_call():
     gw = ScriptedGateway(["Paris"])
     v = baseline_answer("capital?", "io", gw)
     assert v.kind == "answer" and v.text == "Paris"
-    assert gw.ledger.baseline_calls == 1
+    assert gw.ledger.counts()["baseline"] == 1
 
 
 def test_baseline_cot_single_call():
     gw = ScriptedGateway(["step by step... Answer: Lyon"])
     v = baseline_answer("q", "cot", gw)
     assert v.text == "Lyon"
-    assert gw.ledger.baseline_calls == 1
+    assert gw.ledger.counts()["baseline"] == 1
 
 
 def test_baseline_cot_sc_majority():
     gw = ScriptedGateway(["A", "B", "A", "A", "C"])
     v = baseline_answer("q", "cot_sc", gw, samples=5)
     assert v.text == "A"
-    assert gw.ledger.baseline_calls == 5
+    assert gw.ledger.counts()["baseline"] == 5
 
 
 def test_baseline_cot_sc_tie_takes_first_sampled():
@@ -249,7 +250,7 @@ def test_endpoint_posts_chat_shape(monkeypatch):
     assert seen["json"]["model"] == "m"
     assert seen["json"]["messages"][1]["content"] == "question body"
     assert seen["headers"]["Authorization"] == "Bearer k"
-    assert ep.ledger.reasoning_calls == 1
+    assert ep.ledger.counts()["reasoning"] == 1
 
 
 def test_endpoint_retries_transient_then_succeeds(monkeypatch):
@@ -267,7 +268,7 @@ def test_endpoint_retries_transient_then_succeeds(monkeypatch):
     resp = ep.generate(req())
     assert resp.text == "recovered"
     assert resp.attempt == 2
-    assert ep.ledger.pruning_calls == 1
+    assert ep.ledger.counts()["pruning"] == 1
 
 
 def test_endpoint_gives_up_after_budget(monkeypatch):
@@ -278,7 +279,7 @@ def test_endpoint_gives_up_after_budget(monkeypatch):
     ep = ChatEndpoint(url="http://x", model="m", retry_budget=2, backoff_base=0)
     with pytest.raises(TransportError):
         ep.generate(req())
-    assert ep.ledger.pruning_calls == 1
+    assert ep.ledger.counts()["pruning"] == 1
 
 
 def test_endpoint_client_error_is_not_retried(monkeypatch):
@@ -310,3 +311,51 @@ def test_endpoint_reads_environment(monkeypatch):
     assert ep.url == "http://env-host/chat"
     assert ep.model == "env-model"
     assert ep.api_key == "env-key"
+
+
+def test_endpoint_wire_settings_per_call_kind(monkeypatch):
+    from fasttog import Engine, EngineConfig
+    from fasttog.gateway import load_template
+
+    from helpers import clique_spider
+
+    kg, hub = clique_spider(arms=3, arm_len=3, seed=1)
+    templates = ("extract", "pruning", "reasoning", "g2t", "baseline_io", "baseline_cot")
+    kind_of = {load_template(name)[0]: name for name in templates}
+    replies = {
+        "extract": hub,
+        "pruning": "A",
+        "reasoning": "Unknown",
+        "g2t": "fluent facts",
+        "baseline_io": "Answer: x",
+        "baseline_cot": "Answer: x",
+    }
+    posted = []
+
+    def fake_post(url, json=None, headers=None, timeout=None):
+        kind = kind_of[json["messages"][0]["content"]]
+        posted.append((kind, json["temperature"], json["max_tokens"]))
+        return FakeResponse(200, ok_payload(replies[kind]))
+
+    monkeypatch.setattr("fasttog.gateway.requests.post", fake_post)
+
+    def endpoint():
+        return ChatEndpoint(url="http://x", model="m", backoff_base=0)
+
+    # extraction, header pick, reasoning, select + confirm, reasoning, io degrade
+    cfg = EngineConfig(width=1, max_depth=1, seed=4, mode="g2t")
+    Engine(kg, endpoint(), cfg, g2t_backend=endpoint()).run("q?")
+    assert [kind for kind, _t, _m in posted].count("pruning") == 3
+    assert set(posted) == {
+        ("extract", 0.4, 1024),
+        ("pruning", 0.4, 1024),
+        ("reasoning", 0.1, 1024),
+        ("g2t", 0.1, 1024),
+        ("baseline_io", 0.1, 1024),
+    }
+    posted.clear()
+    baseline_answer("q?", "cot", endpoint())
+    assert posted == [("baseline_cot", 0.1, 1024)]
+    posted.clear()
+    baseline_answer("q?", "cot_sc", endpoint(), samples=3)
+    assert posted == [("baseline_cot", 0.7, 1024)] * 3

@@ -14,7 +14,7 @@ from fasttog import (
     random_prune,
 )
 from fasttog.errors import ReplyParseError
-from fasttog.pruning import CandidateCommunity, History
+from fasttog.pruning import CandidateCommunity
 from fasttog.verbalize import triple2text
 
 from helpers import full_subgraph
@@ -34,7 +34,7 @@ def t2t_verbalizer(g):
 
 def test_candidates_on_triangles(triangles_g, triangle_partition):
     current = Community.from_members(TRIANGLE_1, triangles_g)
-    cands = candidate_communities(triangle_partition, current, History(), triangles_g)
+    cands = candidate_communities(triangle_partition, current, set(), triangles_g)
     assert len(cands) == 1
     assert cands[0].community.sorted_members == ("d", "e", "f")
     assert cands[0].bridge_edges == (Triple("c", "bridge", "d"),)
@@ -43,7 +43,7 @@ def test_candidates_on_triangles(triangles_g, triangle_partition):
 
 def test_candidates_exclude_history(triangles_g, triangle_partition):
     current = Community.from_members(TRIANGLE_1, triangles_g)
-    h = History()
+    h = set()
     h.add(Community.from_members(TRIANGLE_2, triangles_g).canonical_id)
     assert candidate_communities(triangle_partition, current, h, triangles_g) == []
 
@@ -60,7 +60,7 @@ def test_candidates_require_direct_edge():
     g = full_subgraph(kg)
     p = Partition.from_member_sets([{"a", "b"}, {"mid"}, {"x", "y"}], g)
     current = Community.from_members({"a", "b"}, g)
-    cands = candidate_communities(p, current, History(), g)
+    cands = candidate_communities(p, current, set(), g)
     assert [c.community.sorted_members for c in cands] == [("mid",)]
 
 
@@ -68,7 +68,7 @@ def test_candidates_with_overlapping_community(triangles_g):
     # re-detection absorbed a current member: bridges come from novel members
     p = Partition.from_member_sets([{"a", "b"}, {"c", "d", "e", "f"}], triangles_g)
     current = Community.from_members({"b", "c"}, triangles_g)
-    cands = candidate_communities(p, current, History(), triangles_g)
+    cands = candidate_communities(p, current, set(), triangles_g)
     by_members = {c.community.sorted_members: c for c in cands}
     assert ("c", "d", "e", "f") in by_members
     bridge = by_members[("c", "d", "e", "f")].bridge_edges
@@ -124,7 +124,7 @@ def test_fine_prune_single_choice(triangles_g):
     out = fine_prune("q?", cands, [], gw, 1, verbalizer=t2t_verbalizer(triangles_g))
     assert not out.none_selected
     assert out.chosen == (cands[0],)
-    assert gw.ledger.pruning_calls == 1
+    assert gw.ledger.counts()["pruning"] == 1
 
 
 def test_fine_prune_multi_choice_partial(triangles_g):
@@ -163,7 +163,7 @@ def test_fine_prune_single_candidate_still_consults(triangles_g):
     cands = _cands_for_fine(triangles_g, 1)
     out = fine_prune("q?", cands, [], gw, 1, verbalizer=t2t_verbalizer(triangles_g))
     assert out.none_selected
-    assert gw.ledger.pruning_calls == 1
+    assert gw.ledger.counts()["pruning"] == 1
 
 
 def test_fine_prune_requires_candidates(triangles_g):

@@ -94,7 +94,7 @@ def test_g2t_uses_backend_text():
     out = graph2text(c, [], backend, g)
     assert out.text == fluent
     assert out.mode_used == "g2t"
-    assert backend.ledger.g2t_calls == 1
+    assert backend.ledger.counts()["g2t"] == 1
 
 
 def test_g2t_falls_back_without_backend():
