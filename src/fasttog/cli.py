@@ -16,14 +16,7 @@ from pathlib import Path
 
 from .detect import DETECTOR_KINDS, detect
 from .engine import Engine, EngineConfig, trace_to_dot
-from .errors import (
-    DataError,
-    FastToGError,
-    GatewayError,
-    NotFoundError,
-    ResolutionError,
-    TripleFormatError,
-)
+from .errors import DataError, FastToGError, GatewayError
 from .evaluate import evaluate, load_dataset
 from .community import partition_dump
 from .gateway import ChatEndpoint, ScriptedGateway
@@ -230,20 +223,11 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return _COMMANDS[args.command](args)
-    except (TripleFormatError, DataError, NotFoundError, ResolutionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except GatewayError as exc:
         print(f"provider error: {exc}", file=sys.stderr)
         return 3
-    except FastToGError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        # bad input values that slipped past argparse (e.g. empty graph)
+    except (FastToGError, OSError, ValueError) as exc:
+        # typed data errors, unreadable paths, and bad values argparse let through
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

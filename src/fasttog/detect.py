@@ -84,23 +84,7 @@ class DetectionOutcome:
 
 def connected_components(g: Subgraph) -> list[frozenset[EntityId]]:
     """Structural components of the subgraph, ordered by smallest member."""
-    seen: set[EntityId] = set()
-    comps = []
-    for start in sorted(g.nodes):
-        if start in seen:
-            continue
-        comp = {start}
-        queue = deque([start])
-        seen.add(start)
-        while queue:
-            u = queue.popleft()
-            for v in g.adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    comp.add(v)
-                    queue.append(v)
-        comps.append(frozenset(comp))
-    return comps
+    return [frozenset(block) for block in _components_of(g.adj)]
 
 
 def backtrack_to_size(
@@ -320,6 +304,7 @@ def _girvan_newman_states(g: Subgraph, comp: frozenset[EntityId]):
 
 
 def _components_of(adj):
+    """BFS blocks of an adjacency map, ordered by smallest member."""
     seen: set[EntityId] = set()
     comps = []
     for start in sorted(adj):
@@ -376,15 +361,20 @@ def _edge_betweenness(adj):
 # -- hierarchical -------------------------------------------------------------
 
 
-def _hierarchical_states(g: Subgraph, comp: frozenset[EntityId]):
+def _dense_adjacency(g: Subgraph, comp: frozenset[EntityId]):
+    """The component's sorted nodes, their row index, and the boolean adjacency."""
     nodes = sorted(comp)
-    n = len(nodes)
     index = {v: i for i, v in enumerate(nodes)}
-    A = np.zeros((n, n), dtype=bool)
+    A = np.zeros((len(nodes), len(nodes)), dtype=bool)
     for u in nodes:
         for v in g.adj[u]:
             if v in comp:
                 A[index[u], index[v]] = True
+    return nodes, index, A
+
+
+def _hierarchical_states(g: Subgraph, comp: frozenset[EntityId]):
+    nodes, index, A = _dense_adjacency(g, comp)
     inter = (A.astype(np.int64) @ A.astype(np.int64).T).astype(float)
     deg = A.sum(axis=1).astype(float)
     union = deg[:, None] + deg[None, :] - inter
@@ -420,14 +410,9 @@ def _hierarchical_states(g: Subgraph, comp: frozenset[EntityId]):
 
 
 def _spectral_states(g: Subgraph, comp: frozenset[EntityId], m_max: int, np_rng):
-    nodes = sorted(comp)
+    nodes, _, adjacency = _dense_adjacency(g, comp)
     n = len(nodes)
-    index = {v: i for i, v in enumerate(nodes)}
-    A = np.zeros((n, n))
-    for u in nodes:
-        for v in g.adj[u]:
-            if v in comp:
-                A[index[u], index[v]] = 1.0
+    A = adjacency.astype(float)
     deg = A.sum(axis=1)
     d_inv_sqrt = 1.0 / np.sqrt(deg)
     lap = np.eye(n) - (A * d_inv_sqrt[:, None]) * d_inv_sqrt[None, :]

@@ -10,7 +10,9 @@ global reasoning call over all chains. A chain whose selection or
 confirmation comes back negative is discontinued. If the depth budget is
 exhausted without an answer, the run degrades to an inner-knowledge baseline.
 
-Call accounting: with no stalled chains the retrieval ledger totals exactly
+Call accounting: each run counts its own calls, g2t rewrites included, in a
+fresh ledger that ``RunTrace.ledger`` reports; retries inside a gateway count
+once. With no stalled chains the retrieval calls total exactly
 ``2 * width * max_depth + max_depth + 2`` before any degrade call (one
 pruning and one reasoning call in the initial phase, two pruning calls per
 chain plus one reasoning call per iteration).
@@ -27,7 +29,9 @@ from .detect import DETECTOR_KINDS, detect
 from .errors import FastToGError, ResolutionError
 from .gateway import (
     PRUNING_TEMPERATURE,
+    CallLedger,
     GenerationRequest,
+    GenerationResponse,
     ParsedVerdict,
     baseline_answer,
     load_template,
@@ -132,6 +136,18 @@ class RunTrace:
         return "\n".join(lines) + ("\n" if lines else "")
 
 
+class _Counted:
+    """Forwards each generation call after counting it in a run's ledger."""
+
+    def __init__(self, gateway, ledger: CallLedger):
+        self._gateway = gateway
+        self._ledger = ledger
+
+    def generate(self, req: GenerationRequest) -> GenerationResponse:
+        self._ledger.increment(req.tag)
+        return self._gateway.generate(req)
+
+
 class Engine:
     """Owns one knowledge graph + gateway and executes question runs."""
 
@@ -155,13 +171,18 @@ class Engine:
         cfg = self.config
         self._seed_counter = 0
         self._rng = random.Random(cfg.seed ^ 0x9E3779B9)
+        self._ledger = CallLedger()
+        self._gateway = _Counted(self.gateway, self._ledger)
+        self._g2t = None
+        if self.g2t_backend is not None:
+            self._g2t = _Counted(self.g2t_backend, self._ledger)
         trace = RunTrace()
         trace.add("start", question=question, config=cfg.public_dict())
         try:
             return self._run(question, start_entities, trace)
         except FastToGError as exc:
             # fatal aborts still expose what happened up to the failure
-            trace.ledger = self.gateway.ledger.counts()
+            trace.ledger = self._ledger.counts()
             trace.add("aborted", error=str(exc))
             exc.partial_trace = trace
             raise
@@ -191,12 +212,12 @@ class Engine:
                 degraded = True
                 trace.add("degrade", mode=cfg.degrade_mode, depth=trace.depth_reached)
                 verdict = baseline_answer(
-                    question, cfg.degrade_mode, self.gateway, templates_dir=cfg.templates_dir
+                    question, cfg.degrade_mode, self._gateway, templates_dir=cfg.templates_dir
                 )
 
         trace.answer = verdict
         trace.degraded = degraded
-        trace.ledger = self.gateway.ledger.counts()
+        trace.ledger = self._ledger.counts()
         trace.add(
             "final",
             answer={"kind": verdict.kind, "text": verdict.text},
@@ -223,7 +244,7 @@ class Engine:
             body=body_tpl.format(question=question),
             temperature=PRUNING_TEMPERATURE,
         )
-        resp = self.gateway.generate(GenerationRequest(bundle, "pruning"))
+        resp = self._gateway.generate(GenerationRequest(bundle, "pruning"))
         label = resp.text.strip().strip('"')
         if label not in self.omega.nodes:
             raise ResolutionError(f"extracted entity not in graph: {label!r}")
@@ -286,7 +307,7 @@ class Engine:
                 question,
                 [cand],
                 context,
-                self.gateway,
+                self._gateway,
                 k=1,
                 verbalizer=lambda _c, _t=cand_text: _t,
                 templates_dir=self.config.templates_dir,
@@ -322,7 +343,7 @@ class Engine:
             chainset.start_text,
             templates_dir=self.config.templates_dir,
         )
-        resp = self.gateway.generate(GenerationRequest(bundle, "reasoning"))
+        resp = self._gateway.generate(GenerationRequest(bundle, "reasoning"))
         verdict = parse_verdict(resp.text)
         trace.add(
             "verdict",
@@ -397,7 +418,7 @@ class Engine:
             question,
             kept,
             context_texts,
-            self.gateway,
+            self._gateway,
             k=n_pick,
             verbalizer=lambda cand, _g=g: self._community_text(
                 cand.community, cand.bridge_edges, _g, trace
@@ -421,7 +442,7 @@ class Engine:
             text = graph2text(
                 community,
                 list(bridges),
-                self.g2t_backend,
+                self._g2t,
                 g,
                 templates_dir=self.config.templates_dir,
             )

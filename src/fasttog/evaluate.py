@@ -161,7 +161,7 @@ def evaluate(
                 "id": record.id,
                 "correct": False,
                 "depth": 0,
-                "calls": gateway.ledger.total(),
+                "calls": sum(exc.partial_trace.ledger.values()),
                 "degraded": False,
                 "error": str(exc),
             }
@@ -175,7 +175,7 @@ def evaluate(
             "id": record.id,
             "correct": correct,
             "depth": trace.depth_reached,
-            "calls": gateway.ledger.total(),
+            "calls": sum(trace.ledger.values()),
             "degraded": trace.degraded,
         }
 

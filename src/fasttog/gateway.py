@@ -1,12 +1,13 @@
 """Uniform text-generation interface.
 
 Provides the remote chat-completion adapter, a deterministic scripted mock
-for tests and offline runs, reply parsers, a per-tag call ledger, and the
-inner-knowledge answer baselines (direct, step-by-step, and self-consistency
-voting).
+for tests and offline runs, reply parsers, the per-tag call ledger a run
+counts into, and the inner-knowledge answer baselines (direct, step-by-step,
+and self-consistency voting).
 
-Every logical generation call increments exactly one ledger counter exactly
-once; transport retries never inflate the counts.
+A gateway is any object with ``generate(req) -> GenerationResponse``. It
+retries transient failures itself and counts nothing: each run counts its
+own calls, once per logical call.
 """
 
 from __future__ import annotations
@@ -60,6 +61,8 @@ class GenerationRequest:
     def __post_init__(self):
         if self.tag not in TAGS:
             raise ValueError(f"unknown request tag: {self.tag!r}")
+        if not self.prompt.body.strip():
+            raise ValueError("empty prompt body")
 
 
 @dataclass(frozen=True)
@@ -92,10 +95,6 @@ class CallLedger:
     def counts(self) -> dict[str, int]:
         with self._lock:
             return dict(self._counts)
-
-    def total(self) -> int:
-        with self._lock:
-            return sum(self._counts.values())
 
 
 @functools.lru_cache(maxsize=64)
@@ -135,7 +134,6 @@ class ScriptedGateway:
         self._pos = 0
         self._lock = threading.Lock()
         self.retry_budget = retry_budget
-        self.ledger = CallLedger()
 
     @classmethod
     def from_file(cls, path: str | Path, retry_budget: int = 3) -> "ScriptedGateway":
@@ -153,9 +151,6 @@ class ScriptedGateway:
             return line
 
     def generate(self, req: GenerationRequest) -> GenerationResponse:
-        if not req.prompt.body.strip():
-            raise ValueError("empty prompt body")
-        self.ledger.increment(req.tag)
         attempt = 0
         while True:
             line = self._next_line()
@@ -194,16 +189,12 @@ class ChatEndpoint:
         self.backoff_base = backoff_base
         self.timeout = timeout
         self._slots = threading.Semaphore(max_in_flight)
-        self.ledger = CallLedger()
 
     @property
     def provider(self) -> str:
         return self.model or "chat"
 
     def generate(self, req: GenerationRequest) -> GenerationResponse:
-        if not req.prompt.body.strip():
-            raise ValueError("empty prompt body")
-        self.ledger.increment(req.tag)
         payload = {
             "model": self.model,
             "messages": [
@@ -251,6 +242,8 @@ _NOT_RELEVANT_RE = re.compile(r"\bno\s+relevant\b|\bnot\s+relevant\b", re.IGNORE
 _LETTER_RE = re.compile(r"(?<![A-Za-z])([A-Za-z])(?![A-Za-z])")
 # a letter opening the reply, set off by punctuation or the end ("B," "(C)")
 _LEADING_LETTER_RE = re.compile(r"[\W_]*([A-Za-z])(?:[^\w\s]|$)")
+# a capital A or I opening the reply before a word ("A strong match is B", "I think C")
+_LEADING_WORD_RE = re.compile(r"[\W_]*([AI])\s+(?!(?:and|or)\b)[a-z]")
 _UNKNOWN_RE = re.compile(r"^[\s\W]*unknown\b", re.IGNORECASE)
 _ANSWER_MARKER_RE = re.compile(r"answer\s*:", re.IGNORECASE)
 
@@ -264,8 +257,10 @@ def parse_choice(text: str, n_options: int, k: int) -> list[int] | None:
 
     Accepts bare letters in any common dressing ("B", "B.", "(B)", "Option B",
     case-insensitive). When the reply holds a capital option letter, lowercase
-    ones are read as words ("is a strong match: B" picks B). Replies declaring
-    no option relevant return ``None``; a bare "none" loses to an option letter
+    ones are read as words ("is a strong match: B" picks B), and so is an
+    opening capital A or I before a word other than "and"/"or" when another
+    capital option letter follows ("I think C" picks C). Replies declaring no
+    option relevant return ``None``; a bare "none" loses to an option letter
     that opens the reply ("B, because none of the others..."). Letters beyond
     ``n_options`` are ignored. A reply with neither a usable letter nor a
     none-phrase raises ReplyParseError.
@@ -281,8 +276,11 @@ def parse_choice(text: str, n_options: int, k: int) -> list[int] | None:
         if not (lead and _option_index(lead.group(1)) < n_options):
             return None
     letters = [ch for ch in _LETTER_RE.findall(text) if _option_index(ch) < n_options]
-    letters = [ch for ch in letters if ch.isupper()] or letters
-    indices = list(dict.fromkeys(_option_index(ch) for ch in letters))[:k]
+    capitals = [ch for ch in letters if ch.isupper()]
+    lead = _LEADING_WORD_RE.match(text)
+    if lead and len(capitals) > 1 and _option_index(lead.group(1)) < n_options:
+        capitals.pop(0)  # the opening A or I is the first capital found
+    indices = list(dict.fromkeys(_option_index(ch) for ch in capitals or letters))[:k]
     if not indices:
         raise ReplyParseError("no option letter or none-phrase found", text)
     return indices

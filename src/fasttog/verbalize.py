@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .community import Community
-from .errors import GatewayError, ProviderError
+from .errors import GatewayError
 from .gateway import (
     PRUNING_TEMPERATURE,
     REASONING_TEMPERATURE,
@@ -73,15 +73,12 @@ def graph2text(
     bridge: Sequence[Triple],
     backend,
     g: Subgraph,
-    fallback: bool = True,
     templates_dir=None,
 ) -> CommunityText:
-    """Fluent conversion via the rewrite backend, with optional t2t fallback."""
+    """Fluent conversion via the rewrite backend; t2t when it is absent or failing."""
     base = triple2text(c, bridge, g)
     if backend is None:
-        if fallback:
-            return dataclasses.replace(base, fallback=True)
-        raise ProviderError("no rewrite backend configured and fallback disabled")
+        return dataclasses.replace(base, fallback=True)
     preamble, body_tpl = load_template("g2t", templates_dir)
     bundle = PromptBundle(
         system_preamble=preamble,
@@ -91,9 +88,7 @@ def graph2text(
     try:
         resp = backend.generate(GenerationRequest(bundle, "g2t"))
     except GatewayError:
-        if fallback:
-            return dataclasses.replace(base, fallback=True)
-        raise
+        return dataclasses.replace(base, fallback=True)
     return CommunityText(
         community_id=c.canonical_id,
         text=resp.text.strip(),

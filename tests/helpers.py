@@ -173,6 +173,22 @@ def gold_star(
 # -- deterministic test gateways ------------------------------------------------
 
 
+class Counting:
+    """Counts the calls made through it by tag, then forwards them.
+
+    Gateways count nothing themselves; this double gives tests that drive a
+    gateway directly, without an engine run, a ledger to assert on.
+    """
+
+    def __init__(self, gateway):
+        self.gateway = gateway
+        self.ledger = CallLedger()
+
+    def generate(self, req: GenerationRequest) -> GenerationResponse:
+        self.ledger.increment(req.tag)
+        return self.gateway.generate(req)
+
+
 def never_answer_script(width: int, max_depth: int, degrade_replies=("degrade filler",)):
     """Reply sequence for a run that never answers and never stalls."""
     lines = [", ".join("ABCDEFGHIJ"[i] for i in range(width)), "Unknown"]
@@ -198,7 +214,6 @@ class OracleGateway:
     def __init__(self, kg: KnowledgeGraph, target: str):
         self.kg = kg
         self.target = target
-        self.ledger = CallLedger()
         self._dist = self._distances(target)
         # longest labels first so substring hits are never partial-token
         self._labels = sorted(kg.nodes, key=len, reverse=True)
@@ -222,7 +237,6 @@ class OracleGateway:
         return best
 
     def generate(self, req: GenerationRequest) -> GenerationResponse:
-        self.ledger.increment(req.tag)
         if req.tag == "pruning":
             options = req.prompt.option_texts
             if not options:

@@ -125,12 +125,12 @@ def test_04_call_accounting(width, depth):
     gateway = ScriptedGateway(never_answer_script(width, depth))
     engine = Engine(kg, gateway, EngineConfig(width=width, max_depth=depth, seed=4))
     _verdict, trace = engine.run("never answered", [hub])
-    retrieval_total = gateway.ledger.counts()["pruning"] + gateway.ledger.counts()["reasoning"]
+    retrieval_total = trace.ledger["pruning"] + trace.ledger["reasoning"]
     expected = 2 * width * depth + depth + 2
     report(
         4,
         f"W={width} D={depth}: retrieval ledger {retrieval_total} vs closed form {expected} "
-        f"(degrade calls excluded: baseline={gateway.ledger.counts()['baseline']})",
+        f"(degrade calls excluded: baseline={trace.ledger['baseline']})",
         retrieval_total == expected and trace.degraded,
     )
 

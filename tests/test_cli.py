@@ -264,3 +264,83 @@ def test_bad_dataset_is_data_error(tmp_path):
         ["eval", "--graph", str(graph), "--data", str(data), "--mock-script", str(script)]
     )
     assert code == 2
+
+
+def test_directory_paths_are_data_errors(tmp_path, capsys):
+    graph, _, _ = path_fixture(tmp_path)
+    script = script_file(tmp_path, ["A"])
+    folder = str(tmp_path)
+    for argv in (
+        ["ingest", folder],
+        ["ingest", str(graph), "--out", folder],
+        ["trace", folder],
+        ["run", "--graph", str(graph), "--question", "q?", "--mock-script", folder],
+        ["eval", "--graph", str(graph), "--data", folder, "--mock-script", str(script)],
+    ):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err.startswith("error: "), argv
+
+
+def test_eval_endpoint_counts_each_record_own_calls(tmp_path, monkeypatch):
+    from fasttog.gateway import PRUNING_TEMPERATURE
+
+    from test_gateway import FakeResponse, ok_payload
+
+    graph, start, target = path_fixture(tmp_path)
+    data = tmp_path / "data.jsonl"
+    rows = [
+        {"id": f"q{i}", "question": "q?", "answers": [target], "start_entities": [start]}
+        for i in range(4)
+    ]
+    data.write_text("\n".join(json.dumps(r) for r in rows) + "\n", encoding="utf-8")
+
+    def fake_post(url, json=None, headers=None, timeout=None):
+        pruning = json["temperature"] == PRUNING_TEMPERATURE
+        return FakeResponse(200, ok_payload("A" if pruning else f"Answer: {target}"))
+
+    monkeypatch.setattr("fasttog.gateway.requests.post", fake_post)
+    report_path = tmp_path / "r.json"
+    code = main(
+        [
+            "eval",
+            "--graph", str(graph),
+            "--data", str(data),
+            "--width", "1",
+            "--max-depth", "2",
+            "--endpoint", "http://x",
+            "--model", "m",
+            "--parallelism", "2",
+            "--out", str(report_path),
+        ]
+    )
+    assert code == 0
+    report = json.loads(report_path.read_text())
+    # one shared endpoint, but each record reports its own pruning + reasoning call
+    assert [it["calls"] for it in report["per_item"]] == [2, 2, 2, 2]
+    assert report["avg_calls"] == 2.0
+
+
+def test_run_calls_line_counts_g2t_rewrites(tmp_path, capsys):
+    graph, start, target = path_fixture(tmp_path)
+    script = script_file(tmp_path, ["A", f"Answer: {target}"])
+    rewrites = script_file(tmp_path, ["fluent facts"] * 20, name="g2t.txt")
+    code = main(
+        [
+            "run",
+            "--graph", str(graph),
+            "--question", "q?",
+            "--start-entity", start,
+            "--width", "1",
+            "--mode", "g2t",
+            "--mock-script", str(script),
+            "--g2t-script", str(rewrites),
+        ]
+    )
+    assert code == 0
+    calls_line = next(
+        line for line in capsys.readouterr().out.splitlines() if line.startswith("calls: ")
+    )
+    calls = json.loads(calls_line[len("calls: "):])
+    # two kept candidates, plus the start community, which the initial phase
+    # verbalizes twice (once as the pruning premise, once as the chain start)
+    assert calls == {"baseline": 0, "g2t": 4, "pruning": 1, "reasoning": 1}

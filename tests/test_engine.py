@@ -2,10 +2,18 @@ import random
 
 import pytest
 
-from fasttog import Engine, EngineConfig, RunTrace, ScriptedGateway, trace_to_dot
+from fasttog import (
+    Engine,
+    EngineConfig,
+    GenerationResponse,
+    RunTrace,
+    ScriptedGateway,
+    trace_to_dot,
+)
 from fasttog.errors import ResolutionError
 
 from helpers import (
+    Counting,
     OracleGateway,
     bridged_triangles,
     clique_path,
@@ -35,7 +43,7 @@ def test_width_one_uses_single_choice():
     assert verdict.kind == "answer"
     assert trace.depth_reached == 0
     # single-choice prompt was parseable with a bare letter
-    assert gw.ledger.counts()["pruning"] == 1 and gw.ledger.counts()["reasoning"] == 1
+    assert trace.ledger["pruning"] == 1 and trace.ledger["reasoning"] == 1
 
 
 def test_none_at_initial_phase_degrades_immediately():
@@ -44,8 +52,8 @@ def test_none_at_initial_phase_degrades_immediately():
     assert trace.degraded
     assert trace.depth_reached == 0
     # no reasoning call over empty context; only the degrade baseline call
-    assert gw.ledger.counts()["reasoning"] == 0
-    assert gw.ledger.counts()["baseline"] == 1
+    assert trace.ledger["reasoning"] == 0
+    assert trace.ledger["baseline"] == 1
     assert verdict.text == "fallback"
 
 
@@ -83,7 +91,7 @@ def test_not_confirmed_stops_chain():
     assert trace.degraded
     # dead chains skip the remaining iterations entirely
     assert trace.depth_reached == 1
-    assert gw.ledger.counts()["baseline"] == 1
+    assert trace.ledger["baseline"] == 1
 
 
 @pytest.mark.parametrize("width,depth", [(1, 1), (2, 3)])
@@ -91,9 +99,9 @@ def test_call_accounting_closed_form(width, depth):
     eng, gw, hub = spider_engine(width, depth, never_answer_script(width, depth))
     verdict, trace = eng.run("q?", [hub])
     expected = 2 * width * depth + depth + 2
-    assert gw.ledger.counts()["pruning"] + gw.ledger.counts()["reasoning"] == expected
+    assert trace.ledger["pruning"] + trace.ledger["reasoning"] == expected
     assert trace.degraded
-    assert gw.ledger.counts()["baseline"] == 1
+    assert trace.ledger["baseline"] == 1
 
 
 def test_chain_adjacency_invariant():
@@ -165,8 +173,8 @@ def test_run_total_never_exceeds_worst_case_bound():
     bound = 2 * 1 * 3 + 3 + 2
     for script in stall_scripts:
         eng, gw, hub = spider_engine(1, 3, script)
-        eng.run("q?", [hub])
-        total = gw.ledger.counts()["pruning"] + gw.ledger.counts()["reasoning"]
+        _, trace = eng.run("q?", [hub])
+        total = trace.ledger["pruning"] + trace.ledger["reasoning"]
         assert total <= bound, script
 
 
@@ -193,7 +201,7 @@ def test_degrade_cot_sc_samples_ledger():
     eng, gw, hub = spider_engine(1, 2, script, degrade_mode="cot_sc")
     verdict, trace = eng.run("q?", [hub])
     assert trace.degraded
-    assert gw.ledger.counts()["baseline"] == 5
+    assert trace.ledger["baseline"] == 5
     assert verdict.text == "vote a"
 
 
@@ -238,10 +246,27 @@ def test_dot_rendering_highlights_choices():
     assert "->" in dot
 
 
-def test_ledger_in_trace_matches_gateway():
-    eng, gw, hub = spider_engine(1, 1, never_answer_script(1, 1))
-    verdict, trace = eng.run("q?", [hub])
-    assert trace.ledger == gw.ledger.counts()
+def test_runs_sharing_a_gateway_report_their_own_calls():
+    # each run replays the same script; the retried FAIL still counts once
+    eng, gw, hub = spider_engine(1, 1, (["FAIL"] + never_answer_script(1, 1)) * 2)
+    _, first = eng.run("q?", [hub])
+    _, second = eng.run("q?", [hub])
+    expected = {"pruning": 3, "reasoning": 2, "baseline": 1, "g2t": 0}
+    assert first.ledger == second.ledger == expected
+    assert second.events[-1]["ledger"] == expected
+
+
+def test_gateway_with_only_generate_runs():
+    kg, hub = clique_spider(arms=3, arm_len=3, seed=1)
+    replies = iter(["A", "Answer: ok"])
+
+    class Bare:
+        def generate(self, req):
+            return GenerationResponse(next(replies), 0, "bare", 0)
+
+    verdict, trace = Engine(kg, Bare(), EngineConfig(width=1, max_depth=1)).run("q?", [hub])
+    assert verdict.text == "ok"
+    assert trace.ledger == {"pruning": 1, "reasoning": 1, "baseline": 0, "g2t": 0}
 
 
 def test_local_search_walks_to_opposite_triangle():
@@ -252,6 +277,7 @@ def test_local_search_walks_to_opposite_triangle():
     eng = Engine(kg, gw, EngineConfig(width=1, max_depth=1, r_max=2, seed=0))
     eng._seed_counter = 0
     eng._rng = random.Random(0)
+    eng._gateway = gw
     outcome, _g, _current = eng._local_community_search(
         "q?", frozenset({"a", "b", "c"}), set(), 1, None, RunTrace(), 0, None
     )
@@ -272,12 +298,13 @@ def test_g2t_mode_without_backend_falls_back_with_trace_flag():
 def test_g2t_mode_with_backend_rewrites():
     kg, hub = clique_spider(arms=3, arm_len=3, seed=1)
     gw = ScriptedGateway(["A", "Unknown", "A", "A", "Answer: ok"])
-    backend = ScriptedGateway(["a fluent retelling of the facts"] * 40)
+    backend = Counting(ScriptedGateway(["a fluent retelling of the facts"] * 40))
     cfg = EngineConfig(width=1, max_depth=1, seed=4, mode="g2t")
     eng = Engine(kg, gw, cfg, g2t_backend=backend)
     verdict, trace = eng.run("q?", [hub])
     assert verdict.text == "ok"
-    assert backend.ledger.counts()["g2t"] > 0
+    # every rewrite the backend served is counted in the run's own ledger
+    assert trace.ledger["g2t"] == backend.ledger.counts()["g2t"] > 0
     assert not [e for e in trace.events if e["event"] == "g2t_fallback"]
     # rewritten text flows into the prompts
-    assert gw.ledger.counts()["pruning"] >= 1
+    assert trace.ledger["pruning"] >= 1

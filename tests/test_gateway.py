@@ -20,6 +20,8 @@ from fasttog.errors import (
     TransportError,
 )
 
+from helpers import Counting
+
 
 def req(tag="pruning", body="hello"):
     return GenerationRequest(PromptBundle(system_preamble="sys", body=body), tag)
@@ -35,7 +37,7 @@ def test_scripted_queue_order():
 
 
 def test_scripted_fail_twice_then_succeed():
-    gw = ScriptedGateway(["FAIL", "FAIL", "B"])
+    gw = Counting(ScriptedGateway(["FAIL", "FAIL", "B"]))
     resp = gw.generate(req())
     assert resp.text == "B"
     assert resp.attempt == 2
@@ -43,7 +45,7 @@ def test_scripted_fail_twice_then_succeed():
 
 
 def test_scripted_retry_budget_exhausted():
-    gw = ScriptedGateway(["FAIL"] * 5, retry_budget=3)
+    gw = Counting(ScriptedGateway(["FAIL"] * 5, retry_budget=3))
     with pytest.raises(TransportError):
         gw.generate(req())
     assert gw.ledger.counts()["pruning"] == 1
@@ -57,13 +59,12 @@ def test_scripted_exhaustion():
 
 
 def test_empty_prompt_body_rejected():
-    gw = ScriptedGateway(["x"])
     with pytest.raises(ValueError):
-        gw.generate(req(body="   "))
+        req(body="   ")
 
 
 def test_ledger_tracks_tags_independently():
-    gw = ScriptedGateway(["a", "b", "c"])
+    gw = Counting(ScriptedGateway(["a", "b", "c"]))
     gw.generate(req(tag="pruning"))
     gw.generate(req(tag="reasoning"))
     gw.generate(req(tag="g2t"))
@@ -105,6 +106,10 @@ CHOICE_CASES = [
     ("This is a strong match: B", 3, 1, [1]),  # the article "a" is not option A
     ("B, because none of the others mention the river", 3, 1, [1]),  # leading letter wins
     ("A is not relevant", 1, 1, "none"),
+    ("A strong match is B", 3, 1, [1]),  # an opening article "A" is not option A
+    ("I think C", 10, 1, [2]),  # nor is an opening pronoun "I" option I
+    ("A because it mentions the river", 3, 1, [0]),  # no other option letter: A stands
+    ("I", 10, 1, [8]),
 ]
 
 
@@ -184,21 +189,21 @@ def test_normalize_idempotent(text):
 
 
 def test_baseline_io_single_call():
-    gw = ScriptedGateway(["Paris"])
+    gw = Counting(ScriptedGateway(["Paris"]))
     v = baseline_answer("capital?", "io", gw)
     assert v.kind == "answer" and v.text == "Paris"
     assert gw.ledger.counts()["baseline"] == 1
 
 
 def test_baseline_cot_single_call():
-    gw = ScriptedGateway(["step by step... Answer: Lyon"])
+    gw = Counting(ScriptedGateway(["step by step... Answer: Lyon"]))
     v = baseline_answer("q", "cot", gw)
     assert v.text == "Lyon"
     assert gw.ledger.counts()["baseline"] == 1
 
 
 def test_baseline_cot_sc_majority():
-    gw = ScriptedGateway(["A", "B", "A", "A", "C"])
+    gw = Counting(ScriptedGateway(["A", "B", "A", "A", "C"]))
     v = baseline_answer("q", "cot_sc", gw, samples=5)
     assert v.text == "A"
     assert gw.ledger.counts()["baseline"] == 5
@@ -244,7 +249,7 @@ def test_endpoint_posts_chat_shape(monkeypatch):
         return FakeResponse(200, ok_payload("hi"))
 
     monkeypatch.setattr("fasttog.gateway.requests.post", fake_post)
-    ep = ChatEndpoint(url="http://x/v1/chat", api_key="k", model="m", backoff_base=0)
+    ep = Counting(ChatEndpoint(url="http://x/v1/chat", api_key="k", model="m", backoff_base=0))
     resp = ep.generate(req(tag="reasoning", body="question body"))
     assert resp.text == "hi"
     assert seen["json"]["model"] == "m"
@@ -264,7 +269,7 @@ def test_endpoint_retries_transient_then_succeeds(monkeypatch):
 
     monkeypatch.setattr("fasttog.gateway.requests.post", fake_post)
     monkeypatch.setattr("fasttog.gateway.time.sleep", lambda s: None)
-    ep = ChatEndpoint(url="http://x", model="m", backoff_base=0)
+    ep = Counting(ChatEndpoint(url="http://x", model="m", backoff_base=0))
     resp = ep.generate(req())
     assert resp.text == "recovered"
     assert resp.attempt == 2
@@ -276,7 +281,7 @@ def test_endpoint_gives_up_after_budget(monkeypatch):
         "fasttog.gateway.requests.post", lambda *a, **kw: FakeResponse(503)
     )
     monkeypatch.setattr("fasttog.gateway.time.sleep", lambda s: None)
-    ep = ChatEndpoint(url="http://x", model="m", retry_budget=2, backoff_base=0)
+    ep = Counting(ChatEndpoint(url="http://x", model="m", retry_budget=2, backoff_base=0))
     with pytest.raises(TransportError):
         ep.generate(req())
     assert ep.ledger.counts()["pruning"] == 1

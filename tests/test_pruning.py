@@ -17,7 +17,7 @@ from fasttog.errors import ReplyParseError
 from fasttog.pruning import CandidateCommunity
 from fasttog.verbalize import triple2text
 
-from helpers import full_subgraph
+from helpers import Counting, full_subgraph
 
 TRIANGLE_1 = {"a", "b", "c"}
 TRIANGLE_2 = {"d", "e", "f"}
@@ -119,7 +119,7 @@ def _cands_for_fine(triangles_g, n):
 
 
 def test_fine_prune_single_choice(triangles_g):
-    gw = ScriptedGateway(["A"])
+    gw = Counting(ScriptedGateway(["A"]))
     cands = _cands_for_fine(triangles_g, 3)
     out = fine_prune("q?", cands, [], gw, 1, verbalizer=t2t_verbalizer(triangles_g))
     assert not out.none_selected
@@ -152,14 +152,14 @@ def test_fine_prune_unparseable_carries_raw_reply(triangles_g):
 
 
 def test_fine_prune_issues_exactly_one_call(triangles_g):
-    gw = ScriptedGateway(["B", "A"])
+    gw = Counting(ScriptedGateway(["B", "A"]))
     cands = _cands_for_fine(triangles_g, 3)
     fine_prune("q?", cands, [], gw, 1, verbalizer=t2t_verbalizer(triangles_g))
-    assert gw.ledger.total() == 1
+    assert sum(gw.ledger.counts().values()) == 1
 
 
 def test_fine_prune_single_candidate_still_consults(triangles_g):
-    gw = ScriptedGateway(["None"])
+    gw = Counting(ScriptedGateway(["None"]))
     cands = _cands_for_fine(triangles_g, 1)
     out = fine_prune("q?", cands, [], gw, 1, verbalizer=t2t_verbalizer(triangles_g))
     assert out.none_selected

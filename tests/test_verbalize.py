@@ -10,11 +10,10 @@ from fasttog import (
     graph2text,
     triple2text,
 )
-from fasttog.errors import ProviderError
 from fasttog.gateway import load_template
 from fasttog.verbalize import CommunityText
 
-from helpers import full_subgraph
+from helpers import Counting, full_subgraph
 
 
 def community_over(triples, members=None):
@@ -90,7 +89,7 @@ def test_g2t_uses_backend_text():
         ]
     )
     fluent = "Philadelphia, located in the state of Pennsylvania, features a Humid Subtropical climate."
-    backend = ScriptedGateway([fluent])
+    backend = Counting(ScriptedGateway([fluent]))
     out = graph2text(c, [], backend, g)
     assert out.text == fluent
     assert out.mode_used == "g2t"
@@ -99,7 +98,7 @@ def test_g2t_uses_backend_text():
 
 def test_g2t_falls_back_without_backend():
     c, g = community_over([Triple("a", "r", "b")])
-    out = graph2text(c, [], None, g, fallback=True)
+    out = graph2text(c, [], None, g)
     assert out.mode_used == "t2t"
     assert out.fallback
     assert out.text == "a r b"
@@ -108,15 +107,9 @@ def test_g2t_falls_back_without_backend():
 def test_g2t_falls_back_on_backend_failure():
     c, g = community_over([Triple("a", "r", "b")])
     backend = ScriptedGateway(["FAIL", "FAIL", "FAIL", "FAIL", "FAIL"])  # exhausts retries
-    out = graph2text(c, [], backend, g, fallback=True)
+    out = graph2text(c, [], backend, g)
     assert out.mode_used == "t2t"
     assert out.fallback
-
-
-def test_g2t_error_when_fallback_disabled():
-    c, g = community_over([Triple("a", "r", "b")])
-    with pytest.raises(ProviderError):
-        graph2text(c, [], None, g, fallback=False)
 
 
 def ct(i, text):
