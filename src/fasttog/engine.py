@@ -253,7 +253,7 @@ class Engine:
 
     def _initial_phase(self, question, start_label, history, trace) -> ChainSet:
         cfg = self.config
-        outcome, g, current = self._local_community_search(
+        outcome, current, start_text = self._local_community_search(
             question,
             frozenset([start_label]),
             history,
@@ -263,7 +263,6 @@ class Engine:
             depth=0,
             chain_index=None,
         )
-        start_text = self._community_text(current, (), g, trace)
         history.add(current.canonical_id)
         chains = [ReasoningChain() for _ in range(cfg.width)]
         for i, (cand, text) in enumerate(zip(outcome.chosen, outcome.chosen_texts)):
@@ -286,7 +285,7 @@ class Engine:
             if not chain.active:
                 continue
             context = [chainset.start_text] + chain.texts
-            outcome, g, _ = self._local_community_search(
+            outcome, _, _ = self._local_community_search(
                 question,
                 chain.last().members,
                 history,
@@ -366,8 +365,13 @@ class Engine:
         trace: RunTrace,
         depth: int,
         chain_index,
-    ) -> tuple[PruneOutcome, Subgraph, Community]:
-        """Extract, detect, filter, coarse-prune, fine-prune around one community."""
+    ) -> tuple[PruneOutcome, Community, CommunityText]:
+        """Extract, detect, filter, coarse-prune, fine-prune around one community.
+
+        Returns the outcome, the current community, and the premise text the
+        pruning prompt opened with (the current community's own text when no
+        context was given).
+        """
         cfg = self.config
         sampler = SamplerConfig(rho=cfg.rho, r_max=cfg.r_max, seed=self._next_seed())
         g = extract_subgraph(self.omega, current_members, sampler)
@@ -392,7 +396,7 @@ class Engine:
         cands = candidate_communities(partition, current, history, g)
         if not cands:
             trace.add("coarse", chain=chain_index, depth=depth, kept=[], current=sorted(current_members))
-            return PruneOutcome((), (), True, None), g, current
+            return PruneOutcome((), (), True, None), current, context_texts[0]
         top_k = cfg.resolved_coarse_top_k
         if cfg.prune_mode == "random":
             kept = random_prune(cands, top_k, self._rng)
@@ -433,7 +437,7 @@ class Engine:
             none_selected=outcome.none_selected,
             reply=outcome.raw_reply,
         )
-        return outcome, g, current
+        return outcome, current, context_texts[0]
 
     def _community_text(
         self, community: Community, bridges, g: Subgraph, trace: RunTrace | None = None

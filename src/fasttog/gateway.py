@@ -242,8 +242,11 @@ _NOT_RELEVANT_RE = re.compile(r"\bno\s+relevant\b|\bnot\s+relevant\b", re.IGNORE
 _LETTER_RE = re.compile(r"(?<![A-Za-z])([A-Za-z])(?![A-Za-z])")
 # a letter opening the reply, set off by punctuation or the end ("B," "(C)")
 _LEADING_LETTER_RE = re.compile(r"[\W_]*([A-Za-z])(?:[^\w\s]|$)")
-# a capital A or I opening the reply before a word ("A strong match is B", "I think C")
-_LEADING_WORD_RE = re.compile(r"[\W_]*([AI])\s+(?!(?:and|or)\b)[a-z]")
+# a capital A or I opening the reply before a word, with another capital letter
+# later in the same clause ("A strong match is B", "I think C")
+_LEADING_WORD_RE = re.compile(
+    r"[\W_]*([AI])\s+(?!(?:and|or)\b)[a-z][^,;.]*?(?<![A-Za-z])[A-Z](?![A-Za-z])"
+)
 _UNKNOWN_RE = re.compile(r"^[\s\W]*unknown\b", re.IGNORECASE)
 _ANSWER_MARKER_RE = re.compile(r"answer\s*:", re.IGNORECASE)
 
@@ -259,11 +262,12 @@ def parse_choice(text: str, n_options: int, k: int) -> list[int] | None:
     case-insensitive). When the reply holds a capital option letter, lowercase
     ones are read as words ("is a strong match: B" picks B), and so is an
     opening capital A or I before a word other than "and"/"or" when another
-    capital option letter follows ("I think C" picks C). Replies declaring no
-    option relevant return ``None``; a bare "none" loses to an option letter
-    that opens the reply ("B, because none of the others..."). Letters beyond
-    ``n_options`` are ignored. A reply with neither a usable letter nor a
-    none-phrase raises ReplyParseError.
+    capital letter follows within the same clause, that is, before the first
+    ",", ";" or "." ("I think C" picks C, while "A is the best, B is second"
+    picks A then B). Replies declaring no option relevant return ``None``; a
+    bare "none" loses to an option letter that opens the reply ("B, because
+    none of the others..."). Letters beyond ``n_options`` are ignored. A reply
+    with neither a usable letter nor a none-phrase raises ReplyParseError.
     """
     if n_options < 1:
         raise ValueError("n_options must be >= 1")

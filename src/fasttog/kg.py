@@ -145,33 +145,24 @@ class Subgraph:
     """A hop-limited working graph extracted around a center node set.
 
     ``triples`` holds every source triple between retained nodes (including
-    parallel predicates and self-loops, for verbalization). The structural
-    view collapses parallel edges to a single undirected edge and drops
-    self-loops; ``m`` is the structural edge count used by modularity.
+    parallel predicates and self-loops, for verbalization), sorted. ``out``
+    indexes those same triples by subject, so member-set lookups read only
+    the members' entries and extraction cost follows the neighbourhood, not
+    the whole graph. The structural view collapses parallel edges to a
+    single undirected edge and drops self-loops; ``m`` is the structural
+    edge count used by modularity.
     """
 
     center: frozenset[EntityId]
     nodes: frozenset[EntityId]
     triples: tuple[Triple, ...]
+    out: dict[EntityId, tuple[Triple, ...]] = field(repr=False)
     hop_of: dict[EntityId, int]
     adj: dict[EntityId, frozenset[EntityId]] = field(repr=False)
     m: int = 0
 
     def degree(self, v: EntityId) -> int:
         return len(self.adj[v])
-
-    def neighbors(self, v: EntityId) -> list[tuple[str, EntityId, str]]:
-        """Incident retained triples of ``v``, same shape as the full graph's."""
-        if v not in self.nodes:
-            raise NotFoundError(f"entity not in subgraph: {v!r}")
-        out = []
-        for t in self.triples:
-            if t.subject == v:
-                out.append((t.predicate, t.object, "out"))
-            if t.object == v:
-                out.append((t.predicate, t.subject, "in"))
-        out.sort()
-        return out
 
     def structural_edges(self) -> list[tuple[EntityId, EntityId]]:
         """Undirected structural edges as sorted (u, v) pairs with u < v."""
@@ -182,20 +173,21 @@ class Subgraph:
                     out.append((u, v))
         return out
 
+    # both lookups walk subjects in sorted order, so they return triples in
+    # the same order as ``triples``
     def intra_triples(self, members: frozenset[EntityId]) -> list[Triple]:
-        return [t for t in self.triples if t.subject in members and t.object in members]
+        return [t for v in sorted(members) for t in self.out.get(v, ()) if t.object in members]
 
     def triples_between(
         self, left: frozenset[EntityId], right: frozenset[EntityId]
     ) -> list[Triple]:
         """Triples with one endpoint in ``left`` and the other in ``right``."""
-        out = []
-        for t in self.triples:
-            if t.subject in left and t.object in right:
-                out.append(t)
-            elif t.subject in right and t.object in left:
-                out.append(t)
-        return out
+        return [
+            t
+            for v in sorted(left | right)
+            for t in self.out.get(v, ())
+            if (v in left and t.object in right) or (v in right and t.object in left)
+        ]
 
     @classmethod
     def _from_retained(
@@ -205,19 +197,27 @@ class Subgraph:
         retained: set[EntityId],
         hop_of: dict[EntityId, int],
     ) -> "Subgraph":
-        triples = tuple(
-            t for t in omega.triples if t.subject in retained and t.object in retained
-        )
+        # each node's adjacency is sorted by (predicate, object), so walking
+        # the retained nodes in order yields the triples already sorted
+        out: dict[EntityId, tuple[Triple, ...]] = {}
         adj: dict[EntityId, set[EntityId]] = {v: set() for v in retained}
-        for t in triples:
-            if t.subject != t.object:
-                adj[t.subject].add(t.object)
-                adj[t.object].add(t.subject)
+        for v in sorted(retained):
+            mine = tuple(
+                Triple(v, p, o)
+                for p, o, direction in omega._adjacency[v]
+                if direction == "out" and o in retained
+            )
+            out[v] = mine
+            for t in mine:
+                if t.object != v:
+                    adj[v].add(t.object)
+                    adj[t.object].add(v)
         m = sum(len(s) for s in adj.values()) // 2
         return cls(
             center=center,
             nodes=frozenset(retained),
-            triples=triples,
+            triples=tuple(t for ts in out.values() for t in ts),
+            out=out,
             hop_of=dict(hop_of),
             adj={v: frozenset(s) for v, s in adj.items()},
             m=m,

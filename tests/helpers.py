@@ -80,6 +80,44 @@ def eq1_direct(g: Subgraph, member_sets) -> float:
     return float(((A - np.outer(k, k) / (2 * m)) * same).sum() / (2 * m))
 
 
+def multigraph(n: int, n_triples: int, rng: random.Random) -> KnowledgeGraph:
+    """Random directed triples over ``n`` nodes with parallel predicates,
+    reversed pairs and self-loops mixed in."""
+    names = [f"v{i:02d}" for i in range(n)]
+    triples = []
+    for _ in range(n_triples):
+        u, v = rng.choice(names), rng.choice(names)
+        if rng.random() < 0.05:
+            v = u
+        triples.append(Triple(u, rng.choice(("p", "q", "r")), v))
+    return KnowledgeGraph(triples)
+
+
+def reference_triples(kg: KnowledgeGraph, nodes) -> tuple[Triple, ...]:
+    """Independent oracle: scan every triple of the whole graph for those
+    between retained nodes."""
+    return tuple(t for t in kg.triples if t.subject in nodes and t.object in nodes)
+
+
+def reference_adj(nodes, triples) -> dict:
+    """Structural neighbours: parallel edges collapsed, self-loops dropped."""
+    adj = {v: set() for v in nodes}
+    for t in triples:
+        if t.subject != t.object:
+            adj[t.subject].add(t.object)
+            adj[t.object].add(t.subject)
+    return {v: frozenset(s) for v, s in adj.items()}
+
+
+def reference_between(triples, left, right) -> list[Triple]:
+    return [
+        t
+        for t in triples
+        if (t.subject in left and t.object in right)
+        or (t.subject in right and t.object in left)
+    ]
+
+
 # -- synthetic knowledge graphs for engine runs --------------------------------
 
 

@@ -341,6 +341,6 @@ def test_run_calls_line_counts_g2t_rewrites(tmp_path, capsys):
         line for line in capsys.readouterr().out.splitlines() if line.startswith("calls: ")
     )
     calls = json.loads(calls_line[len("calls: "):])
-    # two kept candidates, plus the start community, which the initial phase
-    # verbalizes twice (once as the pruning premise, once as the chain start)
-    assert calls == {"baseline": 0, "g2t": 4, "pruning": 1, "reasoning": 1}
+    # two kept candidates, plus the start community, whose pruning-premise
+    # text is reused as the chain start
+    assert calls == {"baseline": 0, "g2t": 3, "pruning": 1, "reasoning": 1}

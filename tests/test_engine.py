@@ -278,7 +278,7 @@ def test_local_search_walks_to_opposite_triangle():
     eng._seed_counter = 0
     eng._rng = random.Random(0)
     eng._gateway = gw
-    outcome, _g, _current = eng._local_community_search(
+    outcome, _current, _premise = eng._local_community_search(
         "q?", frozenset({"a", "b", "c"}), set(), 1, None, RunTrace(), 0, None
     )
     assert not outcome.none_selected

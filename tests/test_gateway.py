@@ -110,6 +110,8 @@ CHOICE_CASES = [
     ("I think C", 10, 1, [2]),  # nor is an opening pronoun "I" option I
     ("A because it mentions the river", 3, 1, [0]),  # no other option letter: A stands
     ("I", 10, 1, [8]),
+    ("A is the best, B is second", 3, 2, [0, 1]),  # A before a verb, B in a later clause
+    ("A matches best; B is weaker", 3, 1, [0]),
 ]
 
 

@@ -5,7 +5,13 @@ import pytest
 from fasttog import KnowledgeGraph, NotFoundError, Subgraph, Triple, TripleFormatError
 from fasttog.kg import SamplerConfig, extract_subgraph
 
-from helpers import bridged_triangles
+from helpers import (
+    bridged_triangles,
+    multigraph,
+    reference_adj,
+    reference_between,
+    reference_triples,
+)
 
 
 def write(tmp_path, text, name="graph.tsv"):
@@ -79,18 +85,6 @@ def test_neighbors_unknown_node():
     kg = KnowledgeGraph([Triple("a", "r", "b")])
     with pytest.raises(NotFoundError):
         kg.neighbors("missing")
-
-
-def test_subgraph_neighbors_match_contract():
-    kg = bridged_triangles()
-    g = extract_subgraph(kg, ["a"], SamplerConfig(rho=1.0, r_max=2, seed=0))
-    assert g.neighbors("c") == [
-        ("bridge", "d", "out"),
-        ("rel", "a", "in"),
-        ("rel", "b", "in"),
-    ]
-    with pytest.raises(NotFoundError):
-        g.neighbors("f")  # outside the 2-hop ball
 
 
 def test_extract_rho_one_is_full_ball():
@@ -197,3 +191,46 @@ def test_full_graph_subgraph_counts_structural_edges():
     # parallel predicates collapse to one structural edge
     assert g.m == 2
     assert len(g.triples) == 3
+
+
+def test_extract_matches_full_scan_reference():
+    rng = random.Random(11)
+    kg = multigraph(60, 200, rng)
+    names = sorted(kg.nodes)
+    assert kg.self_loop_count > 0
+    assert any(
+        (a.subject, a.object) == (b.subject, b.object) and a.predicate != b.predicate
+        for a, b in zip(kg.triples, kg.triples[1:])
+    ), "fixture must hold parallel predicates"
+    for trial in range(60):
+        center = rng.sample(names, rng.randint(1, 3))
+        cfg = SamplerConfig(rho=rng.choice((1.0, 0.6, 0.3)), r_max=rng.randint(1, 3), seed=trial)
+        g = extract_subgraph(kg, center, cfg)
+        want = reference_triples(kg, g.nodes)
+        assert g.triples == want
+        want_adj = reference_adj(g.nodes, want)
+        assert g.adj == want_adj
+        assert g.m == sum(len(s) for s in want_adj.values()) // 2
+        members = sorted(g.nodes)
+        for _ in range(5):
+            left = frozenset(rng.sample(members, rng.randint(1, len(members))))
+            right = frozenset(rng.sample(members, rng.randint(1, len(members))))
+            assert g.intra_triples(left) == reference_between(want, left, left)
+            # overlapping sets included: each triple is reported once
+            assert g.triples_between(left, right) == reference_between(want, left, right)
+
+
+def test_extract_reads_only_the_neighbourhood():
+    class Unscannable(tuple):
+        def __iter__(self):
+            raise AssertionError("extraction scanned the whole graph's triples")
+
+    kg = bridged_triangles()
+    kg.triples = Unscannable(kg.triples)
+    g = extract_subgraph(kg, ["a"], SamplerConfig(rho=1.0, r_max=2, seed=0))
+    assert g.triples == (
+        Triple("a", "rel", "b"),
+        Triple("a", "rel", "c"),
+        Triple("b", "rel", "c"),
+        Triple("c", "bridge", "d"),
+    )
