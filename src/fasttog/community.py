@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import InvalidCommunityError, InvalidPartitionError, ModularityUndefinedError
 from .kg import EntityId, Subgraph
@@ -30,10 +31,13 @@ def canonical_community_id(members: frozenset[EntityId]) -> str:
 
 @dataclass(frozen=True)
 class Community:
-    """A node group with cached structural sums relative to one subgraph."""
+    """A node group with cached structural sums relative to one subgraph.
+
+    The canonical id is hashed on first read and then cached; detection
+    builds many communities whose ids are never read.
+    """
 
     members: frozenset[EntityId]
-    canonical_id: str
     sigma_in: int
     sigma_tot: int
     modularity: float
@@ -55,11 +59,14 @@ class Community:
         q = float(sigma_in) - (sigma_tot**2) / (2.0 * g.m) if g.m else 0.0
         return cls(
             members=member_set,
-            canonical_id=canonical_community_id(member_set),
             sigma_in=sigma_in,
             sigma_tot=sigma_tot,
             modularity=q,
         )
+
+    @cached_property
+    def canonical_id(self) -> str:
+        return canonical_community_id(self.members)
 
     @property
     def sorted_members(self) -> tuple[EntityId, ...]:

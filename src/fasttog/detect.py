@@ -16,9 +16,10 @@ Trajectory recording per detector:
 
 * louvain      -- singletons, then one state per accepted local move
                   (across aggregation levels), so the trajectory passes
-                  through every intermediate grouping. A state is the
-                  community label of each node of its aggregation level,
-                  expanded to member sets only when chosen or inspected.
+                  through every intermediate grouping. Each level logs its
+                  moves once; a state is a move count on its level plus its
+                  largest block size, and is replayed into member sets on
+                  demand, only when chosen or inspected.
 * girvan_newman -- edge removals by highest betweenness down to the empty
                   graph; one state per change of the component structure,
                   recorded in reverse removal order so the list still runs
@@ -87,23 +88,16 @@ def connected_components(g: Subgraph) -> list[frozenset[EntityId]]:
     return [frozenset(block) for block in _components_of(g.adj)]
 
 
-def backtrack_to_size(
-    snapshots: list[PartitionSnapshot], m_max: int, g: Subgraph | None = None
-) -> Partition:
+def backtrack_to_size(snapshots: list[PartitionSnapshot], m_max: int) -> Partition:
     """First feasible state scanning from the last snapshot toward the first.
 
-    Falls back to the singleton partition when no snapshot fits (requires
-    ``g`` to rebuild the communities).
+    Every detector trajectory starts from a state that fits, so a list with
+    no feasible snapshot raises ``ValueError``.
     """
-    if not snapshots:
-        raise ValueError("snapshots must be non-empty")
     for snap in reversed(snapshots):
         if snap.partition.max_size() <= m_max:
             return snap.partition
-    if g is None:
-        raise ValueError("no feasible snapshot and no subgraph for the fallback")
-    nodes = snapshots[0].partition.node_set()
-    return Partition.from_member_sets([{v} for v in sorted(nodes)], g)
+    raise ValueError(f"no snapshot fits the size bound {m_max}")
 
 
 def detect(g: Subgraph, kind: str, m_max: int, seed: int = 0) -> Partition:
@@ -166,49 +160,80 @@ def _component_states(g, comp, kind, m_max, rng, np_rng):
 
 
 @dataclass(slots=True)
-class _Labelling:
-    """One louvain state: the community label of each node of its level.
+class _Level:
+    """One louvain aggregation level and the moves made on it.
 
-    Iterating yields the member sets over original nodes; ``members`` is the
-    level's map from (super-)node to the original nodes it stands for.
+    Nodes are numbered by their rank in the component's sorted label order;
+    a level node is named by the rank of its smallest original member, so
+    integer order is label order. ``members`` maps each level node to the
+    ranks it stands for; ``moves`` logs each accepted ``(node, community)``
+    move in order.
     """
 
-    level_nodes: tuple[EntityId, ...]
-    labels: tuple[EntityId, ...]
-    members: dict[EntityId, frozenset[EntityId]]
+    labels: list[EntityId]
+    members: dict[int, list[int]]
+    moves: list[tuple[int, int]] = field(default_factory=list)
+
+
+@dataclass(slots=True)
+class _Labelling:
+    """One louvain state: the first ``n_moves`` moves of its level.
+
+    Iterating replays those moves from the level's singletons and yields the
+    member sets over original nodes.
+    """
+
+    level: _Level
+    n_moves: int
     max_size: int
 
     def __iter__(self):
-        grouped: dict[EntityId, set[EntityId]] = {}
-        for x, c in zip(self.level_nodes, self.labels):
-            grouped.setdefault(c, set()).update(self.members[x])
-        return iter(grouped.values())
+        level = self.level
+        comm = {u: u for u in level.members}
+        for u, c in level.moves[: self.n_moves]:
+            comm[u] = c
+        grouped: dict[int, list[int]] = {}
+        for u, c in comm.items():
+            grouped.setdefault(c, []).extend(level.members[u])
+        labels = level.labels
+        return iter([{labels[i] for i in block} for block in grouped.values()])
 
 
 def _louvain_states(g: Subgraph, comp: frozenset[EntityId], rng: random.Random):
-    nodes = sorted(comp)
+    labels = sorted(comp)
+    n = len(labels)
+    rank = {v: i for i, v in enumerate(labels)}
     # working (possibly aggregated) weighted graph; weights stay component-local
-    weight: dict[EntityId, dict[EntityId, float]] = {u: {} for u in nodes}
-    self_w: dict[EntityId, float] = {u: 0.0 for u in nodes}
-    members: dict[EntityId, frozenset[EntityId]] = {u: frozenset([u]) for u in nodes}
+    weight: dict[int, dict[int, float]] = {i: {} for i in range(n)}
+    self_w = [0.0] * n
+    members: dict[int, list[int]] = {i: [i] for i in range(n)}
     two_m = 0.0
-    for u in nodes:
+    for u, i in rank.items():
         for v in g.adj[u]:
-            if v in comp and u < v:
-                weight[u][v] = weight[v][u] = 1.0
+            j = rank.get(v)
+            if j is not None and i < j:
+                weight[i][j] = weight[j][i] = 1.0
                 two_m += 2.0
 
-    states = [_Labelling(tuple(nodes), tuple(nodes), members, 1)]
+    level = _Level(labels, members)
+    states = [_Labelling(level, 0, 1)]
     if two_m == 0.0:
         return states
 
+    max_size = 1
     while True:
-        level_nodes = tuple(sorted(weight))
-        k_w = {u: self_w[u] + sum(weight[u].values()) for u in level_nodes}
-        comm_of = {u: u for u in level_nodes}  # keys stay in level_nodes order
-        comm_tot = dict(k_w)
-        size = {u: len(members[u]) for u in level_nodes}
-        moved_any_level = False
+        level_nodes = sorted(weight)
+        k_w = [0.0] * n
+        for u in level_nodes:
+            k_w[u] = self_w[u] + sum(weight[u].values())
+        comm_of = list(range(n))
+        comm_tot = list(k_w)
+        size = [0] * n
+        count_of_size = [0] * (n + 1)  # communities per block size
+        for u in level_nodes:
+            size[u] = len(members[u])
+            count_of_size[size[u]] += 1
+        moves = level.moves
 
         while True:
             moved_in_pass = False
@@ -216,57 +241,56 @@ def _louvain_states(g: Subgraph, comp: frozenset[EntityId], rng: random.Random):
             rng.shuffle(order)
             for u in order:
                 old = comm_of[u]
-                comm_tot[old] -= k_w[u]
+                k = k_w[u]
+                comm_tot[old] -= k
                 # weight from u into each neighboring community
-                links: dict[EntityId, float] = {}
+                links: dict[int, float] = {}
                 for v, w in weight[u].items():
-                    links[comm_of[v]] = links.get(comm_of[v], 0.0) + w
-                stay_score = links.get(old, 0.0) - comm_tot[old] * k_w[u] / two_m
+                    c = comm_of[v]
+                    links[c] = links.get(c, 0.0) + w
+                stay_score = links.get(old, 0.0) - comm_tot[old] * k / two_m
                 best_comm, best_score = old, stay_score
                 for c in sorted(links):
-                    score = links[c] - comm_tot[c] * k_w[u] / two_m
+                    score = links[c] - comm_tot[c] * k / two_m
                     if score > best_score + 1e-12:
                         best_comm, best_score = c, score
                 comm_of[u] = best_comm
-                comm_tot[best_comm] += k_w[u]
+                comm_tot[best_comm] += k
                 if best_comm != old:
                     moved_in_pass = True
-                    moved_any_level = True
-                    size[old] -= len(members[u])
-                    size[best_comm] += len(members[u])
+                    moving = len(members[u])
+                    for c, delta in ((old, -moving), (best_comm, moving)):
+                        count_of_size[size[c]] -= 1
+                        size[c] += delta
+                        count_of_size[size[c]] += 1
+                    max_size = max(max_size, size[best_comm])
+                    while not count_of_size[max_size]:
+                        max_size -= 1
                     # state per accepted move: the trajectory must pass
                     # through fine intermediate states or backtracking would
                     # overshoot straight to singletons whenever the natural
                     # optimum violates the size bound. The move joins u to a
                     # block holding a neighbour, so each state differs from
                     # the one before.
-                    states.append(
-                        _Labelling(
-                            level_nodes, tuple(comm_of.values()), members, max(size.values())
-                        )
-                    )
+                    moves.append((u, best_comm))
+                    states.append(_Labelling(level, len(moves), max_size))
             if not moved_in_pass:
                 break
 
-        if not moved_any_level:
+        if not moves:
             return states
 
         # aggregate communities into super-nodes named by their smallest member
-        groups: dict[EntityId, list[EntityId]] = {}
+        groups: dict[int, list[int]] = {}
         for u in level_nodes:
             groups.setdefault(comm_of[u], []).append(u)
-        rename = {
-            c: min(min(members[u]) for u in us) for c, us in groups.items()
-        }
-        new_weight: dict[EntityId, dict[EntityId, float]] = {}
-        new_self: dict[EntityId, float] = {}
-        new_members: dict[EntityId, frozenset[EntityId]] = {}
+        rename = {c: min(us) for c, us in groups.items()}
+        new_weight: dict[int, dict[int, float]] = {}
+        new_self = [0.0] * n
+        new_members: dict[int, list[int]] = {}
         for c, us in groups.items():
             name = rename[c]
-            merged: set[EntityId] = set()
-            for u in us:
-                merged.update(members[u])
-            new_members[name] = frozenset(merged)
+            new_members[name] = [i for u in us for i in members[u]]
             new_weight[name] = {}
             new_self[name] = sum(self_w[u] for u in us)
         for c, us in groups.items():
@@ -281,6 +305,7 @@ def _louvain_states(g: Subgraph, comp: frozenset[EntityId], rng: random.Random):
         weight, self_w, members = new_weight, new_self, new_members
         if len(weight) == 1:
             return states
+        level = _Level(labels, members)
 
 
 # -- girvan-newman -----------------------------------------------------------

@@ -71,6 +71,8 @@ class EngineConfig:
             raise ValueError("max_depth must be >= 1")
         if self.max_community_size < 1:
             raise ValueError("max_community_size must be >= 1")
+        if self.coarse_top_k is not None and self.coarse_top_k < 1:
+            raise ValueError("coarse_top_k must be >= 1")
         if self.mode not in MODES:
             raise ValueError(f"unknown verbalize mode: {self.mode!r}")
         if self.detector not in DETECTOR_KINDS:

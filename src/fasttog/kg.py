@@ -52,7 +52,13 @@ class SamplerConfig:
 
 
 class KnowledgeGraph:
-    """Immutable triple store with a per-node adjacency index."""
+    """Immutable triple store with a per-node index.
+
+    ``_out[v]`` and ``_in[v]`` list the ``Triple`` objects of ``triples``
+    whose subject, respectively object, is ``v``, in ``triples`` order; a
+    self-loop is in both. Since ``triples`` is sorted, each ``_out[v]`` runs
+    in (predicate, object) order, which subgraph extraction relies on.
+    """
 
     def __init__(self, triples: Iterable[Triple]):
         seen: set[Triple] = set()
@@ -76,25 +82,21 @@ class KnowledgeGraph:
         if self_loops:
             log.warning("graph contains %d self-loop triple(s)", self_loops)
 
-        nodes: set[EntityId] = set()
-        adjacency: dict[EntityId, list[tuple[str, EntityId, str]]] = {}
+        out: dict[EntityId, list[Triple]] = {}
+        inc: dict[EntityId, list[Triple]] = {}
         structural: dict[EntityId, set[EntityId]] = {}
         for t in self.triples:
-            nodes.add(t.subject)
-            nodes.add(t.object)
-            adjacency.setdefault(t.subject, []).append((t.predicate, t.object, "out"))
-            adjacency.setdefault(t.object, []).append((t.predicate, t.subject, "in"))
+            out.setdefault(t.subject, []).append(t)
+            inc.setdefault(t.object, []).append(t)
             if t.subject != t.object:
                 # self-loops are kept for verbalization but carry no
                 # structural weight (degree / modularity ignore them)
                 structural.setdefault(t.subject, set()).add(t.object)
                 structural.setdefault(t.object, set()).add(t.subject)
-        for v in nodes:
-            adjacency.setdefault(v, []).sort()
-            structural.setdefault(v, set())
-        self.nodes: frozenset[EntityId] = frozenset(nodes)
-        self._adjacency = adjacency
-        self._structural = {v: frozenset(s) for v, s in structural.items()}
+        self.nodes: frozenset[EntityId] = frozenset(out.keys() | inc.keys())
+        self._out = out
+        self._in = inc
+        self._structural = {v: frozenset(structural.get(v, ())) for v in self.nodes}
 
     # -- construction -----------------------------------------------------
 
@@ -121,10 +123,13 @@ class KnowledgeGraph:
     # -- queries -----------------------------------------------------------
 
     def neighbors(self, v: EntityId) -> list[tuple[str, EntityId, str]]:
-        """All incident triples of ``v`` as (predicate, neighbor, direction)."""
+        """All incident triples of ``v`` as sorted (predicate, neighbor, direction)."""
         if v not in self.nodes:
             raise NotFoundError(f"unknown entity: {v!r}")
-        return list(self._adjacency[v])
+        return sorted(
+            [(t.predicate, t.object, "out") for t in self._out.get(v, ())]
+            + [(t.predicate, t.subject, "in") for t in self._in.get(v, ())]
+        )
 
     def structural_neighbors(self, v: EntityId) -> frozenset[EntityId]:
         if v not in self.nodes:
@@ -197,16 +202,12 @@ class Subgraph:
         retained: set[EntityId],
         hop_of: dict[EntityId, int],
     ) -> "Subgraph":
-        # each node's adjacency is sorted by (predicate, object), so walking
-        # the retained nodes in order yields the triples already sorted
+        # each node's outgoing triples are sorted by (predicate, object), so
+        # walking the retained nodes in order yields the triples already sorted
         out: dict[EntityId, tuple[Triple, ...]] = {}
         adj: dict[EntityId, set[EntityId]] = {v: set() for v in retained}
         for v in sorted(retained):
-            mine = tuple(
-                Triple(v, p, o)
-                for p, o, direction in omega._adjacency[v]
-                if direction == "out" and o in retained
-            )
+            mine = tuple(t for t in omega._out.get(v, ()) if t.object in retained)
             out[v] = mine
             for t in mine:
                 if t.object != v:

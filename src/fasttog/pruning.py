@@ -43,18 +43,14 @@ def candidate_communities(
     the current member set; candidates contributing no novel connected node
     are dropped. Ordered by score descending, then canonical id.
     """
+    # a community holds a connecting triple iff it holds a frontier node, so
+    # the rest are skipped before their ids are hashed or triples read
+    frontier = set().union(*(g.adj[v] for v in current.members)) - current.members
     out = []
     for c in p.communities:
-        if c.canonical_id == current.canonical_id:
+        if c.members.isdisjoint(frontier) or c.canonical_id in h:
             continue
-        if c.canonical_id in h:
-            continue
-        novel = c.members - current.members
-        if not novel:
-            continue
-        bridges = g.triples_between(novel, current.members)
-        if not bridges:
-            continue
+        bridges = g.triples_between(c.members - current.members, current.members)
         out.append(
             CandidateCommunity(c, tuple(sorted(bridges)), modularity_community(c, g))
         )

@@ -57,7 +57,8 @@ def triple2text(c: Community, bridge: Sequence[Triple], g: Subgraph) -> Communit
     else:
         parts = [", ".join(c.sorted_members)]
     # a connecting triple already rendered above is not repeated
-    fresh_bridge = [t for t in dict.fromkeys(bridge) if t not in set(intra)]
+    rendered = set(intra)
+    fresh_bridge = [t for t in dict.fromkeys(bridge) if t not in rendered]
     if fresh_bridge:
         parts.append("linked via: " + _serialize(fresh_bridge))
     return CommunityText(

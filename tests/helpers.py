@@ -9,6 +9,7 @@ import numpy as np
 
 from fasttog import KnowledgeGraph, Subgraph, Triple
 from fasttog.gateway import GenerationRequest, GenerationResponse, CallLedger
+from fasttog.pruning import CandidateCommunity
 
 
 def bridged_triangles() -> KnowledgeGraph:
@@ -116,6 +117,22 @@ def reference_between(triples, left, right) -> list[Triple]:
         if (t.subject in left and t.object in right)
         or (t.subject in right and t.object in left)
     ]
+
+
+def reference_candidates(p, current, h, g) -> list:
+    """Brute force: scan every community of ``p`` for triples connecting its
+    members outside ``current`` to ``current``, reading the subgraph's full
+    triple tuple."""
+    out = []
+    for c in p.communities:
+        if c.members == current.members or c.canonical_id in h:
+            continue
+        novel = c.members - current.members
+        bridges = reference_between(g.triples, novel, current.members)
+        if novel and bridges:
+            out.append(CandidateCommunity(c, tuple(sorted(bridges)), c.modularity))
+    out.sort(key=lambda cand: (-cand.modularity, cand.community.canonical_id))
+    return out
 
 
 # -- synthetic knowledge graphs for engine runs --------------------------------

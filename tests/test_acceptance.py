@@ -106,7 +106,7 @@ def test_03_size_constraint_thousand_invocations():
                 if outcome.partition.max_size() > m_max:
                     violations += 1
                 for comp in outcome.components:
-                    replay = backtrack_to_size(comp.snapshots, m_max, g)
+                    replay = backtrack_to_size(comp.snapshots, m_max)
                     if sorted(c.sorted_members for c in replay.communities) != sorted(
                         c.sorted_members for c in comp.chosen.communities
                     ):

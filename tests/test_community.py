@@ -147,3 +147,27 @@ def test_partition_dump_format(triangles_g):
     lines = dump.strip().split("\n")
     assert lines[0] == "0\ta,b,c\t2.500000"
     assert lines[1] == "1\td,e,f\t2.500000"
+
+
+def test_detect_hashes_no_canonical_id(monkeypatch):
+    import fasttog.community as community_mod
+    from fasttog import detect
+    from fasttog.detect import DETECTOR_KINDS
+
+    hashed = []
+    real = community_mod.canonical_community_id
+
+    def counting(members):
+        hashed.append(members)
+        return real(members)
+
+    monkeypatch.setattr(community_mod, "canonical_community_id", counting)
+    g = full_subgraph(random_graph(14, 0.3, random.Random(59)))
+    for kind in DETECTOR_KINDS:
+        p = detect(g, kind, 3, seed=1)
+        assert hashed == []
+        first = p.communities[0]
+        assert first.canonical_id == real(first.members)
+        assert first.canonical_id == real(first.members)
+        assert hashed == [first.members]  # hashed on first read, then cached
+        hashed.clear()

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -12,7 +13,7 @@ from fasttog import (
     detect_full,
     modularity_global,
 )
-from fasttog.community import PartitionSnapshot
+from fasttog.community import PartitionSnapshot, partition_dump
 from fasttog.detect import DETECTOR_KINDS, connected_components
 
 from helpers import eq1_direct, full_subgraph, random_graph
@@ -116,7 +117,7 @@ def test_chosen_state_equals_backtracked_snapshots(kind):
         m_max = rng.choice([2, 3, 4])
         outcome = detect_full(g, kind, m_max, seed=trial)
         for comp in outcome.components:
-            again = backtrack_to_size(comp.snapshots, m_max, g)
+            again = backtrack_to_size(comp.snapshots, m_max)
             assert member_sets(again) == member_sets(comp.chosen)
             # the finest recorded state is always feasible
             assert comp.snapshots[0].partition.max_size() <= max(m_max, 1) or (
@@ -184,7 +185,7 @@ def test_detect_builds_only_the_chosen_communities(kind, monkeypatch):
             rebuilt = sum(len(s.partition) for s in snaps if s.partition is not comp.chosen)
             assert len(calls) == rebuilt
             assert comp.snapshots is snaps  # built once, then cached
-            assert backtrack_to_size(snaps, m_max, g) is comp.chosen
+            assert backtrack_to_size(snaps, m_max) is comp.chosen
 
 
 def test_girvan_newman_components_nondecreasing(triangles_g):
@@ -268,3 +269,60 @@ def test_detect_rejects_bad_inputs(triangles_g):
         detect(triangles_g, "unknown_kind", 4)
     with pytest.raises(ValueError):
         detect(triangles_g, "louvain", 0)
+
+
+# SHA-1 over the louvain sweep below: the chosen partition's dump, then every
+# snapshot's, per graph. Pinned from the label-keyed implementation, so a
+# change of the state encoding may not move a single partition.
+LOUVAIN_SWEEP_DIGEST = "01158225de5f238262eef6fc22d0c4ce1354b197"
+
+
+def _louvain_sweep_graphs():
+    rng = random.Random(2024)
+    graphs = [_ring_of_pairs()] + [
+        full_subgraph(random_graph(rng.randint(4, 60), rng.choice((0.05, 0.1, 0.2, 0.35)), rng))
+        for _ in range(320)
+    ]
+    return [(g, rng.randint(1, 8)) for g in graphs]
+
+
+def test_louvain_partitions_and_snapshots_match_pinned_digest():
+    digest = hashlib.sha1()
+    for trial, (g, m_max) in enumerate(_louvain_sweep_graphs()):
+        outcome = detect_full(g, "louvain", m_max, seed=trial)
+        digest.update(partition_dump(outcome.partition).encode())
+        for comp in outcome.components:
+            for snap in comp.snapshots:
+                digest.update(partition_dump(snap.partition).encode())
+    assert digest.hexdigest() == LOUVAIN_SWEEP_DIGEST
+
+
+def test_louvain_states_track_size_and_move_one_level_node():
+    rng = random.Random(47)
+    for trial in range(40):
+        kg = random_graph(rng.randint(4, 40), rng.choice((0.1, 0.2, 0.3)), rng)
+        g = full_subgraph(kg)
+        outcome = detect_full(g, "louvain", len(g.nodes), seed=trial)
+        for comp in outcome.components:
+            if len(comp.nodes) < 2:
+                continue
+            states = comp._states
+            blocks = [[frozenset(b) for b in state] for state in states]
+            for state, replayed in zip(states, blocks):
+                assert state.max_size == max(map(len, replayed))
+            for state, before, after in zip(states[1:], blocks, blocks[1:]):
+                # the moved level node's members leave one block for another
+                u, _c = state.level.moves[state.n_moves - 1]
+                moved = frozenset(state.level.labels[i] for i in state.level.members[u])
+                source = next(b for b in before if moved <= b)
+                target = next(b for b in after if moved <= b)
+                assert source != target
+                rest_before = sorted(sorted(b - moved) for b in before if b - moved)
+                rest_after = sorted(sorted(b - moved) for b in after if b - moved)
+                assert rest_before == rest_after
+
+
+def test_backtrack_without_a_feasible_snapshot_raises(triangles_g):
+    snaps = _size_snapshots(triangles_g, [[3, 3], [6]])
+    with pytest.raises(ValueError):
+        backtrack_to_size(snaps, 2)

@@ -29,6 +29,30 @@ def spider_engine(width, max_depth, script, seed=4, **cfg_kwargs):
     return Engine(kg, gw, cfg), gw, hub
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"width": 0},
+        {"max_depth": 0},
+        {"max_community_size": 0},
+        {"coarse_top_k": 0},
+        {"coarse_top_k": -2},
+        {"mode": "prose"},
+        {"detector": "leiden"},
+        {"prune_mode": "greedy"},
+        {"degrade_mode": "guess"},
+    ],
+)
+def test_engine_config_rejects_bad_values(bad):
+    with pytest.raises(ValueError):
+        EngineConfig(**bad)
+
+
+def test_engine_config_accepts_unset_or_positive_coarse_top_k():
+    assert EngineConfig().resolved_coarse_top_k == 6
+    assert EngineConfig(coarse_top_k=1).resolved_coarse_top_k == 1
+
+
 def test_initial_phase_multi_choice_headers():
     eng, gw, hub = spider_engine(3, 1, ["A, B, C", "Unknown", *["A", "A"] * 3, "Unknown", "filler"])
     verdict, trace = eng.run("q?", [hub])

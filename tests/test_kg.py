@@ -234,3 +234,14 @@ def test_extract_reads_only_the_neighbourhood():
         Triple("b", "rel", "c"),
         Triple("c", "bridge", "d"),
     )
+
+
+def test_neighbors_match_reference_from_triples():
+    kg = multigraph(30, 120, random.Random(61))
+    assert kg.self_loop_count > 0
+    for v in sorted(kg.nodes):
+        want = sorted(
+            [(t.predicate, t.object, "out") for t in kg.triples if t.subject == v]
+            + [(t.predicate, t.subject, "in") for t in kg.triples if t.object == v]
+        )
+        assert kg.neighbors(v) == want

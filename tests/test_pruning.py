@@ -10,14 +10,16 @@ from fasttog import (
     Triple,
     candidate_communities,
     coarse_prune,
+    detect,
     fine_prune,
     random_prune,
 )
 from fasttog.errors import ReplyParseError
+from fasttog.kg import SamplerConfig, extract_subgraph
 from fasttog.pruning import CandidateCommunity
 from fasttog.verbalize import triple2text
 
-from helpers import Counting, full_subgraph
+from helpers import Counting, full_subgraph, multigraph, reference_candidates
 
 TRIANGLE_1 = {"a", "b", "c"}
 TRIANGLE_2 = {"d", "e", "f"}
@@ -185,3 +187,39 @@ def test_coarse_prune_properties(triangles_g):
         assert all(c in cands for c in kept)
         scores = [c.modularity for c in kept]
         assert scores == sorted(scores, reverse=True)
+
+
+def _candidate_cases(rng):
+    """(partition, current, history, subgraph) around seeded extractions."""
+    kg = multigraph(70, 180, rng)
+    names = sorted(kg.nodes)
+    for trial in range(40):
+        center = rng.sample(names, rng.randint(1, 3))
+        g = extract_subgraph(kg, center, SamplerConfig(r_max=rng.randint(1, 2), seed=trial))
+        kind = rng.choice(("louvain", "hierarchical", "random"))
+        p = detect(g, kind, rng.randint(1, 5), seed=trial)
+        ids = [c.canonical_id for c in p.communities]
+        members = sorted(g.nodes)
+        currents = [
+            frozenset(center),  # the walk's own centre
+            rng.choice(p.communities).members,  # a block of the partition
+            frozenset(rng.sample(members, rng.randint(1, min(6, len(members))))),
+        ]
+        big = [c for c in p.communities if len(c) > 1]
+        if big:
+            # a current community absorbed into a larger block by re-detection
+            block = sorted(rng.choice(big).members)
+            currents.append(frozenset(block[: rng.randint(1, len(block) - 1)]))
+        for cur in currents:
+            h = set(rng.sample(ids, rng.randint(0, len(ids) // 2)))
+            yield p, Community.from_members(cur, g), h, g
+
+
+def test_candidates_match_brute_force_scan():
+    rng = random.Random(53)
+    seen = 0
+    for p, current, h, g in _candidate_cases(rng):
+        got = candidate_communities(p, current, h, g)
+        assert got == reference_candidates(p, current, h, g)
+        seen += len(got)
+    assert seen > 100  # the sweep reaches non-trivial candidate sets
