@@ -33,8 +33,8 @@ def canonical_community_id(members: frozenset[EntityId]) -> str:
 class Community:
     """A node group with cached structural sums relative to one subgraph.
 
-    The canonical id is hashed on first read and then cached; detection
-    builds many communities whose ids are never read.
+    The canonical id is hashed, and the members sorted, on first read and
+    then cached; detection builds many communities whose ids are never read.
     """
 
     members: frozenset[EntityId]
@@ -68,7 +68,7 @@ class Community:
     def canonical_id(self) -> str:
         return canonical_community_id(self.members)
 
-    @property
+    @cached_property
     def sorted_members(self) -> tuple[EntityId, ...]:
         return tuple(sorted(self.members))
 

@@ -26,7 +26,9 @@ Trajectory recording per detector:
                   fine to coarse.
 * hierarchical -- singletons, then one state per merge (average-linkage
                   over shared-neighbor Jaccard similarity; only clusters
-                  joined by at least one edge may merge).
+                  joined by at least one edge may merge). A pair's score
+                  depends on its two clusters alone, so each merge rescores
+                  only the merged cluster's pairs.
 * spectral     -- normalized-Laplacian embedding with seeded k-means; k is
                   swept upward from 1 and the sweep stops at the first k
                   whose clusters all fit, so the chosen state is the
@@ -407,26 +409,31 @@ def _hierarchical_states(g: Subgraph, comp: frozenset[EntityId]):
         sim = np.where(union > 0, inter / union, 0.0)
 
     clusters: dict[tuple, list[int]] = {(v,): [index[v]] for v in nodes}
+
+    def pair(x, y):
+        return (x, y) if x < y else (y, x)
+
+    def score(x, y):  # x < y; the index lists fix the float summation order
+        return float(sim[np.ix_(clusters[x], clusters[y])].mean())
+
+    # clusters merge only across an existing edge; a pair's score depends on
+    # its two clusters alone, so a merge rescores only the merged cluster's
+    # pairs, and the strict-tuple minimum picks the same pair as a full scan
+    touch = {(u,): {(v,) for v in g.adj[u] if v != u} for u in nodes}
+    scores = {(a, b): score(a, b) for a in touch for b in touch[a] if a < b}
     states = [[{v} for v in nodes]]
-    while len(clusters) > 1:
-        best = None
-        keys = sorted(clusters)
-        for i, a in enumerate(keys):
-            ia = clusters[a]
-            for b in keys[i + 1 :]:
-                ib = clusters[b]
-                if not A[np.ix_(ia, ib)].any():
-                    continue  # merges only across an existing edge
-                score = float(sim[np.ix_(ia, ib)].mean())
-                cand = (-score, a, b)
-                if best is None or cand < best[0]:
-                    best = (cand, a, b)
-        if best is None:
-            break
-        _, a, b = best
+    while scores:
+        _, a, b = min((-s, x, y) for (x, y), s in scores.items())
         merged_key = tuple(sorted(a + b))
-        merged = clusters.pop(a) + clusters.pop(b)
-        clusters[merged_key] = merged
+        clusters[merged_key] = clusters.pop(a) + clusters.pop(b)
+        touch[merged_key] = (touch.pop(a) | touch.pop(b)) - {a, b}
+        for c in touch[merged_key]:
+            touch[c] -= {a, b}
+            touch[c].add(merged_key)
+            scores.pop(pair(a, c), None)
+            scores.pop(pair(b, c), None)
+            scores[pair(merged_key, c)] = score(*pair(merged_key, c))
+        del scores[(a, b)]
         states.append([set(key) for key in clusters])
     return states
 

@@ -44,8 +44,6 @@ class PromptBundle:
 
     system_preamble: str
     body: str
-    option_labels: tuple[str, ...] = ()
-    option_texts: tuple[str, ...] = ()
     temperature: float = REASONING_TEMPERATURE
 
     def __post_init__(self):
@@ -167,7 +165,9 @@ class ChatEndpoint:
 
     Endpoint, key, and model default to the FASTTOG_ENDPOINT, FASTTOG_API_KEY,
     and FASTTOG_MODEL environment variables. Concurrent in-flight requests are
-    bounded by a semaphore.
+    bounded by a semaphore. Each thread posts through its own pooled
+    ``requests.Session``, made on its first call, so a thread's calls reuse
+    one keep-alive connection (a session is not documented as thread-safe).
     """
 
     def __init__(
@@ -189,6 +189,7 @@ class ChatEndpoint:
         self.backoff_base = backoff_base
         self.timeout = timeout
         self._slots = threading.Semaphore(max_in_flight)
+        self._local = threading.local()
 
     @property
     def provider(self) -> str:
@@ -207,12 +208,15 @@ class ChatEndpoint:
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
+        session = getattr(self._local, "session", None)
+        if session is None:
+            session = self._local.session = requests.Session()
         attempt = 0
         while True:
             started = time.monotonic()
             try:
                 with self._slots:
-                    resp = requests.post(
+                    resp = session.post(
                         self.url, json=payload, headers=headers, timeout=self.timeout
                     )
             except (requests.ConnectionError, requests.Timeout) as exc:

@@ -169,15 +169,6 @@ class Subgraph:
     def degree(self, v: EntityId) -> int:
         return len(self.adj[v])
 
-    def structural_edges(self) -> list[tuple[EntityId, EntityId]]:
-        """Undirected structural edges as sorted (u, v) pairs with u < v."""
-        out = []
-        for u in sorted(self.adj):
-            for v in self.adj[u]:
-                if u < v:
-                    out.append((u, v))
-        return out
-
     # both lookups walk subjects in sorted order, so they return triples in
     # the same order as ``triples``
     def intra_triples(self, members: frozenset[EntityId]) -> list[Triple]:

@@ -50,10 +50,9 @@ def candidate_communities(
     for c in p.communities:
         if c.members.isdisjoint(frontier) or c.canonical_id in h:
             continue
+        # triples_between already returns the bridges in triple order
         bridges = g.triples_between(c.members - current.members, current.members)
-        out.append(
-            CandidateCommunity(c, tuple(sorted(bridges)), modularity_community(c, g))
-        )
+        out.append(CandidateCommunity(c, tuple(bridges), modularity_community(c, g)))
     out.sort(key=lambda cand: (-cand.modularity, cand.community.canonical_id))
     return out
 

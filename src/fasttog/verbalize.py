@@ -129,8 +129,6 @@ def build_pruning_prompt(
     return PromptBundle(
         system_preamble=preamble,
         body=body_tpl.format(question=question, premise=premise, selection=selection),
-        option_labels=labels,
-        option_texts=tuple(ct.text for ct in candidates),
         temperature=PRUNING_TEMPERATURE,
     )
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from collections import deque
 
 import numpy as np
@@ -55,6 +56,11 @@ def random_partition_sets(nodes, rng: random.Random) -> list[set]:
     return blocks
 
 
+def structural_edges(g: Subgraph) -> list[tuple]:
+    """Undirected structural edges of ``g`` as sorted (u, v) pairs with u < v."""
+    return [(u, v) for u in sorted(g.adj) for v in g.adj[u] if u < v]
+
+
 def eq1_direct(g: Subgraph, member_sets) -> float:
     """Independent oracle: the double-sum definition of modularity.
 
@@ -65,7 +71,7 @@ def eq1_direct(g: Subgraph, member_sets) -> float:
     index = {v: i for i, v in enumerate(nodes)}
     n = len(nodes)
     A = np.zeros((n, n))
-    for u, v in g.structural_edges():
+    for u, v in structural_edges(g):
         A[index[u], index[v]] = 1.0
         A[index[v], index[u]] = 1.0
     k = A.sum(axis=1)
@@ -255,6 +261,16 @@ def never_answer_script(width: int, max_depth: int, degrade_replies=("degrade fi
     return lines
 
 
+_OPTION_RE = re.compile(r"^[A-Z]\. (.*)$", re.MULTILINE)
+
+
+def pruning_options(body: str) -> list[str]:
+    """Option texts of a pruning prompt in letter order, read from its
+    selection block; empty for a prompt without one (entity extraction)."""
+    _, _, selection = body.partition("\nSelection:\n")
+    return _OPTION_RE.findall(selection)
+
+
 class OracleGateway:
     """Deterministic stand-in that walks toward a target entity.
 
@@ -293,7 +309,7 @@ class OracleGateway:
 
     def generate(self, req: GenerationRequest) -> GenerationResponse:
         if req.tag == "pruning":
-            options = req.prompt.option_texts
+            options = pruning_options(req.prompt.body)
             if not options:
                 reply = "A"
             else:

@@ -1,8 +1,14 @@
+import hashlib
 import json
+from pathlib import Path
+
+import pytest
 
 from fasttog.cli import main
 
 from helpers import bridged_triangles, clique_path, never_answer_script
+
+US_GEO = Path(__file__).resolve().parents[1] / "demos" / "data" / "us_geo.tsv"
 
 
 def triangles_file(tmp_path):
@@ -46,6 +52,30 @@ def test_detect_triangles(tmp_path, capsys):
     assert lines[0].split("\t")[1] == "a,b,c"
     assert lines[1].split("\t")[1] == "d,e,f"
     assert lines[0].split("\t")[2] == "2.500000"
+
+
+# SHA-1 of `fasttog detect --graph demos/data/us_geo.tsv` for each detector
+# and size bound, pinned so that a faster detector must print the same dump
+DETECT_DUMP_SHA1 = {
+    ("louvain", 2): "53c9ea5b0452c55c78abe95ff9847f135330d3b3",
+    ("louvain", 4): "1ff5d2ac92cc474ebfc64e37abd77ca83d678a4e",
+    ("girvan_newman", 2): "cab45bee22706a15e4116279e3882f4cf06ee588",
+    ("girvan_newman", 4): "8ae965f529c6c90e8c9daf8fb1123bc4b174a070",
+    ("hierarchical", 2): "623934b424aa777fcad5bfad5f24be560a719480",
+    ("hierarchical", 4): "9a0e7076abfc3907c7d995412abb719b50a03229",
+    ("spectral", 2): "98df8056d51d9d97292e0295e795c637e2ccedd8",
+    ("spectral", 4): "51dfc5868d8e0481cd5180cfa81c06102e12cff6",
+    ("random", 2): "337f17b5372a9c191a4b034bd1facefd8d95a166",
+    ("random", 4): "215b07d400042ce43d4565beef91480c48a8cca9",
+}
+
+
+@pytest.mark.parametrize("kind, bound", sorted(DETECT_DUMP_SHA1))
+def test_detect_dump_matches_pinned_sha1(kind, bound, capsys):
+    argv = ["detect", "--graph", str(US_GEO), "--detector", kind, "--max-community-size", str(bound)]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha1(out.encode("utf-8")).hexdigest() == DETECT_DUMP_SHA1[kind, bound]
 
 
 def test_run_requires_graph():
@@ -141,11 +171,11 @@ def test_eval_g2t_with_endpoint_builds_backend(tmp_path, monkeypatch):
     g2t_preamble = load_template("g2t")[0]
     posted = []
 
-    def fake_post(url, json=None, headers=None, timeout=None):
+    def fake_post(self, url, json=None, headers=None, timeout=None):
         posted.append(json["messages"][0]["content"])
         return FakeResponse(200, ok_payload("fluent facts"))
 
-    monkeypatch.setattr("fasttog.gateway.requests.post", fake_post)
+    monkeypatch.setattr("fasttog.gateway.requests.Session.post", fake_post)
     trace_dir = tmp_path / "traces"
     code = main(
         [
@@ -294,11 +324,11 @@ def test_eval_endpoint_counts_each_record_own_calls(tmp_path, monkeypatch):
     ]
     data.write_text("\n".join(json.dumps(r) for r in rows) + "\n", encoding="utf-8")
 
-    def fake_post(url, json=None, headers=None, timeout=None):
+    def fake_post(self, url, json=None, headers=None, timeout=None):
         pruning = json["temperature"] == PRUNING_TEMPERATURE
         return FakeResponse(200, ok_payload("A" if pruning else f"Answer: {target}"))
 
-    monkeypatch.setattr("fasttog.gateway.requests.post", fake_post)
+    monkeypatch.setattr("fasttog.gateway.requests.Session.post", fake_post)
     report_path = tmp_path / "r.json"
     code = main(
         [

@@ -16,7 +16,7 @@ from fasttog import (
 from fasttog.community import PartitionSnapshot, partition_dump
 from fasttog.detect import DETECTOR_KINDS, connected_components
 
-from helpers import eq1_direct, full_subgraph, random_graph
+from helpers import eq1_direct, full_subgraph, multigraph, random_graph
 
 STRUCTURAL_KINDS = ("louvain", "girvan_newman", "hierarchical", "spectral")
 
@@ -295,6 +295,35 @@ def test_louvain_partitions_and_snapshots_match_pinned_digest():
             for snap in comp.snapshots:
                 digest.update(partition_dump(snap.partition).encode())
     assert digest.hexdigest() == LOUVAIN_SWEEP_DIGEST
+
+
+# SHA-1 over the hierarchical sweep below, built like the louvain one. Dense
+# graphs (p >= 0.5) make tied Jaccard scores common, and the multigraphs add
+# self-loops and parallel predicates; pinned from the full pair scan, so a
+# faster merge loop may not move a single partition or tie-break.
+HIERARCHICAL_SWEEP_DIGEST = "001de9c5210b348b26da43aca2f2908c8bf8e6fc"
+
+
+def _hierarchical_sweep_graphs():
+    rng = random.Random(2025)
+    graphs = [
+        full_subgraph(
+            random_graph(rng.randint(2, 60), rng.choice((0.05, 0.1, 0.2, 0.35, 0.5, 0.6)), rng)
+        )
+        for _ in range(300)
+    ] + [full_subgraph(multigraph(rng.randint(2, 40), rng.randint(1, 120), rng)) for _ in range(20)]
+    return [(g, rng.randint(2, 8)) for g in graphs]
+
+
+def test_hierarchical_partitions_and_snapshots_match_pinned_digest():
+    digest = hashlib.sha1()
+    for trial, (g, m_max) in enumerate(_hierarchical_sweep_graphs()):
+        outcome = detect_full(g, "hierarchical", m_max, seed=trial)
+        digest.update(partition_dump(outcome.partition).encode())
+        for comp in outcome.components:
+            for snap in comp.snapshots:
+                digest.update(partition_dump(snap.partition).encode())
+    assert digest.hexdigest() == HIERARCHICAL_SWEEP_DIGEST
 
 
 def test_louvain_states_track_size_and_move_one_level_node():

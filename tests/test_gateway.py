@@ -1,4 +1,6 @@
 import json
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 from hypothesis import given, strategies as st
@@ -244,13 +246,13 @@ def ok_payload(content):
 def test_endpoint_posts_chat_shape(monkeypatch):
     seen = {}
 
-    def fake_post(url, json=None, headers=None, timeout=None):
+    def fake_post(self, url, json=None, headers=None, timeout=None):
         seen["url"] = url
         seen["json"] = json
         seen["headers"] = headers
         return FakeResponse(200, ok_payload("hi"))
 
-    monkeypatch.setattr("fasttog.gateway.requests.post", fake_post)
+    monkeypatch.setattr("fasttog.gateway.requests.Session.post", fake_post)
     ep = Counting(ChatEndpoint(url="http://x/v1/chat", api_key="k", model="m", backoff_base=0))
     resp = ep.generate(req(tag="reasoning", body="question body"))
     assert resp.text == "hi"
@@ -263,13 +265,13 @@ def test_endpoint_posts_chat_shape(monkeypatch):
 def test_endpoint_retries_transient_then_succeeds(monkeypatch):
     calls = {"n": 0}
 
-    def fake_post(*a, **kw):
+    def fake_post(self, *a, **kw):
         calls["n"] += 1
         if calls["n"] < 3:
             return FakeResponse(500, text="upstream sad")
         return FakeResponse(200, ok_payload("recovered"))
 
-    monkeypatch.setattr("fasttog.gateway.requests.post", fake_post)
+    monkeypatch.setattr("fasttog.gateway.requests.Session.post", fake_post)
     monkeypatch.setattr("fasttog.gateway.time.sleep", lambda s: None)
     ep = Counting(ChatEndpoint(url="http://x", model="m", backoff_base=0))
     resp = ep.generate(req())
@@ -280,7 +282,7 @@ def test_endpoint_retries_transient_then_succeeds(monkeypatch):
 
 def test_endpoint_gives_up_after_budget(monkeypatch):
     monkeypatch.setattr(
-        "fasttog.gateway.requests.post", lambda *a, **kw: FakeResponse(503)
+        "fasttog.gateway.requests.Session.post", lambda self, *a, **kw: FakeResponse(503)
     )
     monkeypatch.setattr("fasttog.gateway.time.sleep", lambda s: None)
     ep = Counting(ChatEndpoint(url="http://x", model="m", retry_budget=2, backoff_base=0))
@@ -292,15 +294,55 @@ def test_endpoint_gives_up_after_budget(monkeypatch):
 def test_endpoint_client_error_is_not_retried(monkeypatch):
     calls = {"n": 0}
 
-    def fake_post(*a, **kw):
+    def fake_post(self, *a, **kw):
         calls["n"] += 1
         return FakeResponse(401, text="bad key")
 
-    monkeypatch.setattr("fasttog.gateway.requests.post", fake_post)
+    monkeypatch.setattr("fasttog.gateway.requests.Session.post", fake_post)
     ep = ChatEndpoint(url="http://x", model="m")
     with pytest.raises(ProviderError):
         ep.generate(req())
     assert calls["n"] == 1
+
+
+def test_endpoint_reuses_one_connection_per_thread(monkeypatch):
+    peers = []
+
+    class Handler(BaseHTTPRequestHandler):
+        protocol_version = "HTTP/1.1"  # keep-alive, like a real model server
+
+        def log_message(self, *args):
+            pass
+
+        def do_POST(self):
+            self.rfile.read(int(self.headers["Content-Length"]))
+            peers.append(self.client_address[1])
+            body = json.dumps(ok_payload("hi")).encode("utf-8")
+            self.send_response(200)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    server.daemon_threads = True
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    monkeypatch.setenv("NO_PROXY", "127.0.0.1,localhost")
+    try:
+        ep = ChatEndpoint(url=f"http://127.0.0.1:{server.server_address[1]}/", model="m")
+        for _ in range(3):
+            assert ep.generate(req()).text == "hi"
+        assert len(peers) == 3
+        assert len(set(peers)) == 1  # one client connection, counted by peer port
+        other = threading.Thread(target=ep.generate, args=(req(),))
+        other.start()
+        other.join(timeout=30)
+        assert not other.is_alive()
+        assert len(peers) == 4
+        assert len(set(peers)) == 2  # another thread posts through its own session
+    finally:
+        server.shutdown()
+        server.server_close()
 
 
 def test_endpoint_requires_configuration(monkeypatch):
@@ -339,12 +381,12 @@ def test_endpoint_wire_settings_per_call_kind(monkeypatch):
     }
     posted = []
 
-    def fake_post(url, json=None, headers=None, timeout=None):
+    def fake_post(self, url, json=None, headers=None, timeout=None):
         kind = kind_of[json["messages"][0]["content"]]
         posted.append((kind, json["temperature"], json["max_tokens"]))
         return FakeResponse(200, ok_payload(replies[kind]))
 
-    monkeypatch.setattr("fasttog.gateway.requests.post", fake_post)
+    monkeypatch.setattr("fasttog.gateway.requests.Session.post", fake_post)
 
     def endpoint():
         return ChatEndpoint(url="http://x", model="m", backoff_base=0)

@@ -11,6 +11,7 @@ from helpers import (
     reference_adj,
     reference_between,
     reference_triples,
+    structural_edges,
 )
 
 
@@ -103,7 +104,7 @@ def test_extract_center_always_kept_and_hops_bounded():
         assert {"c", "d"} <= set(g.nodes)
         assert g.hop_of["c"] == 0 and g.hop_of["d"] == 0
         assert all(h <= 2 for h in g.hop_of.values())
-        assert g.m == len(g.structural_edges())
+        assert g.m == len(structural_edges(g))
 
 
 def test_extract_deterministic_for_seed():
@@ -193,7 +194,9 @@ def test_full_graph_subgraph_counts_structural_edges():
     assert len(g.triples) == 3
 
 
-def test_extract_matches_full_scan_reference():
+def _extraction_sweep():
+    """60 seeded extractions from one multigraph, each with five random
+    ``(left, right)`` member-set probes (overlapping sets included)."""
     rng = random.Random(11)
     kg = multigraph(60, 200, rng)
     names = sorted(kg.nodes)
@@ -206,18 +209,36 @@ def test_extract_matches_full_scan_reference():
         center = rng.sample(names, rng.randint(1, 3))
         cfg = SamplerConfig(rho=rng.choice((1.0, 0.6, 0.3)), r_max=rng.randint(1, 3), seed=trial)
         g = extract_subgraph(kg, center, cfg)
+        members = sorted(g.nodes)
+        probes = [
+            (
+                frozenset(rng.sample(members, rng.randint(1, len(members)))),
+                frozenset(rng.sample(members, rng.randint(1, len(members)))),
+            )
+            for _ in range(5)
+        ]
+        yield kg, g, probes
+
+
+def test_extract_matches_full_scan_reference():
+    for kg, g, probes in _extraction_sweep():
         want = reference_triples(kg, g.nodes)
         assert g.triples == want
         want_adj = reference_adj(g.nodes, want)
         assert g.adj == want_adj
         assert g.m == sum(len(s) for s in want_adj.values()) // 2
-        members = sorted(g.nodes)
-        for _ in range(5):
-            left = frozenset(rng.sample(members, rng.randint(1, len(members))))
-            right = frozenset(rng.sample(members, rng.randint(1, len(members))))
+        for left, right in probes:
             assert g.intra_triples(left) == reference_between(want, left, left)
             # overlapping sets included: each triple is reported once
             assert g.triples_between(left, right) == reference_between(want, left, right)
+
+
+def test_triples_between_returns_triple_order():
+    # candidate search keeps the bridges as returned, without sorting them
+    for _kg, g, probes in _extraction_sweep():
+        for left, right in probes:
+            between = g.triples_between(left, right)
+            assert between == sorted(between)
 
 
 def test_extract_reads_only_the_neighbourhood():
