@@ -17,7 +17,7 @@ node pair count as one edge, and self-loops carry no structural weight.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import InvalidCommunityError, InvalidPartitionError, ModularityUndefinedError
@@ -33,14 +33,16 @@ def canonical_community_id(members: frozenset[EntityId]) -> str:
 class Community:
     """A node group with cached structural sums relative to one subgraph.
 
-    The canonical id is hashed, and the members sorted, on first read and
-    then cached; detection builds many communities whose ids are never read.
+    The members are sorted once, when built. The canonical id is hashed on
+    first read and then cached; detection builds many communities whose ids
+    are never read.
     """
 
     members: frozenset[EntityId]
     sigma_in: int
     sigma_tot: int
     modularity: float
+    sorted_members: tuple[EntityId, ...] = field(compare=False, repr=False)
 
     @classmethod
     def from_members(cls, members, g: Subgraph) -> "Community":
@@ -62,15 +64,12 @@ class Community:
             sigma_in=sigma_in,
             sigma_tot=sigma_tot,
             modularity=q,
+            sorted_members=tuple(sorted(member_set)),
         )
 
     @cached_property
     def canonical_id(self) -> str:
         return canonical_community_id(self.members)
-
-    @cached_property
-    def sorted_members(self) -> tuple[EntityId, ...]:
-        return tuple(sorted(self.members))
 
     def __len__(self) -> int:
         return len(self.members)

@@ -28,7 +28,10 @@ Trajectory recording per detector:
                   over shared-neighbor Jaccard similarity; only clusters
                   joined by at least one edge may merge). A pair's score
                   depends on its two clusters alone, so each merge rescores
-                  only the merged cluster's pairs.
+                  only the merged cluster's pairs. :func:`detect` stops
+                  after the first merge that makes a block bigger than the
+                  bound: blocks only grow, so no later state fits;
+                  :func:`detect_full` merges to the natural stop.
 * spectral     -- normalized-Laplacian embedding with seeded k-means; k is
                   swept upward from 1 and the sweep stops at the first k
                   whose clusters all fit, so the chosen state is the
@@ -103,12 +106,21 @@ def backtrack_to_size(snapshots: list[PartitionSnapshot], m_max: int) -> Partiti
 
 
 def detect(g: Subgraph, kind: str, m_max: int, seed: int = 0) -> Partition:
-    """Partition ``g`` with every community size <= ``m_max``."""
-    return detect_full(g, kind, m_max, seed).partition
+    """Partition ``g`` with every community size <= ``m_max``.
+
+    Hierarchical merging stops at the first state with a block over
+    ``m_max``; its blocks only grow, so the chosen state is the same as
+    :func:`detect_full`'s.
+    """
+    return _detect(g, kind, m_max, seed, stop_early=True).partition
 
 
 def detect_full(g: Subgraph, kind: str, m_max: int, seed: int = 0) -> DetectionOutcome:
     """Like :func:`detect` but keeps per-component trajectories for inspection."""
+    return _detect(g, kind, m_max, seed, stop_early=False)
+
+
+def _detect(g, kind, m_max, seed, stop_early) -> DetectionOutcome:
     if kind not in DETECTOR_KINDS:
         raise ValueError(f"unknown detector kind: {kind!r}")
     if not g.nodes:
@@ -121,7 +133,7 @@ def detect_full(g: Subgraph, kind: str, m_max: int, seed: int = 0) -> DetectionO
     traces: list[ComponentTrace] = []
     chosen_communities = []
     for comp in connected_components(g):
-        states = _component_states(g, comp, kind, m_max, rng, np_rng)
+        states = _component_states(g, comp, kind, m_max, rng, np_rng, stop_early)
         # the same scan as backtrack_to_size, on block sizes alone; the
         # finest state always fits, so the scan always stops
         step = next(
@@ -143,7 +155,7 @@ def _largest_block(state) -> int:
     return state.max_size if isinstance(state, _Labelling) else max(map(len, state))
 
 
-def _component_states(g, comp, kind, m_max, rng, np_rng):
+def _component_states(g, comp, kind, m_max, rng, np_rng, stop_early):
     if len(comp) == 1 or m_max == 1:
         # singletons are the only feasible state; skip the algorithms
         return [[{v} for v in sorted(comp)]]
@@ -152,7 +164,7 @@ def _component_states(g, comp, kind, m_max, rng, np_rng):
     if kind == "girvan_newman":
         return _girvan_newman_states(g, comp)
     if kind == "hierarchical":
-        return _hierarchical_states(g, comp)
+        return _hierarchical_states(g, comp, m_max if stop_early else None)
     if kind == "spectral":
         return _spectral_states(g, comp, m_max, np_rng)
     return _random_states(comp, m_max, rng)
@@ -400,7 +412,9 @@ def _dense_adjacency(g: Subgraph, comp: frozenset[EntityId]):
     return nodes, index, A
 
 
-def _hierarchical_states(g: Subgraph, comp: frozenset[EntityId]):
+def _hierarchical_states(g: Subgraph, comp: frozenset[EntityId], m_max: int | None = None):
+    """Merge states from singletons on; with ``m_max``, stop after the first
+    merge that makes a block bigger than ``m_max``."""
     nodes, index, A = _dense_adjacency(g, comp)
     inter = (A.astype(np.int64) @ A.astype(np.int64).T).astype(float)
     deg = A.sum(axis=1).astype(float)
@@ -414,7 +428,9 @@ def _hierarchical_states(g: Subgraph, comp: frozenset[EntityId]):
         return (x, y) if x < y else (y, x)
 
     def score(x, y):  # x < y; the index lists fix the float summation order
-        return float(sim[np.ix_(clusters[x], clusters[y])].mean())
+        # the block's mean, summed as ndarray.mean() sums it, minus its overhead
+        block = sim.take(clusters[x], axis=0).take(clusters[y], axis=1)
+        return float(np.add.reduce(block, axis=None)) / block.size
 
     # clusters merge only across an existing edge; a pair's score depends on
     # its two clusters alone, so a merge rescores only the merged cluster's
@@ -435,6 +451,8 @@ def _hierarchical_states(g: Subgraph, comp: frozenset[EntityId]):
             scores[pair(merged_key, c)] = score(*pair(merged_key, c))
         del scores[(a, b)]
         states.append([set(key) for key in clusters])
+        if m_max is not None and len(merged_key) > m_max:
+            break
     return states
 
 

@@ -12,18 +12,22 @@ own calls, once per logical call.
 
 from __future__ import annotations
 
+import base64
 import functools
+import http.client
 import importlib.resources
 import json
 import os
 import re
+import select
+import ssl
 import string
 import threading
 import time
+import urllib.parse
+import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
-
-import requests
 
 from .errors import (
     ProviderError,
@@ -164,10 +168,12 @@ class ChatEndpoint:
     """Minimal chat-completion client: POST, retry transient failures, parse text.
 
     Endpoint, key, and model default to the FASTTOG_ENDPOINT, FASTTOG_API_KEY,
-    and FASTTOG_MODEL environment variables. Concurrent in-flight requests are
-    bounded by a semaphore. Each thread posts through its own pooled
-    ``requests.Session``, made on its first call, so a thread's calls reuse
-    one keep-alive connection (a session is not documented as thread-safe).
+    and FASTTOG_MODEL environment variables; the URL must be http or https.
+    Concurrent in-flight requests are bounded by a semaphore. Each thread
+    posts over its own stdlib ``http.client`` keep-alive connection, made on
+    its first call and reopened when the server has closed it. The connection
+    goes through the proxy that ``HTTP_PROXY``/``HTTPS_PROXY`` name, unless
+    ``NO_PROXY`` lists the host.
     """
 
     def __init__(
@@ -185,6 +191,14 @@ class ChatEndpoint:
         self.model = model or os.environ.get("FASTTOG_MODEL")
         if not self.url or not self.model:
             raise ProviderError("endpoint URL and model name must be configured")
+        split = urllib.parse.urlsplit(self.url)
+        try:
+            port = split.port or (443 if split.scheme == "https" else 80)
+        except ValueError:  # a port that is not a number in 0-65535
+            port = None
+        if split.scheme not in ("http", "https") or not split.hostname or port is None:
+            raise ProviderError(f"endpoint URL must be http(s)://host[:port]/...: {self.url!r}")
+        self._split, self._port = split, port
         self.retry_budget = retry_budget
         self.backoff_base = backoff_base
         self.timeout = timeout
@@ -205,38 +219,103 @@ class ChatEndpoint:
             "temperature": req.prompt.temperature,
             "max_tokens": DEFAULT_MAX_OUTPUT_TOKENS,
         }
+        body = json.dumps(payload, allow_nan=False).encode("utf-8")
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
-        session = getattr(self._local, "session", None)
-        if session is None:
-            session = self._local.session = requests.Session()
         attempt = 0
         while True:
             started = time.monotonic()
             try:
                 with self._slots:
-                    resp = session.post(
-                        self.url, json=payload, headers=headers, timeout=self.timeout
-                    )
-            except (requests.ConnectionError, requests.Timeout) as exc:
+                    status, raw = self._post(body, headers)
+            except (OSError, http.client.HTTPException) as exc:
                 failure = str(exc)
             else:
-                if resp.status_code < 400:
+                if status < 400:
                     try:
-                        text = resp.json()["choices"][0]["message"]["content"]
-                    except (KeyError, IndexError, json.JSONDecodeError, ValueError) as exc:
+                        text = json.loads(raw)["choices"][0]["message"]["content"]
+                    except (KeyError, IndexError, TypeError, ValueError) as exc:
                         raise ProviderError(f"malformed provider response: {exc}")
                     latency = int((time.monotonic() - started) * 1000)
                     return GenerationResponse(text, latency, self.provider, attempt)
-                if resp.status_code in (429,) or resp.status_code >= 500:
-                    failure = f"HTTP {resp.status_code}"
+                if status in (429,) or status >= 500:
+                    failure = f"HTTP {status}"
                 else:
-                    raise ProviderError(f"HTTP {resp.status_code}: {resp.text[:500]}")
+                    reason = raw.decode("utf-8", "replace")[:500]
+                    raise ProviderError(f"HTTP {status}: {reason}")
             attempt += 1
             if attempt > self.retry_budget:
                 raise TransportError(f"retry budget exhausted: {failure}")
             time.sleep(self.backoff_base * (2 ** (attempt - 1)))
+
+    def _post(self, body: bytes, headers: dict[str, str]) -> tuple[int, bytes]:
+        """POST ``body`` over this thread's connection; the status and raw reply."""
+        link = getattr(self._local, "link", None)
+        if link is None:
+            link = self._local.link = self._open()
+        conn = link.conn
+        if conn.sock is not None and _readable(conn.sock):
+            # an idle kept-alive socket with something to read was closed by
+            # the peer; drop it, and the request below reconnects
+            conn.close()
+        try:
+            conn.request("POST", link.target, body, headers | link.proxy_headers)
+            resp = conn.getresponse()
+            return resp.status, resp.read()
+        except BaseException:
+            conn.close()
+            raise
+
+    def _open(self) -> _Link:
+        """A connection for this thread, with its request target and proxy headers.
+
+        An http URL goes to its proxy in absolute form, an https one through
+        a CONNECT tunnel; TLS is verified against the system's CAs.
+        """
+        u, port = self._split, self._port
+        https = u.scheme == "https"
+        path = urllib.parse.urlunsplit(("", "", u.path or "/", u.query, ""))
+        proxies = {} if urllib.request.proxy_bypass(u.hostname) else urllib.request.getproxies()
+        proxy = proxies.get(u.scheme) or proxies.get("all")
+        if https:
+            ctx = ssl.create_default_context()
+            make = functools.partial(http.client.HTTPSConnection, context=ctx)
+        else:
+            make = http.client.HTTPConnection
+        if not proxy:
+            return _Link(make(u.hostname, port, timeout=self.timeout), path, {})
+        p = urllib.parse.urlsplit(proxy if "://" in proxy else "http://" + proxy)
+        auth = {}
+        if p.username is not None:
+            cred = f"{urllib.parse.unquote(p.username)}:{urllib.parse.unquote(p.password or '')}"
+            auth["Proxy-Authorization"] = "Basic " + base64.b64encode(cred.encode()).decode()
+        conn = make(p.hostname, p.port or 80, timeout=self.timeout)
+        if https:
+            conn.set_tunnel(u.hostname, port, headers=auth)
+            return _Link(conn, path, {})
+        return _Link(conn, f"{u.scheme}://{u.netloc}{path}", auth)
+
+
+@dataclass
+class _Link:
+    """One thread's connection, closed when the thread or the endpoint goes."""
+
+    conn: http.client.HTTPConnection
+    target: str
+    proxy_headers: dict[str, str]
+
+    def __del__(self):
+        self.conn.close()
+
+
+def _readable(sock) -> bool:
+    """Whether ``sock`` has data or EOF waiting, checked without blocking."""
+    if hasattr(select, "poll"):  # select() cannot take descriptors >= FD_SETSIZE
+        poller = select.poll()
+        poller.register(sock, select.POLLIN)
+        return bool(poller.poll(0))
+    return bool(select.select([sock], [], [], 0)[0])
 
 
 # -- reply parsing ------------------------------------------------------------

@@ -158,7 +158,7 @@ def test_eval_writes_report(tmp_path, capsys):
 def test_eval_g2t_with_endpoint_builds_backend(tmp_path, monkeypatch):
     from fasttog.gateway import load_template
 
-    from test_gateway import FakeResponse, ok_payload
+    from test_gateway import fake_reply, ok_payload
 
     graph, start, target = path_fixture(tmp_path)
     data = tmp_path / "data.jsonl"
@@ -171,11 +171,11 @@ def test_eval_g2t_with_endpoint_builds_backend(tmp_path, monkeypatch):
     g2t_preamble = load_template("g2t")[0]
     posted = []
 
-    def fake_post(self, url, json=None, headers=None, timeout=None):
-        posted.append(json["messages"][0]["content"])
-        return FakeResponse(200, ok_payload("fluent facts"))
+    def fake_post(self, body, headers):
+        posted.append(json.loads(body)["messages"][0]["content"])
+        return fake_reply(200, ok_payload("fluent facts"))
 
-    monkeypatch.setattr("fasttog.gateway.requests.Session.post", fake_post)
+    monkeypatch.setattr("fasttog.gateway.ChatEndpoint._post", fake_post)
     trace_dir = tmp_path / "traces"
     code = main(
         [
@@ -314,7 +314,7 @@ def test_directory_paths_are_data_errors(tmp_path, capsys):
 def test_eval_endpoint_counts_each_record_own_calls(tmp_path, monkeypatch):
     from fasttog.gateway import PRUNING_TEMPERATURE
 
-    from test_gateway import FakeResponse, ok_payload
+    from test_gateway import fake_reply, ok_payload
 
     graph, start, target = path_fixture(tmp_path)
     data = tmp_path / "data.jsonl"
@@ -324,11 +324,11 @@ def test_eval_endpoint_counts_each_record_own_calls(tmp_path, monkeypatch):
     ]
     data.write_text("\n".join(json.dumps(r) for r in rows) + "\n", encoding="utf-8")
 
-    def fake_post(self, url, json=None, headers=None, timeout=None):
-        pruning = json["temperature"] == PRUNING_TEMPERATURE
-        return FakeResponse(200, ok_payload("A" if pruning else f"Answer: {target}"))
+    def fake_post(self, body, headers):
+        pruning = json.loads(body)["temperature"] == PRUNING_TEMPERATURE
+        return fake_reply(200, ok_payload("A" if pruning else f"Answer: {target}"))
 
-    monkeypatch.setattr("fasttog.gateway.requests.Session.post", fake_post)
+    monkeypatch.setattr("fasttog.gateway.ChatEndpoint._post", fake_post)
     report_path = tmp_path / "r.json"
     code = main(
         [

@@ -14,7 +14,7 @@ from fasttog import (
     modularity_global,
 )
 from fasttog.community import PartitionSnapshot, partition_dump
-from fasttog.detect import DETECTOR_KINDS, connected_components
+from fasttog.detect import DETECTOR_KINDS, _hierarchical_states, connected_components
 
 from helpers import eq1_direct, full_subgraph, multigraph, random_graph
 
@@ -324,6 +324,26 @@ def test_hierarchical_partitions_and_snapshots_match_pinned_digest():
             for snap in comp.snapshots:
                 digest.update(partition_dump(snap.partition).encode())
     assert digest.hexdigest() == HIERARCHICAL_SWEEP_DIGEST
+
+
+@pytest.mark.parametrize("kind", DETECTOR_KINDS)
+def test_detect_matches_detect_full_over_the_sweeps(kind):
+    cases = _louvain_sweep_graphs() + _hierarchical_sweep_graphs()
+    if kind in ("girvan_newman", "spectral"):  # the slow ones, on small graphs only
+        cases = [(g, m_max) for g, m_max in cases if len(g.nodes) <= 20]
+    for trial, (g, m_max) in enumerate(cases):
+        full = detect_full(g, kind, m_max, seed=trial).partition
+        assert partition_dump(detect(g, kind, m_max, seed=trial)) == partition_dump(full)
+
+
+def test_bounded_hierarchical_states_stop_at_the_first_oversized_block():
+    for g, m_max in _hierarchical_sweep_graphs():
+        for comp in connected_components(g):
+            full = _hierarchical_states(g, comp)
+            bounded = _hierarchical_states(g, comp, m_max)
+            assert bounded == full[: len(bounded)]
+            over = [i for i, state in enumerate(full) if max(map(len, state)) > m_max]
+            assert len(bounded) == (over[0] + 1 if over else len(full))
 
 
 def test_louvain_states_track_size_and_move_one_level_node():

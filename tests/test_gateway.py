@@ -227,16 +227,10 @@ def test_baseline_unknown_mode():
 # -- remote endpoint ----------------------------------------------------------------
 
 
-class FakeResponse:
-    def __init__(self, status_code, payload=None, text=""):
-        self.status_code = status_code
-        self._payload = payload
-        self.text = text
-
-    def json(self):
-        if self._payload is None:
-            raise json.JSONDecodeError("empty", "", 0)
-        return self._payload
+def fake_reply(status, payload=None, text=""):
+    """What a faked ``ChatEndpoint._post`` returns: the status and raw reply."""
+    raw = json.dumps(payload) if payload is not None else text
+    return status, raw.encode("utf-8")
 
 
 def ok_payload(content):
@@ -246,13 +240,13 @@ def ok_payload(content):
 def test_endpoint_posts_chat_shape(monkeypatch):
     seen = {}
 
-    def fake_post(self, url, json=None, headers=None, timeout=None):
-        seen["url"] = url
-        seen["json"] = json
+    def fake_post(self, body, headers):
+        seen["url"] = self.url
+        seen["json"] = json.loads(body)
         seen["headers"] = headers
-        return FakeResponse(200, ok_payload("hi"))
+        return fake_reply(200, ok_payload("hi"))
 
-    monkeypatch.setattr("fasttog.gateway.requests.Session.post", fake_post)
+    monkeypatch.setattr("fasttog.gateway.ChatEndpoint._post", fake_post)
     ep = Counting(ChatEndpoint(url="http://x/v1/chat", api_key="k", model="m", backoff_base=0))
     resp = ep.generate(req(tag="reasoning", body="question body"))
     assert resp.text == "hi"
@@ -265,13 +259,13 @@ def test_endpoint_posts_chat_shape(monkeypatch):
 def test_endpoint_retries_transient_then_succeeds(monkeypatch):
     calls = {"n": 0}
 
-    def fake_post(self, *a, **kw):
+    def fake_post(self, body, headers):
         calls["n"] += 1
         if calls["n"] < 3:
-            return FakeResponse(500, text="upstream sad")
-        return FakeResponse(200, ok_payload("recovered"))
+            return fake_reply(500, text="upstream sad")
+        return fake_reply(200, ok_payload("recovered"))
 
-    monkeypatch.setattr("fasttog.gateway.requests.Session.post", fake_post)
+    monkeypatch.setattr("fasttog.gateway.ChatEndpoint._post", fake_post)
     monkeypatch.setattr("fasttog.gateway.time.sleep", lambda s: None)
     ep = Counting(ChatEndpoint(url="http://x", model="m", backoff_base=0))
     resp = ep.generate(req())
@@ -282,7 +276,7 @@ def test_endpoint_retries_transient_then_succeeds(monkeypatch):
 
 def test_endpoint_gives_up_after_budget(monkeypatch):
     monkeypatch.setattr(
-        "fasttog.gateway.requests.Session.post", lambda self, *a, **kw: FakeResponse(503)
+        "fasttog.gateway.ChatEndpoint._post", lambda self, body, headers: fake_reply(503)
     )
     monkeypatch.setattr("fasttog.gateway.time.sleep", lambda s: None)
     ep = Counting(ChatEndpoint(url="http://x", model="m", retry_budget=2, backoff_base=0))
@@ -294,11 +288,11 @@ def test_endpoint_gives_up_after_budget(monkeypatch):
 def test_endpoint_client_error_is_not_retried(monkeypatch):
     calls = {"n": 0}
 
-    def fake_post(self, *a, **kw):
+    def fake_post(self, body, headers):
         calls["n"] += 1
-        return FakeResponse(401, text="bad key")
+        return fake_reply(401, text="bad key")
 
-    monkeypatch.setattr("fasttog.gateway.requests.Session.post", fake_post)
+    monkeypatch.setattr("fasttog.gateway.ChatEndpoint._post", fake_post)
     ep = ChatEndpoint(url="http://x", model="m")
     with pytest.raises(ProviderError):
         ep.generate(req())
@@ -345,6 +339,109 @@ def test_endpoint_reuses_one_connection_per_thread(monkeypatch):
         server.server_close()
 
 
+def _ok_handler(seen):
+    """A keep-alive chat handler that records each request's target and peer port."""
+
+    class Handler(BaseHTTPRequestHandler):
+        protocol_version = "HTTP/1.1"
+
+        def log_message(self, *args):
+            pass
+
+        def do_POST(self):
+            self.rfile.read(int(self.headers["Content-Length"]))
+            seen.append((self.path, self.client_address[1]))
+            body = json.dumps(ok_payload("hi")).encode("utf-8")
+            self.send_response(200)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+    return Handler
+
+
+def _serve(handler, server_cls=ThreadingHTTPServer):
+    server = server_cls(("127.0.0.1", 0), handler)
+    server.daemon_threads = True
+    threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True).start()
+    return server
+
+
+def _stop(*servers):
+    for server in servers:
+        server.shutdown()
+        server.server_close()
+
+
+def test_endpoint_reconnects_after_the_server_closes_a_kept_alive_connection(monkeypatch):
+    seen = []
+    closed = threading.Semaphore(0)
+
+    class Handler(_ok_handler(seen)):
+        def do_POST(self):
+            super().do_POST()
+            self.close_connection = True  # hang up without a Connection: close header
+
+    class Server(ThreadingHTTPServer):
+        def shutdown_request(self, request):
+            super().shutdown_request(request)
+            closed.release()
+
+    def no_retry(seconds):
+        raise AssertionError("a closed connection must not cost a retry")
+
+    server = _serve(Handler, Server)
+    monkeypatch.setenv("NO_PROXY", "127.0.0.1,localhost")
+    monkeypatch.setattr("fasttog.gateway.time.sleep", no_retry)
+    try:
+        ep = ChatEndpoint(url=f"http://127.0.0.1:{server.server_address[1]}/", model="m")
+        for _ in range(3):
+            resp = ep.generate(req())
+            assert (resp.text, resp.attempt) == ("hi", 0)
+            assert closed.acquire(timeout=10)  # the server has closed its end
+        assert len({port for _path, port in seen}) == 3
+    finally:
+        _stop(server)
+
+
+def _proxied_call(monkeypatch, no_proxy):
+    """Post to a loopback target with HTTP_PROXY set; what target and proxy saw."""
+    direct, proxied = [], []
+    target, proxy = _serve(_ok_handler(direct)), _serve(_ok_handler(proxied))
+    for name in ("no_proxy", "http_proxy", "all_proxy", "ALL_PROXY"):
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv("HTTP_PROXY", f"http://127.0.0.1:{proxy.server_address[1]}")
+    if no_proxy is None:
+        monkeypatch.delenv("NO_PROXY", raising=False)
+    else:
+        monkeypatch.setenv("NO_PROXY", no_proxy)
+    url = f"http://127.0.0.1:{target.server_address[1]}/v1/chat"
+    try:
+        assert ChatEndpoint(url=url, model="m").generate(req()).text == "hi"
+    finally:
+        _stop(target, proxy)
+    return url, [path for path, _port in direct], [path for path, _port in proxied]
+
+
+def test_endpoint_posts_through_http_proxy_in_absolute_form(monkeypatch):
+    url, direct, proxied = _proxied_call(monkeypatch, no_proxy=None)
+    assert direct == []
+    assert proxied == [url]
+
+
+def test_endpoint_goes_direct_for_a_no_proxy_host(monkeypatch):
+    _url, direct, proxied = _proxied_call(monkeypatch, no_proxy="127.0.0.1")
+    assert direct == ["/v1/chat"]
+    assert proxied == []
+
+
+@pytest.mark.parametrize("url", ["ftp://x", "x:8000/v1", "http://x:port/v1", "http:///v1"])
+def test_endpoint_rejects_a_non_http_url_at_construction(url):
+    with pytest.raises(ProviderError):
+        ChatEndpoint(url=url, model="m")
+
+
 def test_endpoint_requires_configuration(monkeypatch):
     monkeypatch.delenv("FASTTOG_ENDPOINT", raising=False)
     monkeypatch.delenv("FASTTOG_MODEL", raising=False)
@@ -381,12 +478,13 @@ def test_endpoint_wire_settings_per_call_kind(monkeypatch):
     }
     posted = []
 
-    def fake_post(self, url, json=None, headers=None, timeout=None):
-        kind = kind_of[json["messages"][0]["content"]]
-        posted.append((kind, json["temperature"], json["max_tokens"]))
-        return FakeResponse(200, ok_payload(replies[kind]))
+    def fake_post(self, body, headers):
+        payload = json.loads(body)
+        kind = kind_of[payload["messages"][0]["content"]]
+        posted.append((kind, payload["temperature"], payload["max_tokens"]))
+        return fake_reply(200, ok_payload(replies[kind]))
 
-    monkeypatch.setattr("fasttog.gateway.requests.Session.post", fake_post)
+    monkeypatch.setattr("fasttog.gateway.ChatEndpoint._post", fake_post)
 
     def endpoint():
         return ChatEndpoint(url="http://x", model="m", backoff_base=0)
