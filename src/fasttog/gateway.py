@@ -237,6 +237,10 @@ class ChatEndpoint:
                         text = json.loads(raw)["choices"][0]["message"]["content"]
                     except (KeyError, IndexError, TypeError, ValueError) as exc:
                         raise ProviderError(f"malformed provider response: {exc}")
+                    if not isinstance(text, str):
+                        raise ProviderError(
+                            f"malformed provider response: content is {type(text).__name__}"
+                        )
                     latency = int((time.monotonic() - started) * 1000)
                     return GenerationResponse(text, latency, self.provider, attempt)
                 if status in (429,) or status >= 500:

@@ -1,8 +1,11 @@
 """In-memory knowledge graph: triple ingestion, adjacency, and hop-limited sampling.
 
 Entities are identified by their label string (the triple files carry labels
-only, so the label doubles as the stable id). The graph is immutable once
-built and safe for concurrent readers.
+only, so the label doubles as the stable id). Inside the store each label is
+interned as its rank in sorted label order, and the triples are held as
+sorted integer columns; ``Triple`` objects are made only for the rows a
+caller reads. The graph is immutable once built and safe for concurrent
+readers.
 
 Triple file format: UTF-8, one ``subject<TAB>predicate<TAB>object`` per line.
 Lines starting with ``#`` are comments; blank lines are skipped. Labels may
@@ -13,10 +16,16 @@ from __future__ import annotations
 
 import logging
 import random
-from collections import deque
+from array import array
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import count, groupby
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
+
+import numpy as np
 
 from .errors import NotFoundError, TripleFormatError
 
@@ -52,97 +61,213 @@ class SamplerConfig:
 
 
 class KnowledgeGraph:
-    """Immutable triple store with a per-node index.
+    """Immutable triple store held as sorted integer columns.
 
-    ``_out[v]`` and ``_in[v]`` list the ``Triple`` objects of ``triples``
-    whose subject, respectively object, is ``v``, in ``triples`` order; a
-    self-loop is in both. Since ``triples`` is sorted, each ``_out[v]`` runs
-    in (predicate, object) order, which subgraph extraction relies on.
+    Entity ``i`` is ``_labels[i]`` and predicate ``j`` is ``_predicates[j]``;
+    ids are ranks in sorted label order, so integer order is label order, and
+    ``_id`` maps a label back to its id. The deduplicated triples are the
+    columns ``_s``, ``_p`` and ``_o``, sorted by (subject, predicate, object),
+    which is the order of sorted ``Triple`` tuples. Three compressed sparse
+    row (CSR) indexes read one node's share of them:
+
+    * rows ``_out_start[v]`` up to ``_out_start[v + 1]`` have subject ``v``,
+      in (predicate, object) order, which subgraph extraction relies on;
+    * ``_in_rows[_in_start[v]:_in_start[v + 1]]`` are the rows with object
+      ``v``, ascending;
+    * ``_nbr[_nbr_start[v]:_nbr_start[v + 1]]`` are the structural
+      neighbours of ``v`` (either direction, parallel edges collapsed,
+      self-loops dropped), ascending.
     """
 
     def __init__(self, triples: Iterable[Triple]):
-        seen: set[Triple] = set()
-        ordered: list[Triple] = []
-        duplicates = 0
-        self_loops = 0
-        for t in triples:
-            if t in seen:
-                duplicates += 1
-                continue
-            seen.add(t)
-            ordered.append(t)
-            if t.subject == t.object:
-                self_loops += 1
-        ordered.sort()
-        self.triples: tuple[Triple, ...] = tuple(ordered)
-        self.duplicate_count = duplicates
-        self.self_loop_count = self_loops
-        if duplicates:
-            log.warning("collapsed %d duplicate triple(s)", duplicates)
-        if self_loops:
-            log.warning("graph contains %d self-loop triple(s)", self_loops)
+        self._id, self._labels, self._predicates, s, p, o = _intern(triples)
+        self.nodes: frozenset[EntityId] = frozenset(self._id)
+        n = len(self._labels)
+        read = len(s)
+        s, p, o = _sorted_distinct(s, p, o, n, len(self._predicates))
+        loops = s == o
+        self._s, self._p, self._o = s, p, o
+        self.duplicate_count = read - len(s)
+        self.self_loop_count = int(np.count_nonzero(loops))
+        if self.duplicate_count:
+            log.warning("collapsed %d duplicate triple(s)", self.duplicate_count)
+        if self.self_loop_count:
+            log.warning("graph contains %d self-loop triple(s)", self.self_loop_count)
 
-        out: dict[EntityId, list[Triple]] = {}
-        inc: dict[EntityId, list[Triple]] = {}
-        structural: dict[EntityId, set[EntityId]] = {}
-        for t in self.triples:
-            out.setdefault(t.subject, []).append(t)
-            inc.setdefault(t.object, []).append(t)
-            if t.subject != t.object:
-                # self-loops are kept for verbalization but carry no
-                # structural weight (degree / modularity ignore them)
-                structural.setdefault(t.subject, set()).add(t.object)
-                structural.setdefault(t.object, set()).add(t.subject)
-        self.nodes: frozenset[EntityId] = frozenset(out.keys() | inc.keys())
-        self._out = out
-        self._in = inc
-        self._structural = {v: frozenset(structural.get(v, ())) for v in self.nodes}
+        self._out_start = _offsets(s, n)
+        rows = len(s)
+        by_object = o.astype(np.int64) * rows + np.arange(rows)
+        by_object.sort()
+        objects, in_rows = np.divmod(by_object, rows)
+        self._in_rows = in_rows.astype(np.int32)
+        self._in_start = _offsets(objects, n)
+        # self-loops are kept for verbalization but carry no structural
+        # weight (degree / modularity ignore them)
+        ends = np.concatenate((s[~loops], o[~loops])).astype(np.int64)
+        pairs = ends * n + np.concatenate((o[~loops], s[~loops]))
+        pairs.sort()
+        pairs = pairs[_first_of_runs(pairs)]
+        ends, nbr = np.divmod(pairs, n)
+        self._nbr = nbr.astype(np.int32)
+        self._nbr_start = _offsets(ends, n)
 
     # -- construction -----------------------------------------------------
 
     @classmethod
     def ingest(cls, source: str | Path) -> "KnowledgeGraph":
         """Parse a TSV triple file. Malformed lines raise TripleFormatError."""
-        triples = []
         with open(source, encoding="utf-8") as fh:
-            for line_no, raw in enumerate(fh, start=1):
-                line = raw.rstrip("\r\n")
-                if not line.strip() or line.startswith("#"):
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 3:
-                    raise TripleFormatError(
-                        line_no, f"expected 3 tab-separated fields, got {len(parts)}"
-                    )
-                subject, predicate, obj = parts
-                if not subject or not predicate or not obj:
-                    raise TripleFormatError(line_no, "empty field")
-                triples.append(Triple(subject, predicate, obj))
-        return cls(triples)
+            return cls(_parse_tsv(fh))
 
     # -- queries -----------------------------------------------------------
 
+    @cached_property
+    def triples(self) -> tuple[Triple, ...]:
+        """Every triple, sorted. Built on first read; extraction never reads it."""
+        return tuple(self._triples_at(slice(None)))
+
     def neighbors(self, v: EntityId) -> list[tuple[str, EntityId, str]]:
         """All incident triples of ``v`` as sorted (predicate, neighbor, direction)."""
-        if v not in self.nodes:
-            raise NotFoundError(f"unknown entity: {v!r}")
+        i = self._index(v)
+        labels, predicates = self._labels, self._predicates
+        out = slice(self._out_start[i], self._out_start[i + 1])
+        inc = self._in_rows[self._in_start[i] : self._in_start[i + 1]]
         return sorted(
-            [(t.predicate, t.object, "out") for t in self._out.get(v, ())]
-            + [(t.predicate, t.subject, "in") for t in self._in.get(v, ())]
+            [
+                (predicates[p], labels[o], "out")
+                for p, o in zip(self._p[out].tolist(), self._o[out].tolist())
+            ]
+            + [
+                (predicates[p], labels[s], "in")
+                for p, s in zip(self._p[inc].tolist(), self._s[inc].tolist())
+            ]
         )
 
     def structural_neighbors(self, v: EntityId) -> frozenset[EntityId]:
-        if v not in self.nodes:
-            raise NotFoundError(f"unknown entity: {v!r}")
-        return self._structural[v]
+        i = self._index(v)
+        nbr = self._nbr[self._nbr_start[i] : self._nbr_start[i + 1]]
+        return frozenset(map(self._labels.__getitem__, nbr.tolist()))
 
     def dump(self) -> str:
         """Canonical dump: lexicographically sorted TSV lines."""
-        lines = sorted(f"{t.subject}\t{t.predicate}\t{t.object}" for t in self.triples)
+        labels, predicates = self._labels, self._predicates
+        lines = sorted(
+            f"{labels[s]}\t{predicates[p]}\t{labels[o]}"
+            for s, p, o in zip(self._s.tolist(), self._p.tolist(), self._o.tolist())
+        )
         return "\n".join(lines) + ("\n" if lines else "")
 
     def __len__(self) -> int:
         return len(self.nodes)
+
+    def _index(self, v: EntityId) -> int:
+        i = self._id.get(v)
+        if i is None:
+            raise NotFoundError(f"unknown entity: {v!r}")
+        return i
+
+    def _triples_at(self, rows) -> list[Triple]:
+        """``Triple`` objects for ``rows`` (an index array or a slice), in order."""
+        labels, predicates = self._labels, self._predicates
+        return [
+            Triple(labels[s], predicates[p], labels[o])
+            for s, p, o in zip(
+                self._s[rows].tolist(), self._p[rows].tolist(), self._o[rows].tolist()
+            )
+        ]
+
+
+# a packed (subject, predicate, object) sort key must stay below this
+_KEY_LIMIT = 2**63
+
+
+def _parse_tsv(lines: TextIO) -> Iterator[tuple[str, str, str]]:
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.rstrip("\r\n")
+        if not line or line.isspace() or line[0] == "#":
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise TripleFormatError(
+                line_no, f"expected 3 tab-separated fields, got {len(parts)}"
+            )
+        subject, predicate, obj = parts
+        if not subject or not predicate or not obj:
+            raise TripleFormatError(line_no, "empty field")
+        yield subject, predicate, obj
+
+
+def _intern(
+    triples: Iterable[Triple],
+) -> tuple[dict[str, int], list[str], list[str], np.ndarray, np.ndarray, np.ndarray]:
+    """Read the triples once, interning labels as they come.
+
+    Returns the entity label -> id map, the entity and predicate labels in id
+    order, and the subject, predicate and object id columns in input order.
+    Ids are ranks in sorted label order.
+    """
+    # a missing label gets the next first-seen id
+    entities: defaultdict[str, int] = defaultdict(count().__next__)
+    predicates: defaultdict[str, int] = defaultdict(count().__next__)
+    s_col, p_col, o_col = array("i"), array("i"), array("i")
+    for subject, predicate, obj in triples:
+        s_col.append(entities[subject])
+        p_col.append(predicates[predicate])
+        o_col.append(entities[obj])
+    entities.default_factory = None  # plain lookups from here on
+    # ids so far are in first-seen order; renumber them as ranks
+    labels, rank = _rank_in_label_order(entities)
+    predicate_labels, p_rank = _rank_in_label_order(predicates)
+    return (
+        entities,
+        labels,
+        predicate_labels,
+        rank[np.asarray(s_col)],
+        p_rank[np.asarray(p_col)],
+        rank[np.asarray(o_col)],
+    )
+
+
+def _rank_in_label_order(ids: dict[str, int]) -> tuple[list[str], np.ndarray]:
+    """Renumber ``ids`` (label -> first-seen id) in place as ranks in sorted
+    label order. Returns the labels by rank and the first-seen id -> rank map.
+
+    Labels are sorted as Python strings: a numpy ``U`` array would drop
+    trailing NULs and merge ``"a"`` with ``"a\\x00"``.
+    """
+    labels = sorted(ids)
+    rank = np.empty(len(labels), dtype=np.int32)
+    rank[[ids[label] for label in labels]] = np.arange(len(labels), dtype=np.int32)
+    ids.update(zip(labels, range(len(labels))))
+    return labels, rank
+
+
+def _sorted_distinct(s, p, o, n: int, n_p: int):
+    """The distinct (s, p, o) rows of the id columns, ascending, as int32."""
+    if n * n_p * n < _KEY_LIMIT:
+        key = (s.astype(np.int64) * n_p + p) * n + o
+        key.sort()
+        key = key[_first_of_runs(key)]
+        sp, o = np.divmod(key, n)
+        s, p = np.divmod(sp, n_p)
+    else:  # the packed key would overflow
+        order = np.lexsort((o, p, s))
+        s, p, o = s[order], p[order], o[order]
+        fresh = _first_of_runs(s) | _first_of_runs(p) | _first_of_runs(o)
+        s, p, o = s[fresh], p[fresh], o[fresh]
+    return s.astype(np.int32), p.astype(np.int32), o.astype(np.int32)
+
+
+def _first_of_runs(ordered: np.ndarray) -> np.ndarray:
+    """Mask of the entries of ``ordered`` that differ from the one before."""
+    fresh = np.ones(len(ordered), dtype=bool)
+    fresh[1:] = ordered[1:] != ordered[:-1]
+    return fresh
+
+
+def _offsets(ordered_ids: np.ndarray, n: int) -> np.ndarray:
+    """CSR offsets: where each id of ``0..n`` starts in ``ordered_ids``."""
+    return np.searchsorted(ordered_ids, np.arange(n + 1))
 
 
 @dataclass
@@ -190,27 +315,35 @@ class Subgraph:
         cls,
         omega: KnowledgeGraph,
         center: frozenset[EntityId],
-        retained: set[EntityId],
+        retained: Sequence[int],
         hop_of: dict[EntityId, int],
     ) -> "Subgraph":
-        # each node's outgoing triples are sorted by (predicate, object), so
-        # walking the retained nodes in order yields the triples already sorted
-        out: dict[EntityId, tuple[Triple, ...]] = {}
-        adj: dict[EntityId, set[EntityId]] = {v: set() for v in retained}
-        for v in sorted(retained):
-            mine = tuple(t for t in omega._out.get(v, ()) if t.object in retained)
-            out[v] = mine
-            for t in mine:
-                if t.object != v:
-                    adj[v].add(t.object)
-                    adj[t.object].add(v)
+        # ``retained`` holds ascending node ids. Their outgoing rows are runs
+        # of the sorted columns, so gathering the runs in that order yields
+        # the triples already sorted
+        ids = np.asarray(retained, dtype=np.int64)
+        lo = omega._out_start[ids]
+        counts = omega._out_start[ids + 1] - lo
+        rows = np.arange(counts.sum()) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+        objects = omega._o[rows]
+        at = np.minimum(np.searchsorted(ids, objects), max(len(ids) - 1, 0))
+        triples = omega._triples_at(rows[ids[at] == objects])
+        labels = omega._labels
+        out: dict[EntityId, tuple[Triple, ...]] = {labels[v]: () for v in retained}
+        for subject, mine in groupby(triples, key=itemgetter(0)):
+            out[subject] = tuple(mine)
+        adj: dict[EntityId, set[EntityId]] = {v: set() for v in out}
+        for t in triples:
+            if t.object != t.subject:
+                adj[t.subject].add(t.object)
+                adj[t.object].add(t.subject)
         m = sum(len(s) for s in adj.values()) // 2
         return cls(
             center=center,
-            nodes=frozenset(retained),
-            triples=tuple(t for ts in out.values() for t in ts),
+            nodes=frozenset(out),
+            triples=tuple(triples),
             out=out,
-            hop_of=dict(hop_of),
+            hop_of=hop_of,
             adj={v: frozenset(s) for v, s in adj.items()},
             m=m,
         )
@@ -218,9 +351,8 @@ class Subgraph:
     @classmethod
     def from_full_graph(cls, omega: KnowledgeGraph) -> "Subgraph":
         """Wrap a whole graph as a hop-0 subgraph (used by offline detection)."""
-        nodes = set(omega.nodes)
         return cls._from_retained(
-            omega, frozenset(nodes), nodes, {v: 0 for v in nodes}
+            omega, omega.nodes, range(len(omega._labels)), dict.fromkeys(omega._labels, 0)
         )
 
 
@@ -244,24 +376,27 @@ def extract_subgraph(
         if v not in omega.nodes:
             raise NotFoundError(f"center entity not in graph: {v!r}")
 
+    # the walk runs over ids; ascending id order is sorted label order, so
+    # neighbours are visited, and random draws made, in label order
     rng = random.Random(cfg.seed)
+    labels, nbr, nbr_start = omega._labels, omega._nbr, omega._nbr_start
     hop_of: dict[EntityId, int] = {v: 0 for v in center_set}
-    retained: set[EntityId] = set(center_set)
-    decided: set[EntityId] = set(center_set)  # kept or rejected, never revisited
-    queue: deque[EntityId] = deque(sorted(center_set))
+    hop: dict[int, int] = {omega._id[v]: 0 for v in center_set}  # retained ids
+    decided: set[int] = set(hop)  # kept or rejected, never revisited
+    queue: deque[int] = deque(sorted(hop))
 
     while queue:
         u = queue.popleft()
-        hop = hop_of[u]
-        if hop >= cfg.r_max:
+        h = hop[u]
+        if h >= cfg.r_max:
             continue
-        for v in sorted(omega.structural_neighbors(u)):
+        for v in nbr[nbr_start[u] : nbr_start[u + 1]].tolist():
             if v in decided:
                 continue
             decided.add(v)
-            keep_p = cfg.rho ** hop  # discovery hop is hop + 1
+            keep_p = cfg.rho ** h  # discovery hop is h + 1
             if keep_p >= 1.0 or rng.random() < keep_p:
-                hop_of[v] = hop + 1
-                retained.add(v)
+                hop[v] = h + 1
+                hop_of[labels[v]] = h + 1
                 queue.append(v)
-    return Subgraph._from_retained(omega, center_set, retained, hop_of)
+    return Subgraph._from_retained(omega, center_set, sorted(hop), hop_of)

@@ -100,6 +100,63 @@ def multigraph(n: int, n_triples: int, rng: random.Random) -> KnowledgeGraph:
     return KnowledgeGraph(triples)
 
 
+# labels that sort and compare awkwardly: case pairs, a trailing NUL, a label
+# that is a prefix of others, and non-ASCII (composed and decomposed forms)
+TRICKY_LABELS = (
+    "a", "A", "a\x00", "ab", "abc", "a b", "B", "b", "b\x00",
+    "\u00e9", "e\u0301", "Straße", "strasse", "日本", "日本語", "Ωmega", "z", "Z",
+)
+TRICKY_PREDICATES = ("p", "P", "p\x00", "pq", "ñ", "r")
+
+
+def tricky_triples(n_triples: int, rng: random.Random) -> list[Triple]:
+    """Seeded multigraph over ``TRICKY_LABELS`` with duplicates, self-loops and
+    parallel predicates mixed in."""
+    triples = []
+    for _ in range(n_triples):
+        roll = rng.random()
+        if triples and roll < 0.15:
+            triples.append(rng.choice(triples))  # duplicate
+            continue
+        u, v = rng.choice(TRICKY_LABELS), rng.choice(TRICKY_LABELS)
+        if roll < 0.25:
+            v = u
+        triples.append(Triple(u, rng.choice(TRICKY_PREDICATES), v))
+    return triples
+
+
+class ReferenceStore:
+    """Independent oracle for ``KnowledgeGraph``: the plain set-and-sort
+    semantics, recomputed from every triple on each query."""
+
+    def __init__(self, triples):
+        triples = [Triple(*t) for t in triples]
+        unique = set(triples)
+        self.triples = tuple(sorted(unique))
+        self.nodes = frozenset(v for t in unique for v in (t.subject, t.object))
+        self.duplicate_count = len(triples) - len(unique)
+        self.self_loop_count = sum(t.subject == t.object for t in unique)
+
+    def neighbors(self, v):
+        return sorted(
+            [(t.predicate, t.object, "out") for t in self.triples if t.subject == v]
+            + [(t.predicate, t.subject, "in") for t in self.triples if t.object == v]
+        )
+
+    def structural_neighbors(self, v):
+        return frozenset(
+            u
+            for t in self.triples
+            if t.subject != t.object
+            for w, u in ((t.subject, t.object), (t.object, t.subject))
+            if w == v
+        )
+
+    def dump(self):
+        lines = sorted(f"{t.subject}\t{t.predicate}\t{t.object}" for t in self.triples)
+        return "\n".join(lines) + ("\n" if lines else "")
+
+
 def reference_triples(kg: KnowledgeGraph, nodes) -> tuple[Triple, ...]:
     """Independent oracle: scan every triple of the whole graph for those
     between retained nodes."""

@@ -350,6 +350,31 @@ def test_eval_endpoint_counts_each_record_own_calls(tmp_path, monkeypatch):
     assert report["avg_calls"] == 2.0
 
 
+def test_null_content_is_a_provider_error_not_a_traceback(tmp_path, monkeypatch, capsys):
+    from test_gateway import fake_reply, ok_payload
+
+    graph, start, target = path_fixture(tmp_path)
+    monkeypatch.setattr(
+        "fasttog.gateway.ChatEndpoint._post",
+        lambda self, body, headers: fake_reply(200, ok_payload(None)),
+    )
+    endpoint = ["--endpoint", "http://x", "--model", "m"]
+    code = main(
+        ["run", "--graph", str(graph), "--question", "q?", "--start-entity", start, *endpoint]
+    )
+    assert code == 3
+    assert capsys.readouterr().err.startswith("provider error: malformed provider response")
+    # eval reports a record's typed error in that record, as for any provider error
+    data = tmp_path / "data.jsonl"
+    row = {"id": "q0", "question": "q?", "answers": [target], "start_entities": [start]}
+    data.write_text(json.dumps(row) + "\n", encoding="utf-8")
+    report_path = tmp_path / "r.json"
+    code = main(["eval", "--graph", str(graph), "--data", str(data), "--out", str(report_path), *endpoint])
+    assert code == 0
+    item = json.loads(report_path.read_text())["per_item"][0]
+    assert item["error"].startswith("malformed provider response: content is NoneType")
+
+
 def test_run_calls_line_counts_g2t_rewrites(tmp_path, capsys):
     graph, start, target = path_fixture(tmp_path)
     script = script_file(tmp_path, ["A", f"Answer: {target}"])

@@ -299,6 +299,17 @@ def test_endpoint_client_error_is_not_retried(monkeypatch):
     assert calls["n"] == 1
 
 
+@pytest.mark.parametrize("content", [None, [{"type": "text", "text": "A"}]])
+def test_endpoint_rejects_non_string_content(monkeypatch, content):
+    monkeypatch.setattr(
+        "fasttog.gateway.ChatEndpoint._post",
+        lambda self, body, headers: fake_reply(200, ok_payload(content)),
+    )
+    ep = ChatEndpoint(url="http://x", model="m")
+    with pytest.raises(ProviderError, match="content is"):
+        ep.generate(req())
+
+
 def test_endpoint_reuses_one_connection_per_thread(monkeypatch):
     peers = []
 

@@ -1,17 +1,31 @@
+import hashlib
 import random
 
 import pytest
 
-from fasttog import KnowledgeGraph, NotFoundError, Subgraph, Triple, TripleFormatError
+from fasttog import (
+    Engine,
+    EngineConfig,
+    KnowledgeGraph,
+    NotFoundError,
+    ScriptedGateway,
+    Subgraph,
+    Triple,
+    TripleFormatError,
+)
 from fasttog.kg import SamplerConfig, extract_subgraph
 
 from helpers import (
+    ReferenceStore,
     bridged_triangles,
+    clique_path,
     multigraph,
+    never_answer_script,
     reference_adj,
     reference_between,
     reference_triples,
     structural_edges,
+    tricky_triples,
 )
 
 
@@ -257,6 +271,19 @@ def test_extract_reads_only_the_neighbourhood():
     )
 
 
+def test_engine_run_never_builds_the_whole_graph_triples(tmp_path):
+    kg, start, target = clique_path(n_cliques=4, clique_size=4, seed=3)
+    path = write(tmp_path, kg.dump())
+    kg = KnowledgeGraph.ingest(path)
+    script = never_answer_script(width=1, max_depth=3)
+    engine = Engine(kg, ScriptedGateway(script), EngineConfig(width=1, max_depth=3))
+    _verdict, trace = engine.run("q?", [start])
+    assert trace.depth_reached == 3
+    # ``triples`` is built and cached on the instance at its first read
+    assert "triples" not in vars(kg)
+    assert len(kg.triples) == 27 and "triples" in vars(kg)
+
+
 def test_neighbors_match_reference_from_triples():
     kg = multigraph(30, 120, random.Random(61))
     assert kg.self_loop_count > 0
@@ -266,3 +293,88 @@ def test_neighbors_match_reference_from_triples():
             + [(t.predicate, t.subject, "in") for t in kg.triples if t.object == v]
         )
         assert kg.neighbors(v) == want
+
+
+def _as_tsv(triples, rng):
+    """The triples as a triple file, with comments, blank lines and CRLF endings
+    mixed in."""
+    parts = []
+    for t in triples:
+        roll = rng.random()
+        if roll < 0.1:
+            parts.append("# a comment\n")
+        elif roll < 0.2:
+            parts.append("\r\n" if roll < 0.15 else "   \n")
+        parts.append("\t".join(t) + ("\r\n" if rng.random() < 0.5 else "\n"))
+    return "".join(parts)
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("source", ["iterable", "ingest"])
+def test_store_matches_set_and_sort_reference(tmp_path, seed, source):
+    rng = random.Random(seed)
+    triples = tricky_triples(rng.randint(40, 160), rng)
+    want = ReferenceStore(triples)
+    assert want.duplicate_count > 0 and want.self_loop_count > 0
+    if source == "iterable":
+        kg = KnowledgeGraph(iter(triples))
+    else:
+        path = tmp_path / "tricky.tsv"
+        path.write_bytes(_as_tsv(triples, rng).encode("utf-8"))
+        kg = KnowledgeGraph.ingest(path)
+    assert kg.nodes == want.nodes and type(kg.nodes) is frozenset
+    assert kg.duplicate_count == want.duplicate_count
+    assert kg.self_loop_count == want.self_loop_count
+    assert kg.dump() == want.dump()
+    for v in sorted(want.nodes):
+        assert kg.neighbors(v) == want.neighbors(v)
+        assert kg.structural_neighbors(v) == want.structural_neighbors(v)
+        assert type(kg.structural_neighbors(v)) is frozenset
+    assert kg.triples == want.triples
+    assert type(kg.triples) is tuple and all(type(t) is Triple for t in kg.triples)
+
+
+def test_store_sorts_by_columns_when_a_packed_key_would_overflow(monkeypatch):
+    monkeypatch.setattr("fasttog.kg._KEY_LIMIT", 0)
+    triples = tricky_triples(200, random.Random(9))
+    want = ReferenceStore(triples)
+    kg = KnowledgeGraph(triples)
+    assert kg.triples == want.triples
+    assert kg.duplicate_count == want.duplicate_count
+    assert kg.dump() == want.dump()
+
+
+def test_store_logs_collapsed_duplicates_and_self_loops(caplog):
+    with caplog.at_level("WARNING", logger="fasttog.kg"):
+        KnowledgeGraph([Triple("a", "r", "b"), Triple("a", "r", "b"), Triple("a", "r", "a")])
+    assert [r.getMessage() for r in caplog.records] == [
+        "collapsed 1 duplicate triple(s)",
+        "graph contains 1 self-loop triple(s)",
+    ]
+
+
+# SHA-1 over 200 seeded extractions: their triples, adjacency, hop order and
+# edge count. Pins the sampler's RNG draw order as well as its output.
+EXTRACTION_SWEEP_DIGEST = "fa67aea89b5b6bb72c75af361fced09ac5d4f39d"
+
+
+def extraction_sweep_digest() -> str:
+    rng = random.Random(23)
+    kg = multigraph(700, 3000, rng)
+    names = sorted(kg.nodes)
+    h = hashlib.sha1()
+    for trial in range(200):
+        center = rng.sample(names, rng.randint(1, 3))
+        cfg = SamplerConfig(rho=rng.choice((1.0, 0.6, 0.3)), r_max=rng.randint(1, 3), seed=trial)
+        g = extract_subgraph(kg, center, cfg)
+        hops = list(g.hop_of.items())
+        # the centers come first, in set order, which varies with the string
+        # hash seed; everything after them is in discovery order
+        hops = sorted(hops[: len(center)]) + hops[len(center) :]
+        adj = sorted((v, sorted(ns)) for v, ns in g.adj.items())
+        h.update(repr((g.triples, adj, hops, g.m)).encode("utf-8"))
+    return h.hexdigest()
+
+
+def test_extraction_sweep_digest_is_pinned():
+    assert extraction_sweep_digest() == EXTRACTION_SWEEP_DIGEST
