@@ -12,13 +12,17 @@ definition of modularity exactly):
 
 Structure is undirected and unweighted: parallel predicates between the same
 node pair count as one edge, and self-loops carry no structural weight.
+
+A :class:`Community` keeps its members' structural neighbour sets and the
+subgraph's edge count until the sums are first read, then computes all three
+at once; detection builds every community of the chosen partition, but
+candidate search scores only those next to the frontier.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 from .errors import InvalidCommunityError, InvalidPartitionError, ModularityUndefinedError
 from .kg import EntityId, Subgraph
@@ -29,47 +33,87 @@ def canonical_community_id(members: frozenset[EntityId]) -> str:
     return digest
 
 
-@dataclass(frozen=True)
 class Community:
-    """A node group with cached structural sums relative to one subgraph.
+    """A node group of one subgraph, with its structural sums.
 
-    The members are sorted once, when built. The canonical id is hashed on
-    first read and then cached; detection builds many communities whose ids
-    are never read.
+    The members are sorted once, when built, because every trace lists them.
+    ``sigma_in``, ``sigma_tot`` and ``modularity`` are computed from the
+    subgraph together on the first read of any of them, and the canonical id
+    is hashed on first read; detection builds many communities whose scores
+    and ids are never read. Equality, hashing and ``repr`` use the members and
+    the three sums, as a frozen dataclass of those four fields would; nothing
+    assigns to a community once it is built.
     """
 
-    members: frozenset[EntityId]
-    sigma_in: int
-    sigma_tot: int
-    modularity: float
-    sorted_members: tuple[EntityId, ...] = field(compare=False, repr=False)
+    __slots__ = ("members", "sorted_members", "_adj", "_m", "_sums", "_id")
+
+    def __init__(self, members: frozenset[EntityId], g: Subgraph):
+        self.members = members
+        self.sorted_members = tuple(sorted(members))
+        # only what the sums read, so that a kept community does not keep the
+        # whole subgraph alive. A list, not a tuple: CPython keeps freed small
+        # tuples on free lists, and one more tuple per community raised the
+        # walk benchmark's peak memory by about 0.2 MB
+        self._adj = list(map(g.adj.__getitem__, self.sorted_members))
+        self._m = g.m
+        self._sums = None
+        self._id = None
 
     @classmethod
     def from_members(cls, members, g: Subgraph) -> "Community":
         member_set = frozenset(members)
         if not member_set:
             raise InvalidCommunityError("community must have at least one member")
-        missing = member_set - g.nodes
-        if missing:
-            raise InvalidCommunityError(f"members not in subgraph: {sorted(missing)}")
-        internal = 0
-        sigma_tot = 0
-        for v in member_set:
-            sigma_tot += g.degree(v)
-            internal += len(g.adj[v] & member_set)
-        sigma_in = internal  # already the ordered double-count
-        q = float(sigma_in) - (sigma_tot**2) / (2.0 * g.m) if g.m else 0.0
-        return cls(
-            members=member_set,
-            sigma_in=sigma_in,
-            sigma_tot=sigma_tot,
-            modularity=q,
-            sorted_members=tuple(sorted(member_set)),
-        )
+        if not member_set <= g.nodes:
+            missing = sorted(member_set - g.nodes)
+            raise InvalidCommunityError(f"members not in subgraph: {missing}")
+        return cls(member_set, g)
 
-    @cached_property
+    def _scores(self) -> tuple[int, int, float]:
+        if self._sums is None:
+            members, m = self.members, self._m
+            sigma_in = 0  # the ordered double-count of internal edges
+            sigma_tot = 0
+            for nbrs in self._adj:
+                sigma_tot += len(nbrs)
+                sigma_in += len(nbrs & members)
+            q = float(sigma_in) - (sigma_tot**2) / (2.0 * m) if m else 0.0
+            self._sums = (sigma_in, sigma_tot, q)
+            self._adj = None
+        return self._sums
+
+    @property
+    def sigma_in(self) -> int:
+        return self._scores()[0]
+
+    @property
+    def sigma_tot(self) -> int:
+        return self._scores()[1]
+
+    @property
+    def modularity(self) -> float:
+        return self._scores()[2]
+
+    @property
     def canonical_id(self) -> str:
-        return canonical_community_id(self.members)
+        if self._id is None:
+            self._id = canonical_community_id(self.members)
+        return self._id
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.members, *self._scores()) == (other.members, *other._scores())
+
+    def __hash__(self) -> int:
+        return hash((self.members, *self._scores()))
+
+    def __repr__(self) -> str:
+        sigma_in, sigma_tot, q = self._scores()
+        return (
+            f"Community(members={self.members!r}, sigma_in={sigma_in!r}, "
+            f"sigma_tot={sigma_tot!r}, modularity={q!r})"
+        )
 
     def __len__(self) -> int:
         return len(self.members)

@@ -19,7 +19,11 @@ Trajectory recording per detector:
                   through every intermediate grouping. Each level logs its
                   moves once; a state is a move count on its level plus its
                   largest block size, and is replayed into member sets on
-                  demand, only when chosen or inspected.
+                  demand, only when chosen or inspected. Super-nodes never
+                  split, so on the subgraph's last component :func:`detect`
+                  stops at the end of the first level whose blocks do not
+                  all fit; earlier components run to the natural stop,
+                  because a later component draws from the same RNG.
 * girvan_newman -- edge removals by highest betweenness down to the empty
                   graph; one state per change of the component structure,
                   recorded in reverse removal order so the list still runs
@@ -109,8 +113,9 @@ def detect(g: Subgraph, kind: str, m_max: int, seed: int = 0) -> Partition:
     """Partition ``g`` with every community size <= ``m_max``.
 
     Hierarchical merging stops at the first state with a block over
-    ``m_max``; its blocks only grow, so the chosen state is the same as
-    :func:`detect_full`'s.
+    ``m_max``, and louvain on the last component at the end of the first
+    level with such a block; blocks only grow, so the chosen state is the
+    same as :func:`detect_full`'s.
     """
     return _detect(g, kind, m_max, seed, stop_early=True).partition
 
@@ -132,8 +137,12 @@ def _detect(g, kind, m_max, seed, stop_early) -> DetectionOutcome:
     np_rng = np.random.default_rng(seed)
     traces: list[ComponentTrace] = []
     chosen_communities = []
-    for comp in connected_components(g):
-        states = _component_states(g, comp, kind, m_max, rng, np_rng, stop_early)
+    comps = connected_components(g)
+    for i, comp in enumerate(comps):
+        # louvain may stop early only on the last component: stopping sooner
+        # would change the random draws every later component sees
+        bounded = stop_early and (kind != "louvain" or i == len(comps) - 1)
+        states = _component_states(g, comp, kind, m_max, rng, np_rng, bounded)
         # the same scan as backtrack_to_size, on block sizes alone; the
         # finest state always fits, so the scan always stops
         step = next(
@@ -155,16 +164,16 @@ def _largest_block(state) -> int:
     return state.max_size if isinstance(state, _Labelling) else max(map(len, state))
 
 
-def _component_states(g, comp, kind, m_max, rng, np_rng, stop_early):
+def _component_states(g, comp, kind, m_max, rng, np_rng, bounded):
     if len(comp) == 1 or m_max == 1:
         # singletons are the only feasible state; skip the algorithms
         return [[{v} for v in sorted(comp)]]
     if kind == "louvain":
-        return _louvain_states(g, comp, rng)
+        return _louvain_states(g, comp, rng, m_max if bounded else None)
     if kind == "girvan_newman":
         return _girvan_newman_states(g, comp)
     if kind == "hierarchical":
-        return _hierarchical_states(g, comp, m_max if stop_early else None)
+        return _hierarchical_states(g, comp, m_max if bounded else None)
     if kind == "spectral":
         return _spectral_states(g, comp, m_max, np_rng)
     return _random_states(comp, m_max, rng)
@@ -210,10 +219,15 @@ class _Labelling:
         for u, c in comm.items():
             grouped.setdefault(c, []).extend(level.members[u])
         labels = level.labels
-        return iter([{labels[i] for i in block} for block in grouped.values()])
+        # frozensets, which Community.from_members keeps without copying
+        return iter([frozenset(map(labels.__getitem__, block)) for block in grouped.values()])
 
 
-def _louvain_states(g: Subgraph, comp: frozenset[EntityId], rng: random.Random):
+def _louvain_states(
+    g: Subgraph, comp: frozenset[EntityId], rng: random.Random, m_max: int | None = None
+):
+    """Louvain states from singletons on; with ``m_max``, stop once a level
+    converges with a block bigger than ``m_max``."""
     labels = sorted(comp)
     n = len(labels)
     rank = {v: i for i, v in enumerate(labels)}
@@ -238,8 +252,10 @@ def _louvain_states(g: Subgraph, comp: frozenset[EntityId], rng: random.Random):
     while True:
         level_nodes = sorted(weight)
         k_w = [0.0] * n
+        nbrs: list[tuple[tuple[int, float], ...]] = [()] * n
         for u in level_nodes:
             k_w[u] = self_w[u] + sum(weight[u].values())
+            nbrs[u] = tuple(weight[u].items())
         comm_of = list(range(n))
         comm_tot = list(k_w)
         size = [0] * n
@@ -257,17 +273,32 @@ def _louvain_states(g: Subgraph, comp: frozenset[EntityId], rng: random.Random):
                 old = comm_of[u]
                 k = k_w[u]
                 comm_tot[old] -= k
-                # weight from u into each neighboring community
-                links: dict[int, float] = {}
-                for v, w in weight[u].items():
+                # a move must beat the best score so far by 1e-12; staying
+                # keeps old's own score, which cannot beat itself, so the
+                # scan skips old
+                best_comm = old
+                nb = nbrs[u]
+                if len(nb) == 1:
+                    # most nodes are leaves: the general scan below with one
+                    # link, whose weight is 0.0 + w == w
+                    v, w = nb[0]
                     c = comm_of[v]
-                    links[c] = links.get(c, 0.0) + w
-                stay_score = links.get(old, 0.0) - comm_tot[old] * k / two_m
-                best_comm, best_score = old, stay_score
-                for c in sorted(links):
-                    score = links[c] - comm_tot[c] * k / two_m
-                    if score > best_score + 1e-12:
-                        best_comm, best_score = c, score
+                    if c != old:
+                        bar = 0.0 - comm_tot[old] * k / two_m + 1e-12
+                        if w - comm_tot[c] * k / two_m > bar:
+                            best_comm = c
+                else:
+                    # weight from u into each neighboring community
+                    links: dict[int, float] = {}
+                    for v, w in nb:
+                        c = comm_of[v]
+                        links[c] = links.get(c, 0.0) + w
+                    bar = links.get(old, 0.0) - comm_tot[old] * k / two_m + 1e-12
+                    for c in sorted(links):
+                        if c != old:
+                            score = links[c] - comm_tot[c] * k / two_m
+                            if score > bar:
+                                best_comm, bar = c, score + 1e-12
                 comm_of[u] = best_comm
                 comm_tot[best_comm] += k
                 if best_comm != old:
@@ -291,7 +322,9 @@ def _louvain_states(g: Subgraph, comp: frozenset[EntityId], rng: random.Random):
             if not moved_in_pass:
                 break
 
-        if not moves:
+        # super-nodes never split, so once a level ends with a block over
+        # the bound, no later state fits
+        if not moves or (m_max is not None and max_size > m_max):
             return states
 
         # aggregate communities into super-nodes named by their smallest member

@@ -55,16 +55,22 @@ class EvalReport:
             f"{'id':<24} {'correct':<8} {'depth':<6} {'calls':<6} {'degraded':<8}",
             "-" * 56,
         ]
+        errors = 0
         for item in self.per_item:
-            lines.append(
+            row = (
                 f"{item['id']:<24} {str(item['correct']):<8} "
                 f"{item['depth']:<6} {item['calls']:<6} {str(item['degraded']):<8}"
             )
+            if "error" in item:
+                errors += 1
+                row = f"{row.rstrip()}  error: {item['error']}"
+            lines.append(row)
         lines.append("-" * 56)
         lines.append(
             f"n={self.n}  hit@1={self.hit_at_1:.4f}  avg_depth={self.avg_depth:.2f}"
             f"{' (all degraded)' if self.avg_depth_all_degraded else ''}"
             f"  avg_calls={self.avg_calls:.2f}  degraded={self.degraded_fraction:.2f}"
+            f"{f'  errors={errors}' if errors else ''}"
         )
         return "\n".join(lines)
 
@@ -193,7 +199,8 @@ def evaluate(
     non_degraded_depths = [
         it["depth"] for it in items if not it.get("degraded") and "error" not in it
     ]
-    all_degraded = n > 0 and not non_degraded_depths
+    # a record that raised has no depth, but it did not degrade either
+    all_degraded = degraded > 0 and not non_degraded_depths
     if non_degraded_depths:
         avg_depth = sum(non_degraded_depths) / len(non_degraded_depths)
     else:

@@ -61,6 +61,18 @@ def structural_edges(g: Subgraph) -> list[tuple]:
     return [(u, v) for u in sorted(g.adj) for v in g.adj[u] if u < v]
 
 
+def eager_community_sums(members, g: Subgraph) -> tuple[int, int, float]:
+    """Independent oracle for ``Community``'s sums, counted from the
+    structural edge list: (sigma_in, sigma_tot, modularity)."""
+    members = frozenset(members)
+    edges = structural_edges(g)
+    internal = sum(1 for u, v in edges if u in members and v in members)
+    sigma_tot = sum((u in members) + (v in members) for u, v in edges)
+    sigma_in = 2 * internal
+    q = float(sigma_in) - (sigma_tot**2) / (2.0 * g.m) if g.m else 0.0
+    return sigma_in, sigma_tot, q
+
+
 def eq1_direct(g: Subgraph, member_sets) -> float:
     """Independent oracle: the double-sum definition of modularity.
 
@@ -286,6 +298,39 @@ def gold_star(
         triples.append(Triple(a, "rel", b))
     rng.shuffle(triples)
     return KnowledgeGraph(triples), start, target
+
+
+def lane_in_background(
+    n_background: int = 300,
+    n_cliques: int = 6,
+    clique_size: int = 4,
+    seed: int = 0,
+) -> tuple[KnowledgeGraph, str, str]:
+    """A lane of cliques set in a sparse random background.
+
+    Consecutive cliques are joined by single edges, each clique node leaks one
+    edge into the background, and each background node links to two earlier
+    ones. Returns (graph, start_label, target_label): the start sits in the
+    first clique, the target in the last.
+    """
+    rng = random.Random(seed)
+    back = [f"bg{i:03d}" for i in range(n_background)]
+    triples = [
+        Triple(back[i], rng.choice(("rel", "near")), back[j])
+        for i in range(1, n_background)
+        for j in rng.sample(range(i), min(i, 2))
+    ]
+    cliques = [
+        [f"c{c}m{i}" for i in range(clique_size)] for c in range(n_cliques)
+    ]
+    for members in cliques:
+        for i in range(clique_size):
+            for j in range(i + 1, clique_size):
+                triples.append(Triple(members[i], "rel", members[j]))
+            triples.append(Triple(members[i], "leak", rng.choice(back)))
+    for c in range(n_cliques - 1):
+        triples.append(Triple(cliques[c][-1], "next", cliques[c + 1][0]))
+    return KnowledgeGraph(triples), cliques[0][0], cliques[-1][-1]
 
 
 # -- deterministic test gateways ------------------------------------------------

@@ -17,7 +17,13 @@ from fasttog.errors import (
     InvalidPartitionError,
     ModularityUndefinedError,
 )
-from helpers import eq1_direct, full_subgraph, random_graph, random_partition_sets
+from helpers import (
+    eager_community_sums,
+    eq1_direct,
+    full_subgraph,
+    random_graph,
+    random_partition_sets,
+)
 
 TRIANGLE_1 = {"a", "b", "c"}
 TRIANGLE_2 = {"d", "e", "f"}
@@ -171,3 +177,26 @@ def test_detect_hashes_no_canonical_id(monkeypatch):
         assert first.canonical_id == real(first.members)
         assert hashed == [first.members]  # hashed on first read, then cached
         hashed.clear()
+
+
+def test_detect_scores_no_community(monkeypatch):
+    from fasttog import detect
+    from fasttog.detect import DETECTOR_KINDS
+
+    scored = []
+    real = Community._scores
+
+    def counting(self):
+        scored.append(self.members)
+        return real(self)
+
+    monkeypatch.setattr(Community, "_scores", counting)
+    g = full_subgraph(random_graph(14, 0.3, random.Random(61)))
+    for kind in DETECTOR_KINDS:
+        p = detect(g, kind, 3, seed=1)
+        assert scored == []
+        first = p.communities[0]
+        assert (first.sigma_in, first.sigma_tot, first.modularity) == eager_community_sums(
+            first.members, g
+        )
+        scored.clear()

@@ -14,9 +14,14 @@ from fasttog import (
     modularity_global,
 )
 from fasttog.community import PartitionSnapshot, partition_dump
-from fasttog.detect import DETECTOR_KINDS, _hierarchical_states, connected_components
+from fasttog.detect import (
+    DETECTOR_KINDS,
+    _hierarchical_states,
+    _louvain_states,
+    connected_components,
+)
 
-from helpers import eq1_direct, full_subgraph, multigraph, random_graph
+from helpers import eager_community_sums, eq1_direct, full_subgraph, multigraph, random_graph
 
 STRUCTURAL_KINDS = ("louvain", "girvan_newman", "hierarchical", "spectral")
 
@@ -344,6 +349,72 @@ def test_bounded_hierarchical_states_stop_at_the_first_oversized_block():
             assert bounded == full[: len(bounded)]
             over = [i for i, state in enumerate(full) if max(map(len, state)) > m_max]
             assert len(bounded) == (over[0] + 1 if over else len(full))
+
+
+def _replayed(states):
+    return [(state.max_size, sorted(map(sorted, state))) for state in states]
+
+
+def test_bounded_louvain_states_stop_at_the_first_oversized_level():
+    for trial, (g, m_max) in enumerate(_louvain_sweep_graphs()):
+        for comp in connected_components(g):
+            full = _louvain_states(g, comp, random.Random(trial))
+            bounded = _louvain_states(g, comp, random.Random(trial), m_max)
+            assert _replayed(bounded) == _replayed(full[: len(bounded)])
+            assert all(state.max_size > m_max for state in full[len(bounded) :])
+            # the stop falls at the end of the first level that ends oversized
+            level_ends = [
+                i for i, state in enumerate(full)
+                if i + 1 == len(full) or full[i + 1].level is not state.level
+            ]
+            over = [i for i in level_ends if full[i].max_size > m_max]
+            assert len(bounded) == (over[0] + 1 if over else len(full))
+
+
+def _ring_and_random_graph(seed):
+    """The ring of pairs (labels p..) and a random graph (labels q..) as two
+    components, the ring first."""
+    ring = _ring_of_pairs().triples
+    other = random_graph(20, 0.2, random.Random(seed)).triples
+    relabelled = [Triple("q" + t.subject, t.predicate, "q" + t.object) for t in other]
+    return full_subgraph(KnowledgeGraph(list(ring) + relabelled))
+
+
+def test_louvain_stops_early_only_on_the_last_component():
+    m_max = 2  # the ring's first level ends with pairs, its second with bigger blocks
+    for seed in range(3):
+        g = _ring_and_random_graph(seed)
+        first, second = connected_components(g)
+        rng = random.Random(seed)
+        _louvain_states(g, first, rng)
+        unbounded = _replayed(_louvain_states(g, second, rng))
+        rng = random.Random(seed)
+        cut = _louvain_states(g, first, rng, m_max)
+        assert len(cut) < len(_louvain_states(g, first, random.Random(seed)))
+        # stopping the first component early would change the second's draws
+        assert _replayed(_louvain_states(g, second, rng)) != unbounded
+        bounded = detect(g, "louvain", m_max, seed=seed)
+        full = detect_full(g, "louvain", m_max, seed=seed)
+        assert partition_dump(bounded) == partition_dump(full.partition)
+        assert member_sets(full.components[1].chosen) == [
+            s for s in member_sets(bounded) if s[0].startswith("q")
+        ]
+
+
+def test_lazy_community_sums_match_the_eager_reference():
+    for trial, (g, m_max) in enumerate(_louvain_sweep_graphs()):
+        p = detect(g, "louvain", m_max, seed=trial)
+        for i, c in enumerate(p.communities):
+            again = Community.from_members(set(c.members), g)
+            expected = eager_community_sums(c.members, g)
+            if i % 2:  # read the sums before hashing or comparing
+                assert (c.sigma_in, c.sigma_tot, c.modularity) == expected
+            assert hash(c) == hash(again) == hash((c.members, *expected))
+            assert c == again and not c != again
+            assert (again.modularity, again.sigma_tot, again.sigma_in) == expected[::-1]
+            assert (c.sigma_in, c.sigma_tot, c.modularity) == expected
+        for a, b in zip(p.communities, p.communities[1:]):
+            assert a != b
 
 
 def test_louvain_states_track_size_and_move_one_level_node():

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -18,6 +19,7 @@ from helpers import (
     bridged_triangles,
     clique_path,
     clique_spider,
+    lane_in_background,
     never_answer_script,
 )
 
@@ -332,3 +334,31 @@ def test_g2t_mode_with_backend_rewrites():
     assert not [e for e in trace.events if e["event"] == "g2t_fallback"]
     # rewritten text flows into the prompts
     assert trace.ledger["pruning"] >= 1
+
+
+# SHA-1 over the traces of the runs below, pinned before detection stopped
+# louvain early and scored communities lazily: both may change how much work a
+# run does, never a byte of what it traces. Each lane graph has 324 nodes; the
+# runs mix answers at depths 2-6 with degraded walks, and many chosen louvain
+# states lie on a later aggregation level.
+ENGINE_TRACE_DIGEST = "c80cd2edec0b7f612a8e52c81c09307f82967ffb"
+
+
+def test_engine_traces_match_pinned_digest():
+    digest = hashlib.sha1()
+    for seed in range(6):
+        kg, start, target = lane_in_background(seed=seed)
+        for detector in ("louvain", "hierarchical"):
+            for bound in (4, 8):
+                cfg = EngineConfig(
+                    width=2,
+                    max_depth=6,
+                    r_max=2,
+                    max_community_size=bound,
+                    detector=detector,
+                    seed=seed,
+                )
+                engine = Engine(kg, OracleGateway(kg, target), cfg)
+                _, trace = engine.run("Which entity does the lane lead to?", [start])
+                digest.update(trace.to_jsonl().encode())
+    assert digest.hexdigest() == ENGINE_TRACE_DIGEST

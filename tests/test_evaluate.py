@@ -3,7 +3,7 @@ import json
 import pytest
 
 from fasttog import EngineConfig, ScriptedGateway, evaluate, exact_match, load_dataset
-from fasttog.errors import DataError
+from fasttog.errors import DataError, ProviderError
 
 from helpers import clique_path, never_answer_script
 
@@ -183,6 +183,43 @@ def test_record_failure_is_isolated(tmp_path):
     assert report.per_item[0]["correct"]
     assert not report.per_item[1]["correct"]
     assert "error" in report.per_item[1]
+
+
+class FailingGateway:
+    """A provider that rejects every call."""
+
+    def generate(self, req):
+        raise ProviderError("HTTP 401: invalid api key")
+
+
+def test_report_marks_records_whose_provider_failed(tmp_path):
+    kg, start, _ = clique_path(n_cliques=6, clique_size=4, seed=0)
+    data = load_dataset(write_jsonl(tmp_path, [record(i, starts=[start]) for i in range(2)]))
+    config = EngineConfig(width=1, max_depth=5, seed=1)
+    report = evaluate(data, kg, config, lambda rec: FailingGateway())
+    assert [it["error"] for it in report.per_item] == ["HTTP 401: invalid api key"] * 2
+    assert report.degraded_fraction == 0.0
+    assert not report.avg_depth_all_degraded
+    assert report.to_table().splitlines()[2:] == [
+        "r0                       False    0      1      False  error: HTTP 401: invalid api key",
+        "r1                       False    0      1      False  error: HTTP 401: invalid api key",
+        "-" * 56,
+        "n=2  hit@1=0.0000  avg_depth=5.00  avg_calls=1.00  degraded=0.00  errors=2",
+    ]
+
+
+def test_report_with_an_error_still_flags_all_degraded(tmp_path):
+    kg, start, _ = clique_path(n_cliques=6, clique_size=4, seed=0)
+    rows = [record(0, starts=[start]), record(1, starts=["missing-node"])]
+    data = load_dataset(write_jsonl(tmp_path, rows))
+    scripts = {"r0": never_answer_script(1, 2, degrade_replies=("Answer: zz",)), "r1": ["A"]}
+    config = EngineConfig(width=1, max_depth=2, seed=1)
+    report = evaluate(data, kg, config, lambda rec: ScriptedGateway(list(scripts[rec.id])))
+    assert report.degraded_fraction == 0.5
+    assert report.avg_depth_all_degraded
+    summary = report.to_table().splitlines()[-1]
+    assert summary.startswith("n=2  hit@1=0.0000  avg_depth=2.00 (all degraded)")
+    assert summary.endswith("degraded=0.50  errors=1")
 
 
 def test_parallelism_does_not_change_report(tmp_path):
