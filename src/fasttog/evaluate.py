@@ -203,8 +203,10 @@ def evaluate(
     all_degraded = degraded > 0 and not non_degraded_depths
     if non_degraded_depths:
         avg_depth = sum(non_degraded_depths) / len(non_degraded_depths)
-    else:
+    elif all_degraded:
         avg_depth = float(config.max_depth)
+    else:  # no record has a depth to average
+        avg_depth = 0.0
     return EvalReport(
         n=n,
         hit_at_1=correct / n if n else 0.0,

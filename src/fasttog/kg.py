@@ -67,49 +67,36 @@ class KnowledgeGraph:
     ids are ranks in sorted label order, so integer order is label order, and
     ``_id`` maps a label back to its id. The deduplicated triples are the
     columns ``_s``, ``_p`` and ``_o``, sorted by (subject, predicate, object),
-    which is the order of sorted ``Triple`` tuples. Three compressed sparse
+    which is the order of sorted ``Triple`` tuples. Two compressed sparse
     row (CSR) indexes read one node's share of them:
 
     * rows ``_out_start[v]`` up to ``_out_start[v + 1]`` have subject ``v``,
       in (predicate, object) order, which subgraph extraction relies on;
-    * ``_in_rows[_in_start[v]:_in_start[v + 1]]`` are the rows with object
-      ``v``, ascending;
     * ``_nbr[_nbr_start[v]:_nbr_start[v + 1]]`` are the structural
       neighbours of ``v`` (either direction, parallel edges collapsed,
       self-loops dropped), ascending.
+
+    The sort key and the neighbour index are built by helpers that free
+    their int64 temporaries before they return, so ingest peaks little
+    above what the store keeps.
     """
 
     def __init__(self, triples: Iterable[Triple]):
-        self._id, self._labels, self._predicates, s, p, o = _intern(triples)
+        self._id, self._labels, self._predicates, columns = _intern(triples)
         self.nodes: frozenset[EntityId] = frozenset(self._id)
         n = len(self._labels)
-        read = len(s)
-        s, p, o = _sorted_distinct(s, p, o, n, len(self._predicates))
-        loops = s == o
+        read = len(columns[0])
+        s, p, o = _sorted_distinct(columns, n, len(self._predicates))
         self._s, self._p, self._o = s, p, o
         self.duplicate_count = read - len(s)
-        self.self_loop_count = int(np.count_nonzero(loops))
+        self.self_loop_count = int(np.count_nonzero(s == o))
         if self.duplicate_count:
             log.warning("collapsed %d duplicate triple(s)", self.duplicate_count)
         if self.self_loop_count:
             log.warning("graph contains %d self-loop triple(s)", self.self_loop_count)
-
-        self._out_start = _offsets(s, n)
-        rows = len(s)
-        by_object = o.astype(np.int64) * rows + np.arange(rows)
-        by_object.sort()
-        objects, in_rows = np.divmod(by_object, rows)
-        self._in_rows = in_rows.astype(np.int32)
-        self._in_start = _offsets(objects, n)
-        # self-loops are kept for verbalization but carry no structural
-        # weight (degree / modularity ignore them)
-        ends = np.concatenate((s[~loops], o[~loops])).astype(np.int64)
-        pairs = ends * n + np.concatenate((o[~loops], s[~loops]))
-        pairs.sort()
-        pairs = pairs[_first_of_runs(pairs)]
-        ends, nbr = np.divmod(pairs, n)
-        self._nbr = nbr.astype(np.int32)
-        self._nbr_start = _offsets(ends, n)
+        # int32 probes: int64 ones would make numpy search an int64 copy of ``s``
+        self._out_start = np.searchsorted(s, np.arange(n + 1, dtype=np.int32))
+        self._nbr, self._nbr_start = _neighbour_index(s, o, n)
 
     # -- construction -----------------------------------------------------
 
@@ -127,11 +114,19 @@ class KnowledgeGraph:
         return tuple(self._triples_at(slice(None)))
 
     def neighbors(self, v: EntityId) -> list[tuple[str, EntityId, str]]:
-        """All incident triples of ``v`` as sorted (predicate, neighbor, direction)."""
+        """All incident triples of ``v`` as sorted (predicate, neighbor, direction).
+
+        There is no index by object: the rows with object ``v`` are found
+        among the outgoing rows of ``v``'s structural neighbours and, for
+        self-loops, of ``v`` itself. A call costs the out-degree of ``v``'s
+        neighbours.
+        """
         i = self._index(v)
         labels, predicates = self._labels, self._predicates
         out = slice(self._out_start[i], self._out_start[i + 1])
-        inc = self._in_rows[self._in_start[i] : self._in_start[i + 1]]
+        nbr = self._nbr[self._nbr_start[i] : self._nbr_start[i + 1]]
+        rows = self._out_rows(np.append(nbr, i))
+        inc = rows[self._o[rows] == i]
         return sorted(
             [
                 (predicates[p], labels[o], "out")
@@ -166,6 +161,12 @@ class KnowledgeGraph:
             raise NotFoundError(f"unknown entity: {v!r}")
         return i
 
+    def _out_rows(self, ids: np.ndarray) -> np.ndarray:
+        """The outgoing rows of ``ids``, one run per id, in the order given."""
+        lo = self._out_start[ids]
+        counts = self._out_start[ids + 1] - lo
+        return np.arange(counts.sum()) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+
     def _triples_at(self, rows) -> list[Triple]:
         """``Triple`` objects for ``rows`` (an index array or a slice), in order."""
         labels, predicates = self._labels, self._predicates
@@ -199,12 +200,12 @@ def _parse_tsv(lines: TextIO) -> Iterator[tuple[str, str, str]]:
 
 def _intern(
     triples: Iterable[Triple],
-) -> tuple[dict[str, int], list[str], list[str], np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[dict[str, int], list[str], list[str], list[np.ndarray]]:
     """Read the triples once, interning labels as they come.
 
-    Returns the entity label -> id map, the entity and predicate labels in id
-    order, and the subject, predicate and object id columns in input order.
-    Ids are ranks in sorted label order.
+    Returns the entity label -> id map (a plain dict in id order), the entity
+    and predicate labels in id order, and the subject, predicate and object
+    id columns in input order. Ids are ranks in sorted label order.
     """
     # a missing label gets the next first-seen id
     entities: defaultdict[str, int] = defaultdict(count().__next__)
@@ -214,23 +215,23 @@ def _intern(
         s_col.append(entities[subject])
         p_col.append(predicates[predicate])
         o_col.append(entities[obj])
-    entities.default_factory = None  # plain lookups from here on
     # ids so far are in first-seen order; renumber them as ranks
     labels, rank = _rank_in_label_order(entities)
     predicate_labels, p_rank = _rank_in_label_order(predicates)
-    return (
-        entities,
-        labels,
-        predicate_labels,
-        rank[np.asarray(s_col)],
-        p_rank[np.asarray(p_col)],
-        rank[np.asarray(o_col)],
-    )
+    del entities  # free it before its replacement is built
+    # a plain dict, built whole: ``frozenset`` sizes its table from an exact
+    # dict's length, but grows it step by step over a ``defaultdict``
+    ids = dict(zip(labels, range(len(labels))))
+    # rebinding frees each first-seen column once its ranked copy exists
+    s_col = rank[np.asarray(s_col)]
+    p_col = p_rank[np.asarray(p_col)]
+    o_col = rank[np.asarray(o_col)]
+    return ids, labels, predicate_labels, [s_col, p_col, o_col]
 
 
 def _rank_in_label_order(ids: dict[str, int]) -> tuple[list[str], np.ndarray]:
-    """Renumber ``ids`` (label -> first-seen id) in place as ranks in sorted
-    label order. Returns the labels by rank and the first-seen id -> rank map.
+    """Rank the labels of ``ids`` (label -> first-seen id) in sorted label
+    order. Returns the labels by rank and the first-seen id -> rank map.
 
     Labels are sorted as Python strings: a numpy ``U`` array would drop
     trailing NULs and merge ``"a"`` with ``"a\\x00"``.
@@ -238,24 +239,72 @@ def _rank_in_label_order(ids: dict[str, int]) -> tuple[list[str], np.ndarray]:
     labels = sorted(ids)
     rank = np.empty(len(labels), dtype=np.int32)
     rank[[ids[label] for label in labels]] = np.arange(len(labels), dtype=np.int32)
-    ids.update(zip(labels, range(len(labels))))
     return labels, rank
 
 
-def _sorted_distinct(s, p, o, n: int, n_p: int):
-    """The distinct (s, p, o) rows of the id columns, ascending, as int32."""
-    if n * n_p * n < _KEY_LIMIT:
-        key = (s.astype(np.int64) * n_p + p) * n + o
-        key.sort()
-        key = key[_first_of_runs(key)]
-        sp, o = np.divmod(key, n)
-        s, p = np.divmod(sp, n_p)
-    else:  # the packed key would overflow
+def _sorted_distinct(columns: list[np.ndarray], n: int, n_p: int):
+    """The distinct rows of the int32 (s, p, o) id ``columns``, ascending.
+
+    Takes the columns out of the list, so each one is freed as soon as it is
+    packed into the int64 sort key.
+    """
+    s, p, o = columns
+    columns.clear()
+    if n * n_p * n >= _KEY_LIMIT:  # the packed key would overflow
         order = np.lexsort((o, p, s))
         s, p, o = s[order], p[order], o[order]
         fresh = _first_of_runs(s) | _first_of_runs(p) | _first_of_runs(o)
-        s, p, o = s[fresh], p[fresh], o[fresh]
-    return s.astype(np.int32), p.astype(np.int32), o.astype(np.int32)
+        return s[fresh], p[fresh], o[fresh]
+    key = s.astype(np.int64)
+    del s
+    key *= n_p
+    key += p
+    del p
+    key *= n
+    key += o
+    del o
+    key.sort()
+    key = key[_first_of_runs(key)]
+    # unpack from the lowest field up, shrinking the key in place
+    o = _remainder32(key, n)
+    key //= n
+    p = _remainder32(key, n_p)
+    key //= n_p
+    return key.astype(np.int32), p, o
+
+
+def _neighbour_index(s: np.ndarray, o: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The structural-neighbour CSR of the rows ``(s, o)``: neighbours, offsets.
+
+    Each distinct undirected edge is packed once as ``low * n + high`` and
+    then stored in both directions in one int64 buffer, sorted. Self-loops
+    are kept for verbalization but carry no structural weight (degree and
+    modularity ignore them), so they are dropped here.
+    """
+    keep = s != o
+    s, o = s[keep], o[keep]
+    edges = np.minimum(s, o).astype(np.int64)
+    edges *= n
+    edges += np.maximum(s, o)
+    del s, o, keep
+    edges.sort()
+    edges = edges[_first_of_runs(edges)]
+    pairs = np.empty(2 * len(edges), dtype=np.int64)
+    pairs[: len(edges)] = edges
+    back = pairs[len(edges) :]
+    np.remainder(edges, n, out=back)
+    back *= n
+    edges //= n
+    back += edges
+    del edges
+    pairs.sort()
+    start = np.searchsorted(pairs, np.arange(n + 1, dtype=np.int64) * n)
+    return _remainder32(pairs, n), start
+
+
+def _remainder32(packed: np.ndarray, base: int) -> np.ndarray:
+    """``packed % base`` as int32, with no int64 copy of ``packed``."""
+    return np.remainder(packed, base, out=np.empty(len(packed), dtype=np.int32), casting="unsafe")
 
 
 def _first_of_runs(ordered: np.ndarray) -> np.ndarray:
@@ -263,11 +312,6 @@ def _first_of_runs(ordered: np.ndarray) -> np.ndarray:
     fresh = np.ones(len(ordered), dtype=bool)
     fresh[1:] = ordered[1:] != ordered[:-1]
     return fresh
-
-
-def _offsets(ordered_ids: np.ndarray, n: int) -> np.ndarray:
-    """CSR offsets: where each id of ``0..n`` starts in ``ordered_ids``."""
-    return np.searchsorted(ordered_ids, np.arange(n + 1))
 
 
 @dataclass
@@ -322,9 +366,7 @@ class Subgraph:
         # of the sorted columns, so gathering the runs in that order yields
         # the triples already sorted
         ids = np.asarray(retained, dtype=np.int64)
-        lo = omega._out_start[ids]
-        counts = omega._out_start[ids + 1] - lo
-        rows = np.arange(counts.sum()) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+        rows = omega._out_rows(ids)
         objects = omega._o[rows]
         at = np.minimum(np.searchsorted(ids, objects), max(len(ids) - 1, 0))
         triples = omega._triples_at(rows[ids[at] == objects])

@@ -204,7 +204,7 @@ def test_report_marks_records_whose_provider_failed(tmp_path):
         "r0                       False    0      1      False  error: HTTP 401: invalid api key",
         "r1                       False    0      1      False  error: HTTP 401: invalid api key",
         "-" * 56,
-        "n=2  hit@1=0.0000  avg_depth=5.00  avg_calls=1.00  degraded=0.00  errors=2",
+        "n=2  hit@1=0.0000  avg_depth=0.00  avg_calls=1.00  degraded=0.00  errors=2",
     ]
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import tracemalloc
 
 import pytest
 
@@ -332,6 +333,52 @@ def test_store_matches_set_and_sort_reference(tmp_path, seed, source):
         assert type(kg.structural_neighbors(v)) is frozenset
     assert kg.triples == want.triples
     assert type(kg.triples) is tuple and all(type(t) is Triple for t in kg.triples)
+
+
+def test_neighbors_reads_incoming_rows_from_the_neighbours_out_rows():
+    # a hub that twelve subjects point at, one of them under three parallel
+    # predicates, and self-loops on the hub under two predicates; the hub's
+    # own out rows are the only place its self-loops show up as incoming
+    triples = [Triple(f"s{i:02d}", "points at", "hub") for i in range(12)]
+    triples += [Triple("s03", predicate, "hub") for predicate in ("also", "more")]
+    triples += [Triple("hub", predicate, "hub") for predicate in ("loops", "self")]
+    triples += [Triple("hub", "points at", "s05"), Triple("s05", "points at", "s06")]
+    want = ReferenceStore(triples)
+    kg = KnowledgeGraph(iter(triples))
+    for v in sorted(want.nodes):
+        assert kg.neighbors(v) == want.neighbors(v)
+    hub = kg.neighbors("hub")
+    assert [e for e in hub if e[1] == "hub"] == [
+        ("loops", "hub", "in"), ("loops", "hub", "out"),
+        ("self", "hub", "in"), ("self", "hub", "out"),
+    ]
+    assert sum(e[2] == "in" for e in hub) == 12 + 2 + 2
+
+
+def _write_random_graph(path, n_entities, n_triples, seed):
+    rng = random.Random(seed)
+    with open(path, "w", encoding="utf-8") as fh:
+        for _ in range(n_triples):
+            s, o = rng.randrange(n_entities), rng.randrange(n_entities)
+            fh.write(f"entity {s:06d}\trelation {rng.randrange(20):02d}\tentity {o:06d}\n")
+
+
+def test_ingest_peak_memory_stays_near_what_the_store_keeps(tmp_path):
+    # Every index frees its temporaries before the next one is built, so
+    # ingest peaks at about 1.3x the memory the store keeps (1.28x on this
+    # graph); keeping each stage's int64 temporaries alive to the end peaks
+    # near 1.9x.
+    path = tmp_path / "graph.tsv"
+    _write_random_graph(path, 6_000, 24_000, seed=5)
+    KnowledgeGraph.ingest(path)  # first-call allocations stay out of the count
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kg = KnowledgeGraph.ingest(path)
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before < 1.5 * (after - before)
 
 
 def test_store_sorts_by_columns_when_a_packed_key_would_overflow(monkeypatch):
