@@ -134,7 +134,8 @@ def _detect(g, kind, m_max, seed, stop_early) -> DetectionOutcome:
         raise ValueError(f"m_max must be >= 1, got {m_max}")
 
     rng = random.Random(seed)
-    np_rng = np.random.default_rng(seed)
+    # spectral is the only reader; numpy.random is not loaded for the others
+    np_rng = np.random.default_rng(seed) if kind == "spectral" else None
     traces: list[ComponentTrace] = []
     chosen_communities = []
     comps = connected_components(g)

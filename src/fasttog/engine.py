@@ -234,7 +234,7 @@ class Engine:
     def _resolve_start(self, question, start_entities, trace) -> str:
         if start_entities:
             for label in start_entities:
-                if label in self.omega.nodes:
+                if label in self.omega:
                     trace.add("start_entity", label=label, source="provided")
                     return label
             raise ResolutionError(
@@ -248,7 +248,7 @@ class Engine:
         )
         resp = self._gateway.generate(GenerationRequest(bundle, "pruning"))
         label = resp.text.strip().strip('"')
-        if label not in self.omega.nodes:
+        if label not in self.omega:
             raise ResolutionError(f"extracted entity not in graph: {label!r}")
         trace.add("start_entity", label=label, source="extracted")
         return label

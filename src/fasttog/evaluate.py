@@ -150,9 +150,21 @@ def evaluate(
     ``gateway_factory`` is invoked once per record so scripted mocks start
     fresh for every run; engines share the immutable graph. Per-record
     failures are recorded as incorrect items, not batch failures. Results are
-    assembled in record order regardless of worker scheduling.
+    assembled in record order regardless of worker scheduling. With
+    ``trace_dir``, two records whose ids name the same trace file raise
+    DataError before any record runs.
     """
     records = list(records)
+    if trace_dir is not None:
+        first: dict[str, int] = {}
+        for i, r in enumerate(records):
+            name = _trace_name(r.id)
+            j = first.setdefault(name, i)
+            if j != i:
+                raise DataError(
+                    i, f"id {r.id!r} and record {j}'s id {records[j].id!r} both name {name}"
+                )
+        Path(trace_dir).mkdir(parents=True, exist_ok=True)
 
     def run_one(record: QARecord) -> dict:
         gateway = gateway_factory(record)
@@ -172,8 +184,7 @@ def evaluate(
                 "error": str(exc),
             }
         if trace_dir is not None:
-            safe_id = "".join(c if c.isalnum() or c in "-_." else "_" for c in record.id)
-            path = Path(trace_dir) / f"{safe_id}.trace.jsonl"
+            path = Path(trace_dir) / _trace_name(record.id)
             path.write_text(trace.to_jsonl(), encoding="utf-8")
         prediction = verdict.text if verdict.kind == "answer" and verdict.text else ""
         correct = bool(prediction) and exact_match(prediction, record.gold_answers)
@@ -185,8 +196,6 @@ def evaluate(
             "degraded": trace.degraded,
         }
 
-    if trace_dir is not None:
-        Path(trace_dir).mkdir(parents=True, exist_ok=True)
     if parallelism <= 1:
         items = [run_one(r) for r in records]
     else:
@@ -216,3 +225,9 @@ def evaluate(
         degraded_fraction=degraded / n if n else 0.0,
         per_item=items,
     )
+
+
+def _trace_name(record_id: str) -> str:
+    """The trace file name of a record: its id with unsafe characters as ``_``."""
+    safe_id = "".join(c if c.isalnum() or c in "-_." else "_" for c in record_id)
+    return f"{safe_id}.trace.jsonl"

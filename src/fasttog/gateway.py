@@ -12,20 +12,15 @@ own calls, once per logical call.
 
 from __future__ import annotations
 
-import base64
 import functools
-import http.client
 import importlib.resources
 import json
 import os
 import re
-import select
-import ssl
 import string
 import threading
 import time
 import urllib.parse
-import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -173,7 +168,8 @@ class ChatEndpoint:
     posts over its own stdlib ``http.client`` keep-alive connection, made on
     its first call and reopened when the server has closed it. The connection
     goes through the proxy that ``HTTP_PROXY``/``HTTPS_PROXY`` name, unless
-    ``NO_PROXY`` lists the host.
+    ``NO_PROXY`` lists the host. The HTTP, TLS and proxy modules are loaded
+    by the first call (:mod:`fasttog._http`), not by importing the package.
     """
 
     def __init__(
@@ -223,13 +219,15 @@ class ChatEndpoint:
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
+        from ._http import TRANSIENT  # loads the HTTP stack on the first call
+
         attempt = 0
         while True:
             started = time.monotonic()
             try:
                 with self._slots:
                     status, raw = self._post(body, headers)
-            except (OSError, http.client.HTTPException) as exc:
+            except TRANSIENT as exc:
                 failure = str(exc)
             else:
                 if status < 400:
@@ -255,71 +253,12 @@ class ChatEndpoint:
 
     def _post(self, body: bytes, headers: dict[str, str]) -> tuple[int, bytes]:
         """POST ``body`` over this thread's connection; the status and raw reply."""
+        from ._http import open_link, post
+
         link = getattr(self._local, "link", None)
         if link is None:
-            link = self._local.link = self._open()
-        conn = link.conn
-        if conn.sock is not None and _readable(conn.sock):
-            # an idle kept-alive socket with something to read was closed by
-            # the peer; drop it, and the request below reconnects
-            conn.close()
-        try:
-            conn.request("POST", link.target, body, headers | link.proxy_headers)
-            resp = conn.getresponse()
-            return resp.status, resp.read()
-        except BaseException:
-            conn.close()
-            raise
-
-    def _open(self) -> _Link:
-        """A connection for this thread, with its request target and proxy headers.
-
-        An http URL goes to its proxy in absolute form, an https one through
-        a CONNECT tunnel; TLS is verified against the system's CAs.
-        """
-        u, port = self._split, self._port
-        https = u.scheme == "https"
-        path = urllib.parse.urlunsplit(("", "", u.path or "/", u.query, ""))
-        proxies = {} if urllib.request.proxy_bypass(u.hostname) else urllib.request.getproxies()
-        proxy = proxies.get(u.scheme) or proxies.get("all")
-        if https:
-            ctx = ssl.create_default_context()
-            make = functools.partial(http.client.HTTPSConnection, context=ctx)
-        else:
-            make = http.client.HTTPConnection
-        if not proxy:
-            return _Link(make(u.hostname, port, timeout=self.timeout), path, {})
-        p = urllib.parse.urlsplit(proxy if "://" in proxy else "http://" + proxy)
-        auth = {}
-        if p.username is not None:
-            cred = f"{urllib.parse.unquote(p.username)}:{urllib.parse.unquote(p.password or '')}"
-            auth["Proxy-Authorization"] = "Basic " + base64.b64encode(cred.encode()).decode()
-        conn = make(p.hostname, p.port or 80, timeout=self.timeout)
-        if https:
-            conn.set_tunnel(u.hostname, port, headers=auth)
-            return _Link(conn, path, {})
-        return _Link(conn, f"{u.scheme}://{u.netloc}{path}", auth)
-
-
-@dataclass
-class _Link:
-    """One thread's connection, closed when the thread or the endpoint goes."""
-
-    conn: http.client.HTTPConnection
-    target: str
-    proxy_headers: dict[str, str]
-
-    def __del__(self):
-        self.conn.close()
-
-
-def _readable(sock) -> bool:
-    """Whether ``sock`` has data or EOF waiting, checked without blocking."""
-    if hasattr(select, "poll"):  # select() cannot take descriptors >= FD_SETSIZE
-        poller = select.poll()
-        poller.register(sock, select.POLLIN)
-        return bool(poller.poll(0))
-    return bool(select.select([sock], [], [], 0)[0])
+            link = self._local.link = open_link(self._split, self._port, self.timeout)
+        return post(link, body, headers)
 
 
 # -- reply parsing ------------------------------------------------------------

@@ -78,12 +78,12 @@ class KnowledgeGraph:
 
     The sort key and the neighbour index are built by helpers that free
     their int64 temporaries before they return, so ingest peaks little
-    above what the store keeps.
+    above what the store keeps. ``label in kg`` is the cheap membership
+    test; the label set ``nodes`` is built on first read.
     """
 
     def __init__(self, triples: Iterable[Triple]):
         self._id, self._labels, self._predicates, columns = _intern(triples)
-        self.nodes: frozenset[EntityId] = frozenset(self._id)
         n = len(self._labels)
         read = len(columns[0])
         s, p, o = _sorted_distinct(columns, n, len(self._predicates))
@@ -107,6 +107,11 @@ class KnowledgeGraph:
             return cls(_parse_tsv(fh))
 
     # -- queries -----------------------------------------------------------
+
+    @cached_property
+    def nodes(self) -> frozenset[EntityId]:
+        """Every entity label. Built on first read; the walk tests ``in kg``."""
+        return frozenset(self._id)
 
     @cached_property
     def triples(self) -> tuple[Triple, ...]:
@@ -153,7 +158,10 @@ class KnowledgeGraph:
         return "\n".join(lines) + ("\n" if lines else "")
 
     def __len__(self) -> int:
-        return len(self.nodes)
+        return len(self._id)
+
+    def __contains__(self, label: object) -> bool:
+        return label in self._id
 
     def _index(self, v: EntityId) -> int:
         i = self._id.get(v)
@@ -219,8 +227,9 @@ def _intern(
     labels, rank = _rank_in_label_order(entities)
     predicate_labels, p_rank = _rank_in_label_order(predicates)
     del entities  # free it before its replacement is built
-    # a plain dict, built whole: ``frozenset`` sizes its table from an exact
-    # dict's length, but grows it step by step over a ``defaultdict``
+    # a plain dict, built whole: the lazy ``nodes`` frozenset sizes its table
+    # from an exact dict's length, but would grow it step by step over a
+    # ``defaultdict``
     ids = dict(zip(labels, range(len(labels))))
     # rebinding frees each first-seen column once its ranked copy exists
     s_col = rank[np.asarray(s_col)]
@@ -327,16 +336,12 @@ class Subgraph:
     edge count used by modularity.
     """
 
-    center: frozenset[EntityId]
     nodes: frozenset[EntityId]
     triples: tuple[Triple, ...]
     out: dict[EntityId, tuple[Triple, ...]] = field(repr=False)
     hop_of: dict[EntityId, int]
     adj: dict[EntityId, frozenset[EntityId]] = field(repr=False)
     m: int = 0
-
-    def degree(self, v: EntityId) -> int:
-        return len(self.adj[v])
 
     # both lookups walk subjects in sorted order, so they return triples in
     # the same order as ``triples``
@@ -358,7 +363,6 @@ class Subgraph:
     def _from_retained(
         cls,
         omega: KnowledgeGraph,
-        center: frozenset[EntityId],
         retained: Sequence[int],
         hop_of: dict[EntityId, int],
     ) -> "Subgraph":
@@ -381,7 +385,6 @@ class Subgraph:
                 adj[t.object].add(t.subject)
         m = sum(len(s) for s in adj.values()) // 2
         return cls(
-            center=center,
             nodes=frozenset(out),
             triples=tuple(triples),
             out=out,
@@ -394,7 +397,7 @@ class Subgraph:
     def from_full_graph(cls, omega: KnowledgeGraph) -> "Subgraph":
         """Wrap a whole graph as a hop-0 subgraph (used by offline detection)."""
         return cls._from_retained(
-            omega, omega.nodes, range(len(omega._labels)), dict.fromkeys(omega._labels, 0)
+            omega, range(len(omega._labels)), dict.fromkeys(omega._labels, 0)
         )
 
 
@@ -415,7 +418,7 @@ def extract_subgraph(
     if not center_set:
         raise NotFoundError("center must contain at least one entity")
     for v in center_set:
-        if v not in omega.nodes:
+        if v not in omega:
             raise NotFoundError(f"center entity not in graph: {v!r}")
 
     # the walk runs over ids; ascending id order is sorted label order, so
@@ -441,4 +444,4 @@ def extract_subgraph(
                 hop[v] = h + 1
                 hop_of[labels[v]] = h + 1
                 queue.append(v)
-    return Subgraph._from_retained(omega, center_set, sorted(hop), hop_of)
+    return Subgraph._from_retained(omega, sorted(hop), hop_of)

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from fasttog import EngineConfig, ScriptedGateway, evaluate, exact_match, load_dataset
+from fasttog.cli import main
 from fasttog.errors import DataError, ProviderError
 
 from helpers import clique_path, never_answer_script
@@ -239,6 +240,33 @@ def test_trace_dir_written(tmp_path):
     trace_dir = tmp_path / "traces"
     run_eval(tmp_path, rows, scripts, trace_dir=trace_dir)
     assert (trace_dir / "r0.trace.jsonl").exists()
+
+
+def test_ids_that_name_one_trace_file_raise_before_any_run(tmp_path):
+    # "x/y" and "x_y" both sanitise to x_y.trace.jsonl
+    rows = [record(0), dict(record(1), id="x/y"), dict(record(2), id="x_y")]
+    made = []
+
+    def factory(record):
+        made.append(record.id)
+        return ScriptedGateway(script_answering_at_depth(0, "alpha"))
+
+    kg, start, _target = clique_path(n_cliques=6, clique_size=4, seed=0)
+    for row in rows:
+        row["start_entities"] = [start]
+    data = load_dataset(write_jsonl(tmp_path, rows))
+    trace_dir = tmp_path / "traces"
+    with pytest.raises(DataError, match=r"record 2: id 'x_y' and record 1's id 'x/y'"):
+        evaluate(data, kg, EngineConfig(width=1, max_depth=2), factory, trace_dir=trace_dir)
+    assert made == [] and not trace_dir.exists()
+    # through the CLI, a data error exits 2
+    graph = tmp_path / "graph.tsv"
+    graph.write_text(kg.dump(), encoding="utf-8")
+    script = tmp_path / "script.txt"
+    script.write_text("A\nAnswer: alpha\n", encoding="utf-8")
+    argv = ["eval", "--graph", str(graph), "--data", str(tmp_path / "data.jsonl"),
+            "--mock-script", str(script), "--trace-dir", str(trace_dir)]
+    assert main(argv) == 2 and not trace_dir.exists()
 
 
 def test_report_aggregates_match_items(tmp_path):

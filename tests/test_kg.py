@@ -280,8 +280,11 @@ def test_engine_run_never_builds_the_whole_graph_triples(tmp_path):
     engine = Engine(kg, ScriptedGateway(script), EngineConfig(width=1, max_depth=3))
     _verdict, trace = engine.run("q?", [start])
     assert trace.depth_reached == 3
-    # ``triples`` is built and cached on the instance at its first read
-    assert "triples" not in vars(kg)
+    # ``triples`` and ``nodes`` are built and cached on the instance at their
+    # first read; ``in`` and ``len`` build neither
+    assert "triples" not in vars(kg) and "nodes" not in vars(kg)
+    assert start in kg and len(kg) == 16
+    assert "triples" not in vars(kg) and "nodes" not in vars(kg)
     assert len(kg.triples) == 27 and "triples" in vars(kg)
 
 
@@ -323,6 +326,10 @@ def test_store_matches_set_and_sort_reference(tmp_path, seed, source):
         path = tmp_path / "tricky.tsv"
         path.write_bytes(_as_tsv(triples, rng).encode("utf-8"))
         kg = KnowledgeGraph.ingest(path)
+    # "a" and "a\x00" are distinct labels; "a\x00\x00" is in no triple
+    for label in ("a", "a\x00", "a\x00\x00"):
+        assert (label in kg) == (label in want.nodes)
+    assert len(kg) == len(want.nodes)
     assert kg.nodes == want.nodes and type(kg.nodes) is frozenset
     assert kg.duplicate_count == want.duplicate_count
     assert kg.self_loop_count == want.self_loop_count
