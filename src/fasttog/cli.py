@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from .detect import DETECTOR_KINDS, detect
-from .engine import Engine, EngineConfig, trace_to_dot
+from .engine import Engine, EngineConfig, check_trace_event, trace_to_dot
 from .errors import DataError, FastToGError, GatewayError
 from .evaluate import evaluate, load_dataset
 from .community import partition_dump
@@ -198,9 +198,11 @@ def _cmd_trace(args) -> int:
             if not line.strip():
                 continue
             try:
-                events.append(json.loads(line))
-            except json.JSONDecodeError as exc:
+                event = json.loads(line)
+                check_trace_event(event)
+            except ValueError as exc:  # JSONDecodeError is one too
                 raise DataError(line_no, f"invalid trace line: {exc}")
+            events.append(event)
     _write_or_print(trace_to_dot(events), args.out)
     return 0
 

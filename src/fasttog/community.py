@@ -13,10 +13,12 @@ definition of modularity exactly):
 Structure is undirected and unweighted: parallel predicates between the same
 node pair count as one edge, and self-loops carry no structural weight.
 
-A :class:`Community` keeps its members' structural neighbour sets and the
-subgraph's edge count until the sums are first read, then computes all three
-at once; detection builds every community of the chosen partition, but
-candidate search scores only those next to the frontier.
+A :class:`Partition` is its blocks, tuples of member labels; it builds the
+:class:`Community` of a block on the block's first read. A community keeps
+its members' structural neighbour sets and the subgraph's edge count until
+its sums are first read, then computes all three at once. Detection builds
+no community, and candidate search builds and scores only those next to the
+frontier.
 """
 
 from __future__ import annotations
@@ -33,16 +35,24 @@ def canonical_community_id(members: frozenset[EntityId]) -> str:
     return digest
 
 
+def _check_members(member_set: frozenset[EntityId], g: Subgraph) -> None:
+    if not member_set:
+        raise InvalidCommunityError("community must have at least one member")
+    if not member_set <= g.nodes:
+        missing = sorted(member_set - g.nodes)
+        raise InvalidCommunityError(f"members not in subgraph: {missing}")
+
+
 class Community:
     """A node group of one subgraph, with its structural sums.
 
     The members are sorted once, when built, because every trace lists them.
     ``sigma_in``, ``sigma_tot`` and ``modularity`` are computed from the
     subgraph together on the first read of any of them, and the canonical id
-    is hashed on first read; detection builds many communities whose scores
-    and ids are never read. Equality, hashing and ``repr`` use the members and
-    the three sums, as a frozen dataclass of those four fields would; nothing
-    assigns to a community once it is built.
+    is hashed on first read, so a community costs only what is read of it.
+    Equality, hashing and ``repr`` use the members and the three sums, as a
+    frozen dataclass of those four fields would; nothing assigns to a
+    community once it is built.
     """
 
     __slots__ = ("members", "sorted_members", "_adj", "_m", "_sums", "_id")
@@ -62,11 +72,7 @@ class Community:
     @classmethod
     def from_members(cls, members, g: Subgraph) -> "Community":
         member_set = frozenset(members)
-        if not member_set:
-            raise InvalidCommunityError("community must have at least one member")
-        if not member_set <= g.nodes:
-            missing = sorted(member_set - g.nodes)
-            raise InvalidCommunityError(f"members not in subgraph: {missing}")
+        _check_members(member_set, g)
         return cls(member_set, g)
 
     def _scores(self) -> tuple[int, int, float]:
@@ -119,33 +125,79 @@ class Community:
         return len(self.members)
 
 
-@dataclass(frozen=True)
 class Partition:
-    """A disjoint cover of a subgraph's nodes by communities."""
+    """A disjoint cover of a subgraph's nodes by communities.
 
-    communities: tuple[Community, ...]
-    subgraph_m: int
+    A partition is its blocks: ``blocks`` holds each block's member labels as
+    a tuple in label order, and the blocks are in the order of those tuples.
+    The :class:`Community` of block ``i`` is built through
+    :meth:`Community.from_members` on the first ``community(i)`` and then
+    cached, so ``communities`` returns the same objects on every read; a walk
+    builds only the communities next to its frontier. ``Partition(communities,
+    subgraph_m)`` wraps communities already built, in the order given.
+    """
+
+    __slots__ = ("blocks", "subgraph_m", "_g", "_communities")
+
+    def __init__(self, communities, subgraph_m: int):
+        self._communities = list(communities)
+        self.blocks = tuple(c.sorted_members for c in self._communities)
+        self.subgraph_m = subgraph_m
+        self._g = None
+
+    @classmethod
+    def of_blocks(cls, blocks: tuple[tuple[EntityId, ...], ...], g: Subgraph) -> "Partition":
+        """A partition of ``g`` whose blocks, sorted tuples in partition order,
+        are taken as they are."""
+        p = cls.__new__(cls)
+        p.blocks = blocks
+        p.subgraph_m = g.m
+        p._g = g
+        p._communities = [None] * len(blocks)
+        return p
 
     @classmethod
     def from_member_sets(cls, member_sets, g: Subgraph) -> "Partition":
-        comms = [Community.from_members(s, g) for s in member_sets]
-        comms.sort(key=lambda c: c.sorted_members)
-        return cls(tuple(comms), g.m)
+        blocks = []
+        for s in member_sets:
+            member_set = frozenset(s)
+            _check_members(member_set, g)
+            blocks.append(tuple(sorted(member_set)))
+        blocks.sort()
+        return cls.of_blocks(tuple(blocks), g)
+
+    def community(self, i: int) -> Community:
+        c = self._communities[i]
+        if c is None:
+            c = self._communities[i] = Community.from_members(self.blocks[i], self._g)
+        return c
+
+    @property
+    def communities(self) -> tuple[Community, ...]:
+        return tuple(map(self.community, range(len(self.blocks))))
 
     def node_set(self) -> frozenset[EntityId]:
-        out: set[EntityId] = set()
-        for c in self.communities:
-            out.update(c.members)
-        return frozenset(out)
+        return frozenset().union(*self.blocks)
 
     def max_size(self) -> int:
-        return max(len(c) for c in self.communities)
+        return max(map(len, self.blocks))
 
     def __iter__(self):
         return iter(self.communities)
 
     def __len__(self) -> int:
-        return len(self.communities)
+        return len(self.blocks)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.blocks, self.subgraph_m) == (other.blocks, other.subgraph_m)
+
+    def __hash__(self) -> int:
+        return hash((self.blocks, self.subgraph_m))
+
+    def __repr__(self) -> str:
+        return f"Partition(blocks={self.blocks!r}, subgraph_m={self.subgraph_m!r})"
 
 
 @dataclass(frozen=True)
@@ -158,7 +210,7 @@ class PartitionSnapshot:
 
 def validate_partition(p: Partition, expected_nodes: frozenset[EntityId]) -> None:
     """Check disjointness and exact cover; raise InvalidPartitionError otherwise."""
-    total = sum(len(c) for c in p.communities)
+    total = sum(map(len, p.blocks))
     union = p.node_set()
     if total != len(union):
         raise InvalidPartitionError("communities overlap")

@@ -8,9 +8,10 @@ size bound. The finest state is always all singletons, so a feasible state
 always exists for any bound >= 1.
 
 States are recorded compactly: the scan reads only each state's largest
-block size, so only the chosen state of each component becomes a
-:class:`Partition`. The full snapshot list of a component is built on first
-access to :attr:`ComponentTrace.snapshots`.
+block size, so only the chosen state of each component is turned into
+blocks, sorted label tuples. The :class:`Partition` they form builds no
+:class:`Community` until one is read. The full snapshot list of a component
+is built on first access to :attr:`ComponentTrace.snapshots`.
 
 Trajectory recording per detector:
 
@@ -137,7 +138,7 @@ def _detect(g, kind, m_max, seed, stop_early) -> DetectionOutcome:
     # spectral is the only reader; numpy.random is not loaded for the others
     np_rng = np.random.default_rng(seed) if kind == "spectral" else None
     traces: list[ComponentTrace] = []
-    chosen_communities = []
+    all_blocks = []
     comps = connected_components(g)
     for i, comp in enumerate(comps):
         # louvain may stop early only on the last component: stopping sooner
@@ -149,13 +150,15 @@ def _detect(g, kind, m_max, seed, stop_early) -> DetectionOutcome:
         step = next(
             i for i in reversed(range(len(states))) if _largest_block(states[i]) <= m_max
         )
-        chosen = Partition.from_member_sets(states[step], g)
+        blocks = _label_blocks(states[step])
+        # disjoint blocks differ in their first label, so the sort reads only that
+        blocks.sort()
+        chosen = Partition.of_blocks(tuple(blocks), g)
         traces.append(ComponentTrace(tuple(sorted(comp)), chosen, states, step, g))
-        chosen_communities.extend(chosen.communities)
+        all_blocks.extend(blocks)
 
-    partition = Partition(
-        tuple(sorted(chosen_communities, key=lambda c: c.sorted_members)), g.m
-    )
+    all_blocks.sort()
+    partition = Partition.of_blocks(tuple(all_blocks), g)
     validate_partition(partition, g.nodes)
     return DetectionOutcome(partition, traces)
 
@@ -163,6 +166,15 @@ def _detect(g, kind, m_max, seed, stop_early) -> DetectionOutcome:
 def _largest_block(state) -> int:
     # louvain labellings track their largest block; other states are set lists
     return state.max_size if isinstance(state, _Labelling) else max(map(len, state))
+
+
+def _label_blocks(state) -> list[tuple[EntityId, ...]]:
+    """The blocks of a state as tuples of labels in label order."""
+    if isinstance(state, _Labelling):
+        # ranks follow label order, so sorted ranks give sorted labels
+        labels = state.level.labels
+        return [tuple(map(labels.__getitem__, ranks)) for ranks in state.rank_blocks()]
+    return [tuple(sorted(block)) for block in state]
 
 
 def _component_states(g, comp, kind, m_max, rng, np_rng, bounded):
@@ -203,15 +215,16 @@ class _Level:
 class _Labelling:
     """One louvain state: the first ``n_moves`` moves of its level.
 
-    Iterating replays those moves from the level's singletons and yields the
-    member sets over original nodes.
+    :meth:`rank_blocks` replays those moves from the level's singletons and
+    gives the blocks over original nodes as ascending rank lists; iterating
+    yields them as member sets of labels.
     """
 
     level: _Level
     n_moves: int
     max_size: int
 
-    def __iter__(self):
+    def rank_blocks(self) -> list[list[int]]:
         level = self.level
         comm = {u: u for u in level.members}
         for u, c in level.moves[: self.n_moves]:
@@ -219,9 +232,11 @@ class _Labelling:
         grouped: dict[int, list[int]] = {}
         for u, c in comm.items():
             grouped.setdefault(c, []).extend(level.members[u])
-        labels = level.labels
-        # frozensets, which Community.from_members keeps without copying
-        return iter([frozenset(map(labels.__getitem__, block)) for block in grouped.values()])
+        return [sorted(block) for block in grouped.values()]
+
+    def __iter__(self):
+        labels = self.level.labels
+        return iter([frozenset(map(labels.__getitem__, b)) for b in self.rank_blocks()])
 
 
 def _louvain_states(
@@ -248,6 +263,7 @@ def _louvain_states(
     states = [_Labelling(level, 0, 1)]
     if two_m == 0.0:
         return states
+    getrandbits = rng.getrandbits
 
     max_size = 1
     while True:
@@ -269,25 +285,29 @@ def _louvain_states(
         while True:
             moved_in_pass = False
             order = list(level_nodes)
-            rng.shuffle(order)
+            _shuffle(order, getrandbits)
             for u in order:
                 old = comm_of[u]
+                nb = nbrs[u]
+                if len(nb) == 1 and comm_of[nb[0][0]] == old:
+                    # a leaf in its neighbour's community stays. Taking its
+                    # weight out of old's total and back in would be exact:
+                    # totals are sums of whole-number weights
+                    continue
                 k = k_w[u]
                 comm_tot[old] -= k
                 # a move must beat the best score so far by 1e-12; staying
                 # keeps old's own score, which cannot beat itself, so the
                 # scan skips old
                 best_comm = old
-                nb = nbrs[u]
                 if len(nb) == 1:
                     # most nodes are leaves: the general scan below with one
                     # link, whose weight is 0.0 + w == w
                     v, w = nb[0]
                     c = comm_of[v]
-                    if c != old:
-                        bar = 0.0 - comm_tot[old] * k / two_m + 1e-12
-                        if w - comm_tot[c] * k / two_m > bar:
-                            best_comm = c
+                    bar = 0.0 - comm_tot[old] * k / two_m + 1e-12
+                    if w - comm_tot[c] * k / two_m > bar:
+                        best_comm = c
                 else:
                     # weight from u into each neighboring community
                     links: dict[int, float] = {}
@@ -354,6 +374,17 @@ def _louvain_states(
         if len(weight) == 1:
             return states
         level = _Level(labels, members)
+
+
+def _shuffle(x: list, getrandbits) -> None:
+    """``random.Random.shuffle(x)`` with the same draws from ``getrandbits``,
+    the generator's bound method, but no method call per element."""
+    for i in range(len(x) - 1, 0, -1):
+        bits = (i + 1).bit_length()
+        j = getrandbits(bits)
+        while j > i:
+            j = getrandbits(bits)
+        x[i], x[j] = x[j], x[i]
 
 
 # -- girvan-newman -----------------------------------------------------------

@@ -390,7 +390,7 @@ class Engine:
             "partition",
             chain=chain_index,
             depth=depth,
-            communities=[list(c.sorted_members) for c in partition.communities],
+            communities=[list(block) for block in partition.blocks],
         )
         current = Community.from_members(current_members, g)
         if context_texts is None:
@@ -460,6 +460,39 @@ class Engine:
     def _next_seed(self) -> int:
         self._seed_counter += 1
         return (self.config.seed * 1_000_003 + self._seed_counter) & 0x7FFFFFFF
+
+
+def check_trace_event(ev) -> None:
+    """Raise ``ValueError`` unless :func:`trace_to_dot` can read the event."""
+    if not isinstance(ev, dict):
+        raise ValueError("an event must be a JSON object")
+    kind = ev.get("event")
+    if kind == "coarse":
+        if not isinstance(ev.get("current_id"), (str, type(None))):
+            raise ValueError("a coarse event's current_id must be a string")
+        if not _str_list(ev.get("current", [])):
+            raise ValueError("a coarse event's current must be a list of labels")
+        kept = ev.get("kept", [])
+        if not isinstance(kept, list):
+            raise ValueError("a coarse event's kept must be a list")
+        for cand in kept:
+            if not isinstance(cand, dict) or not isinstance(cand.get("id"), str):
+                raise ValueError("each kept entry needs a string id")
+            if not _str_list(cand.get("members")):
+                raise ValueError("each kept entry needs a list of member labels")
+            bridges = cand.get("bridges")
+            if not isinstance(bridges, list) or not all(
+                _str_list(t) and len(t) == 3 for t in bridges
+            ):
+                raise ValueError("each kept entry's bridges must be lists of three labels")
+    elif kind == "headers" and not _str_list(ev.get("chosen", [])):
+        raise ValueError("a headers event's chosen must be a list of ids")
+    elif kind == "chain_grew" and not isinstance(ev.get("community"), str):
+        raise ValueError("a chain_grew event needs a string community id")
+
+
+def _str_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(x, str) for x in value)
 
 
 def trace_to_dot(trace_events: list[dict]) -> str:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -199,6 +198,8 @@ def evaluate(
     if parallelism <= 1:
         items = [run_one(r) for r in records]
     else:
+        from concurrent.futures import ThreadPoolExecutor  # loaded only for workers
+
         with ThreadPoolExecutor(max_workers=parallelism) as pool:
             items = list(pool.map(run_one, records))
 

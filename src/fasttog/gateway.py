@@ -94,27 +94,55 @@ class CallLedger:
             return dict(self._counts)
 
 
+# the names each template's builder passes to ``str.format``
+_TEMPLATE_FIELDS = {
+    "pruning": ("question", "premise", "selection"),
+    "reasoning": ("question", "context"),
+    "extract": ("question",),
+    "baseline_io": ("question",),
+    "baseline_cot": ("question",),
+    "g2t": ("triples",),
+}
+
+
 @functools.lru_cache(maxsize=64)
 def load_template(name: str, templates_dir: str | Path | None = None) -> tuple[str, str]:
     """Load a prompt template: first line is the system preamble, rest the body.
 
     Body templates carry named placeholders such as ``{question}``,
     ``{premise}``, ``{selection}``, ``{context}``. A directory override lets
-    callers swap the wording without touching code.
+    callers swap the wording without touching code. A body that names a
+    field its builder does not pass, or that does not parse as a format
+    string, raises ``ValueError`` naming the file.
 
     Each ``(name, templates_dir)`` is read from disk once per process; a
-    missing template raises on every call.
+    missing or malformed template raises on every call.
     """
     if templates_dir is not None:
-        text = (Path(templates_dir) / f"{name}.txt").read_text(encoding="utf-8")
+        path = Path(templates_dir) / f"{name}.txt"
     else:
-        text = (
-            importlib.resources.files("fasttog")
-            .joinpath("templates", f"{name}.txt")
-            .read_text(encoding="utf-8")
-        )
-    preamble, _, body = text.partition("\n")
+        path = importlib.resources.files("fasttog").joinpath("templates", f"{name}.txt")
+    preamble, _, body = path.read_text(encoding="utf-8").partition("\n")
+    allowed = _TEMPLATE_FIELDS[name]
+    try:
+        fields = list(_format_fields(body))
+    except ValueError as exc:
+        raise ValueError(f"template {path}: {exc}") from None
+    for field in fields:
+        if field not in allowed:
+            raise ValueError(
+                f"template {path}: unknown field {{{field}}}; {name} takes "
+                + ", ".join(f"{{{f}}}" for f in allowed)
+            )
     return preamble.strip(), body.strip("\n")
+
+
+def _format_fields(text: str):
+    """The field names of a format string, including those nested in a format spec."""
+    for _, field, spec, _ in string.Formatter().parse(text):
+        if field is not None:
+            yield field
+            yield from _format_fields(spec)
 
 
 class ScriptedGateway:

@@ -14,9 +14,9 @@ contain spaces but not tabs.
 
 from __future__ import annotations
 
-import logging
 import random
 from array import array
+from bisect import bisect_left
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -28,8 +28,6 @@ from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
 import numpy as np
 
 from .errors import NotFoundError, TripleFormatError
-
-log = logging.getLogger(__name__)
 
 EntityId = str
 
@@ -65,10 +63,11 @@ class KnowledgeGraph:
 
     Entity ``i`` is ``_labels[i]`` and predicate ``j`` is ``_predicates[j]``;
     ids are ranks in sorted label order, so integer order is label order, and
-    ``_id`` maps a label back to its id. The deduplicated triples are the
-    columns ``_s``, ``_p`` and ``_o``, sorted by (subject, predicate, object),
-    which is the order of sorted ``Triple`` tuples. Two compressed sparse
-    row (CSR) indexes read one node's share of them:
+    a label's id is found by bisecting ``_labels``, with no label map kept.
+    The deduplicated triples are the columns ``_s``, ``_p`` and ``_o``, sorted
+    by (subject, predicate, object), which is the order of sorted ``Triple``
+    tuples. Two compressed sparse row (CSR) indexes read one node's share of
+    them:
 
     * rows ``_out_start[v]`` up to ``_out_start[v + 1]`` have subject ``v``,
       in (predicate, object) order, which subgraph extraction relies on;
@@ -83,17 +82,21 @@ class KnowledgeGraph:
     """
 
     def __init__(self, triples: Iterable[Triple]):
-        self._id, self._labels, self._predicates, columns = _intern(triples)
+        self._labels, self._predicates, columns = _intern(triples)
         n = len(self._labels)
         read = len(columns[0])
         s, p, o = _sorted_distinct(columns, n, len(self._predicates))
         self._s, self._p, self._o = s, p, o
         self.duplicate_count = read - len(s)
         self.self_loop_count = int(np.count_nonzero(s == o))
-        if self.duplicate_count:
-            log.warning("collapsed %d duplicate triple(s)", self.duplicate_count)
-        if self.self_loop_count:
-            log.warning("graph contains %d self-loop triple(s)", self.self_loop_count)
+        if self.duplicate_count or self.self_loop_count:
+            import logging  # loaded only when there is something to warn about
+
+            log = logging.getLogger(__name__)
+            if self.duplicate_count:
+                log.warning("collapsed %d duplicate triple(s)", self.duplicate_count)
+            if self.self_loop_count:
+                log.warning("graph contains %d self-loop triple(s)", self.self_loop_count)
         # int32 probes: int64 ones would make numpy search an int64 copy of ``s``
         self._out_start = np.searchsorted(s, np.arange(n + 1, dtype=np.int32))
         self._nbr, self._nbr_start = _neighbour_index(s, o, n)
@@ -111,7 +114,7 @@ class KnowledgeGraph:
     @cached_property
     def nodes(self) -> frozenset[EntityId]:
         """Every entity label. Built on first read; the walk tests ``in kg``."""
-        return frozenset(self._id)
+        return frozenset(self._labels)
 
     @cached_property
     def triples(self) -> tuple[Triple, ...]:
@@ -158,13 +161,21 @@ class KnowledgeGraph:
         return "\n".join(lines) + ("\n" if lines else "")
 
     def __len__(self) -> int:
-        return len(self._id)
+        return len(self._labels)
 
     def __contains__(self, label: object) -> bool:
-        return label in self._id
+        return self._find(label) is not None
+
+    def _find(self, label: object) -> int | None:
+        """The id of ``label``, or None if it is not an entity label."""
+        if not isinstance(label, str):
+            return None
+        labels = self._labels
+        i = bisect_left(labels, label)
+        return i if i < len(labels) and labels[i] == label else None
 
     def _index(self, v: EntityId) -> int:
-        i = self._id.get(v)
+        i = self._find(v)
         if i is None:
             raise NotFoundError(f"unknown entity: {v!r}")
         return i
@@ -206,14 +217,12 @@ def _parse_tsv(lines: TextIO) -> Iterator[tuple[str, str, str]]:
         yield subject, predicate, obj
 
 
-def _intern(
-    triples: Iterable[Triple],
-) -> tuple[dict[str, int], list[str], list[str], list[np.ndarray]]:
+def _intern(triples: Iterable[Triple]) -> tuple[list[str], list[str], list[np.ndarray]]:
     """Read the triples once, interning labels as they come.
 
-    Returns the entity label -> id map (a plain dict in id order), the entity
-    and predicate labels in id order, and the subject, predicate and object
-    id columns in input order. Ids are ranks in sorted label order.
+    Returns the entity and predicate labels in id order, and the subject,
+    predicate and object id columns in input order. Ids are ranks in sorted
+    label order.
     """
     # a missing label gets the next first-seen id
     entities: defaultdict[str, int] = defaultdict(count().__next__)
@@ -226,16 +235,12 @@ def _intern(
     # ids so far are in first-seen order; renumber them as ranks
     labels, rank = _rank_in_label_order(entities)
     predicate_labels, p_rank = _rank_in_label_order(predicates)
-    del entities  # free it before its replacement is built
-    # a plain dict, built whole: the lazy ``nodes`` frozenset sizes its table
-    # from an exact dict's length, but would grow it step by step over a
-    # ``defaultdict``
-    ids = dict(zip(labels, range(len(labels))))
+    del entities  # freed before the ranked columns are made
     # rebinding frees each first-seen column once its ranked copy exists
     s_col = rank[np.asarray(s_col)]
     p_col = p_rank[np.asarray(p_col)]
     o_col = rank[np.asarray(o_col)]
-    return ids, labels, predicate_labels, [s_col, p_col, o_col]
+    return labels, predicate_labels, [s_col, p_col, o_col]
 
 
 def _rank_in_label_order(ids: dict[str, int]) -> tuple[list[str], np.ndarray]:
@@ -417,16 +422,18 @@ def extract_subgraph(
     center_set = frozenset(center)
     if not center_set:
         raise NotFoundError("center must contain at least one entity")
+    hop: dict[int, int] = {}  # retained ids
     for v in center_set:
-        if v not in omega:
+        i = omega._find(v)
+        if i is None:
             raise NotFoundError(f"center entity not in graph: {v!r}")
+        hop[i] = 0
 
     # the walk runs over ids; ascending id order is sorted label order, so
     # neighbours are visited, and random draws made, in label order
     rng = random.Random(cfg.seed)
     labels, nbr, nbr_start = omega._labels, omega._nbr, omega._nbr_start
     hop_of: dict[EntityId, int] = {v: 0 for v in center_set}
-    hop: dict[int, int] = {omega._id[v]: 0 for v in center_set}  # retained ids
     decided: set[int] = set(hop)  # kept or rejected, never revisited
     queue: deque[int] = deque(sorted(hop))
 

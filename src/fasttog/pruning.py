@@ -44,11 +44,14 @@ def candidate_communities(
     are dropped. Ordered by score descending, then canonical id.
     """
     # a community holds a connecting triple iff it holds a frontier node, so
-    # the rest are skipped before their ids are hashed or triples read
+    # only the blocks holding one are built; the sort key below is total, so
+    # the order they are visited in does not matter
     frontier = set().union(*(g.adj[v] for v in current.members)) - current.members
+    block_of = {v: i for i, block in enumerate(p.blocks) for v in block}
     out = []
-    for c in p.communities:
-        if c.members.isdisjoint(frontier) or c.canonical_id in h:
+    for i in {block_of.get(v) for v in frontier} - {None}:
+        c = p.community(i)
+        if c.canonical_id in h:
             continue
         # triples_between already returns the bridges in triple order
         bridges = g.triples_between(c.members - current.members, current.members)

@@ -399,3 +399,60 @@ def test_run_calls_line_counts_g2t_rewrites(tmp_path, capsys):
     # two kept candidates, plus the start community, whose pruning-premise
     # text is reused as the chain start
     assert calls == {"baseline": 0, "g2t": 3, "pruning": 1, "reasoning": 1}
+
+
+@pytest.mark.parametrize(
+    "line, why",
+    [
+        ("[1, 2]", "an event must be a JSON object"),
+        (
+            json.dumps({"event": "coarse", "current_id": "c", "kept": [{"id": "x", "bridges": []}]}),
+            "each kept entry needs a list of member labels",
+        ),
+        (
+            json.dumps(
+                {
+                    "event": "coarse",
+                    "current_id": "c",
+                    "kept": [{"id": "x", "members": ["a"], "bridges": [["a"]]}],
+                }
+            ),
+            "bridges must be lists of three labels",
+        ),
+        (json.dumps({"event": "chain_grew"}), "a chain_grew event needs a string community id"),
+        (json.dumps({"event": "headers", "chosen": [1]}), "chosen must be a list of ids"),
+    ],
+)
+def test_malformed_trace_events_are_data_errors(tmp_path, capsys, line, why):
+    good = json.dumps({"event": "headers", "depth": 0, "chosen": ["x"]})
+    path = tmp_path / "bad.trace.jsonl"
+    path.write_text(f"{good}\n\n{line}\n", encoding="utf-8")
+    assert main(["trace", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: record 3: invalid trace line: ")  # the line's number
+    assert why in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "body, named",
+    [("Q={question} {foo}", "unknown field {foo}"), ("Q={question} {oops", "expected '}'")],
+)
+def test_bad_template_override_is_a_data_error_naming_the_file(tmp_path, capsys, body, named):
+    graph, start, _ = path_fixture(tmp_path)
+    templates = tmp_path / "templates"
+    templates.mkdir()
+    (templates / "pruning.txt").write_text(f"PRE\n{body}\n", encoding="utf-8")
+    script = script_file(tmp_path, ["A", "Answer: x"])
+    code = main(
+        [
+            "run",
+            "--graph", str(graph),
+            "--question", "q?",
+            "--start-entity", start,
+            "--mock-script", str(script),
+            "--templates", str(templates),
+        ]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"template {templates / 'pruning.txt'}: " in err and named in err

@@ -18,6 +18,7 @@ from fasttog.detect import (
     DETECTOR_KINDS,
     _hierarchical_states,
     _louvain_states,
+    _shuffle,
     connected_components,
 )
 
@@ -170,7 +171,7 @@ def test_detect_builds_only_the_chosen_communities(kind, monkeypatch):
     real = Community.from_members.__func__
 
     def counting(cls, members, g):
-        calls.append(frozenset(members))
+        calls.append(tuple(members))
         return real(cls, members, g)
 
     monkeypatch.setattr(Community, "from_members", classmethod(counting))
@@ -181,16 +182,33 @@ def test_detect_builds_only_the_chosen_communities(kind, monkeypatch):
         m_max = rng.choice([2, 3, 4])
         calls.clear()
         p = detect(g, kind, m_max, seed=trial)
+        assert calls == []  # detection builds no community
+        built = p.communities
+        assert calls == list(p.blocks)  # reading builds each block once
+        assert all(a is b for a, b in zip(p.communities, built))
         assert len(calls) == len(p)
 
         outcome = detect_full(g, kind, m_max, seed=trial)
         for comp in outcome.components:
             calls.clear()
             snaps = comp.snapshots
-            rebuilt = sum(len(s.partition) for s in snaps if s.partition is not comp.chosen)
-            assert len(calls) == rebuilt
+            assert calls == []
             assert comp.snapshots is snaps  # built once, then cached
             assert backtrack_to_size(snaps, m_max) is comp.chosen
+            for snap in snaps:
+                snap.partition.communities
+            assert len(calls) == sum(len(s.partition) for s in snaps)
+
+
+def test_inline_shuffle_draws_as_random_shuffle():
+    for seed in range(20):
+        want, got = random.Random(seed), random.Random(seed)
+        for n in range(301):
+            expected, order = list(range(n)), list(range(n))
+            want.shuffle(expected)
+            _shuffle(order, got.getrandbits)
+            assert order == expected
+            assert got.getstate() == want.getstate()
 
 
 def test_girvan_newman_components_nondecreasing(triangles_g):

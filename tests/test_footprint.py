@@ -21,7 +21,7 @@ from fasttog import (
     detect, extract_subgraph,
 )
 
-WATCHED = ("ssl", "http.client", "urllib.request", "numpy.random")
+WATCHED = ("ssl", "http.client", "urllib.request", "numpy.random", "logging", "concurrent.futures")
 report = {"numpy_major": int(np.__version__.split(".")[0])}
 
 def phase(name):
@@ -71,6 +71,8 @@ def test_a_louvain_walk_loads_no_http_stack_and_builds_no_label_set():
     assert report["answer"] == "Humid Subtropical"
     walk = report["walk"]
     http_stack = ["ssl", "http.client", "urllib.request"]
+    # the graph has no duplicate or self-loop to warn about, and no worker pool runs
+    assert not {"logging", "concurrent.futures"} & set(walk["loaded"])
     if report["numpy_major"] >= 2:  # older numpy loads numpy.random with numpy
         assert walk["loaded"] == []
     else:

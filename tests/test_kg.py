@@ -103,6 +103,20 @@ def test_neighbors_unknown_node():
         kg.neighbors("missing")
 
 
+def test_only_string_labels_are_in_the_graph():
+    kg = KnowledgeGraph([Triple("a", "r", "b"), Triple("5", "r", "None")])
+    # labels are found by bisection; anything that is not a string is absent
+    for label in (5, None, ["a"], ("a",), b"a", 5.0):
+        assert label not in kg
+    for label in ("", "0", "a ", "c", "\uffff"):
+        assert label not in kg
+    assert all(label in kg for label in ("5", "None", "a", "b"))
+    with pytest.raises(NotFoundError):
+        kg.neighbors(["a"])
+    with pytest.raises(NotFoundError):
+        extract_subgraph(kg, [5], SamplerConfig())
+
+
 def test_extract_rho_one_is_full_ball():
     kg = bridged_triangles()
     g = extract_subgraph(kg, ["a"], SamplerConfig(rho=1.0, r_max=2, seed=0))

@@ -215,6 +215,32 @@ def _candidate_cases(rng):
             yield p, Community.from_members(cur, g), h, g
 
 
+def test_candidates_build_only_the_blocks_holding_a_frontier_node(monkeypatch):
+    built = []
+    real = Community.from_members.__func__
+
+    def counting(cls, members, g):
+        built.append(tuple(sorted(members)))
+        return real(cls, members, g)
+
+    rng = random.Random(71)
+    seen = 0
+    for p, current, h, g in _candidate_cases(rng):
+        fresh = Partition.of_blocks(p.blocks, g)  # no block read yet
+        frontier = set().union(*(g.adj[v] for v in current.members)) - current.members
+        near = {block for block in p.blocks if not frontier.isdisjoint(block)}
+        monkeypatch.setattr(Community, "from_members", classmethod(counting))
+        got = candidate_communities(fresh, current, h, g)
+        monkeypatch.undo()
+        # each such block once from the partition, then once per candidate
+        # for its score
+        assert sorted(built) == sorted(list(near) + [c.community.sorted_members for c in got])
+        assert got == candidate_communities(p, current, h, g)
+        seen += len(p.blocks) - len(near)
+        built.clear()
+    assert seen > 1000  # most blocks are never built
+
+
 def test_candidates_match_brute_force_scan():
     rng = random.Random(53)
     seen = 0

@@ -197,3 +197,49 @@ def test_template_read_from_disk_once(tmp_path):
     path.unlink()
     # the second load never touches disk, so the deleted file is not missed
     assert load_template("pruning", tmp_path) == ("PRE", "Q={question}")
+
+
+TEMPLATE_FIELDS = {
+    "pruning": ("question", "premise", "selection"),
+    "reasoning": ("question", "context"),
+    "extract": ("question",),
+    "baseline_io": ("question",),
+    "baseline_cot": ("question",),
+    "g2t": ("triples",),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TEMPLATE_FIELDS))
+def test_template_fields_are_checked_against_what_the_builder_passes(tmp_path, name):
+    path = tmp_path / f"{name}.txt"
+    fields = TEMPLATE_FIELDS[name]
+    body = " ".join(f"{{{f}}}" for f in fields)
+    path.write_text(f"PRE\n{body} {{{fields[0]}!r}}\n", encoding="utf-8")
+    assert load_template(name, tmp_path) == ("PRE", f"{body} {{{fields[0]}!r}}")
+    others = {f for names in TEMPLATE_FIELDS.values() for f in names} - set(fields)
+    bads = sorted(others) + ["foo", "", "0", f"{fields[0]}.upper", f"{fields[0]}:{{foo}}"]
+    for i, bad in enumerate(bads):
+        sub = tmp_path / f"bad{i}"
+        sub.mkdir()
+        (sub / f"{name}.txt").write_text(f"PRE\n{body} {{{bad}}}\n", encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            load_template(name, sub)
+        message = str(err.value)
+        assert str(sub / f"{name}.txt") in message
+        named = "foo" if bad.endswith("{foo}") else bad
+        assert f"unknown field {{{named}}}" in message
+
+
+def test_a_template_that_does_not_parse_names_its_file(tmp_path):
+    (tmp_path / "reasoning.txt").write_text("PRE\nQ={question} {oops\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"template {tmp_path / 'reasoning.txt'}: expected"):
+        load_template("reasoning", tmp_path)
+    # the failure is not cached: a mended file loads
+    (tmp_path / "reasoning.txt").write_text("PRE\nQ={question} {context}\n", encoding="utf-8")
+    assert load_template("reasoning", tmp_path) == ("PRE", "Q={question} {context}")
+
+
+def test_packaged_templates_pass_their_own_check():
+    for name in TEMPLATE_FIELDS:
+        preamble, body = load_template(name)
+        assert preamble and body
