@@ -201,7 +201,7 @@ def _cmd_trace(args) -> int:
                 event = json.loads(line)
                 check_trace_event(event)
             except ValueError as exc:  # JSONDecodeError is one too
-                raise DataError(line_no, f"invalid trace line: {exc}")
+                raise DataError(line_no, f"invalid trace line: {exc}", kind="line")
             events.append(event)
     _write_or_print(trace_to_dot(events), args.out)
     return 0

@@ -15,10 +15,10 @@ node pair count as one edge, and self-loops carry no structural weight.
 
 A :class:`Partition` is its blocks, tuples of member labels; it builds the
 :class:`Community` of a block on the block's first read. A community keeps
-its members' structural neighbour sets and the subgraph's edge count until
-its sums are first read, then computes all three at once. Detection builds
-no community, and candidate search builds and scores only those next to the
-frontier.
+its members' local indices and neighbour lists and the subgraph's edge count
+until its sums are first read, then computes all three at once. Detection
+builds no community, and candidate search builds and scores only those next
+to the frontier.
 """
 
 from __future__ import annotations
@@ -55,16 +55,18 @@ class Community:
     community once it is built.
     """
 
-    __slots__ = ("members", "sorted_members", "_adj", "_m", "_sums", "_id")
+    __slots__ = ("members", "sorted_members", "_local", "_adj", "_m", "_sums", "_id")
 
     def __init__(self, members: frozenset[EntityId], g: Subgraph):
         self.members = members
         self.sorted_members = tuple(sorted(members))
         # only what the sums read, so that a kept community does not keep the
-        # whole subgraph alive. A list, not a tuple: CPython keeps freed small
-        # tuples on free lists, and one more tuple per community raised the
-        # walk benchmark's peak memory by about 0.2 MB
-        self._adj = list(map(g.adj.__getitem__, self.sorted_members))
+        # whole subgraph alive: the members' local indices and neighbour
+        # lists. Lists, not tuples: CPython keeps freed small tuples on free
+        # lists, and one more tuple per community raised the walk
+        # benchmark's peak memory by about 0.2 MB
+        self._local = list(map(g.index.__getitem__, self.sorted_members))
+        self._adj = list(map(g.nbrs.__getitem__, self._local))
         self._m = g.m
         self._sums = None
         self._id = None
@@ -77,15 +79,13 @@ class Community:
 
     def _scores(self) -> tuple[int, int, float]:
         if self._sums is None:
-            members, m = self.members, self._m
-            sigma_in = 0  # the ordered double-count of internal edges
-            sigma_tot = 0
-            for nbrs in self._adj:
-                sigma_tot += len(nbrs)
-                sigma_in += len(nbrs & members)
+            inside, adj, m = set(self._local), self._adj, self._m
+            # the ordered double-count of internal edges
+            sigma_in = sum(map(len, map(inside.intersection, adj)))
+            sigma_tot = sum(map(len, adj))
             q = float(sigma_in) - (sigma_tot**2) / (2.0 * m) if m else 0.0
             self._sums = (sigma_in, sigma_tot, q)
-            self._adj = None
+            self._local = self._adj = None
         return self._sums
 
     @property

@@ -7,6 +7,10 @@ the fine end and keep the first state whose communities all fit within the
 size bound. The finest state is always all singletons, so a feasible state
 always exists for any bound >= 1.
 
+Components are split over the subgraph's local indices; an extraction with
+one center is connected, so it is not searched. Louvain runs on the local
+neighbour lists, and the other detectors read the label adjacency.
+
 States are recorded compactly: the scan reads only each state's largest
 block size, so only the chosen state of each component is turned into
 blocks, sorted label tuples. The :class:`Partition` they form builds no
@@ -95,7 +99,20 @@ class DetectionOutcome:
 
 def connected_components(g: Subgraph) -> list[frozenset[EntityId]]:
     """Structural components of the subgraph, ordered by smallest member."""
-    return [frozenset(block) for block in _components_of(g.adj)]
+    labels = g.labels
+    return [frozenset(map(labels.__getitem__, comp)) for comp in _local_components(g)]
+
+
+def _local_components(g: Subgraph) -> list[list[int]]:
+    """Structural components as ascending local-index lists, ordered by
+    smallest member. An extraction with one center is connected: every kept
+    node was reached from a kept node."""
+    n = len(g)
+    if g.n_centres > 1:
+        comps = _components_of(g.nbrs, range(n))
+        if len(comps) > 1:
+            return [sorted(block) for block in comps]
+    return [list(range(n))]
 
 
 def backtrack_to_size(snapshots: list[PartitionSnapshot], m_max: int) -> Partition:
@@ -129,7 +146,7 @@ def detect_full(g: Subgraph, kind: str, m_max: int, seed: int = 0) -> DetectionO
 def _detect(g, kind, m_max, seed, stop_early) -> DetectionOutcome:
     if kind not in DETECTOR_KINDS:
         raise ValueError(f"unknown detector kind: {kind!r}")
-    if not g.nodes:
+    if not len(g):
         raise ValueError("subgraph is empty")
     if m_max < 1:
         raise ValueError(f"m_max must be >= 1, got {m_max}")
@@ -139,7 +156,8 @@ def _detect(g, kind, m_max, seed, stop_early) -> DetectionOutcome:
     np_rng = np.random.default_rng(seed) if kind == "spectral" else None
     traces: list[ComponentTrace] = []
     all_blocks = []
-    comps = connected_components(g)
+    labels = g.labels
+    comps = _local_components(g)
     for i, comp in enumerate(comps):
         # louvain may stop early only on the last component: stopping sooner
         # would change the random draws every later component sees
@@ -147,14 +165,15 @@ def _detect(g, kind, m_max, seed, stop_early) -> DetectionOutcome:
         states = _component_states(g, comp, kind, m_max, rng, np_rng, bounded)
         # the same scan as backtrack_to_size, on block sizes alone; the
         # finest state always fits, so the scan always stops
-        step = next(
-            i for i in reversed(range(len(states))) if _largest_block(states[i]) <= m_max
-        )
+        step = len(states) - 1
+        while _largest_block(states[step]) > m_max:
+            step -= 1
         blocks = _label_blocks(states[step])
         # disjoint blocks differ in their first label, so the sort reads only that
         blocks.sort()
         chosen = Partition.of_blocks(tuple(blocks), g)
-        traces.append(ComponentTrace(tuple(sorted(comp)), chosen, states, step, g))
+        nodes = tuple(map(labels.__getitem__, comp))
+        traces.append(ComponentTrace(nodes, chosen, states, step, g))
         all_blocks.extend(blocks)
 
     all_blocks.sort()
@@ -178,11 +197,15 @@ def _label_blocks(state) -> list[tuple[EntityId, ...]]:
 
 
 def _component_states(g, comp, kind, m_max, rng, np_rng, bounded):
+    """States of the component ``comp``, ascending local indices."""
+    labels = g.labels
     if len(comp) == 1 or m_max == 1:
         # singletons are the only feasible state; skip the algorithms
-        return [[{v} for v in sorted(comp)]]
+        return [[{labels[v]} for v in comp]]
     if kind == "louvain":
         return _louvain_states(g, comp, rng, m_max if bounded else None)
+    # the other detectors read the label views
+    comp = frozenset(map(labels.__getitem__, comp))
     if kind == "girvan_newman":
         return _girvan_newman_states(g, comp)
     if kind == "hierarchical":
@@ -199,8 +222,9 @@ def _component_states(g, comp, kind, m_max, rng, np_rng, bounded):
 class _Level:
     """One louvain aggregation level and the moves made on it.
 
-    Nodes are numbered by their rank in the component's sorted label order;
-    a level node is named by the rank of its smallest original member, so
+    Nodes are numbered by their rank in the component's ascending local
+    indices, which is label order, and ``labels`` gives each rank's label; a
+    level node is named by the rank of its smallest original member, so
     integer order is label order. ``members`` maps each level node to the
     ranks it stands for; ``moves`` logs each accepted ``(node, community)``
     move in order.
@@ -225,61 +249,63 @@ class _Labelling:
     max_size: int
 
     def rank_blocks(self) -> list[list[int]]:
-        level = self.level
-        comm = {u: u for u in level.members}
-        for u, c in level.moves[: self.n_moves]:
+        members = self.level.members
+        comm = list(range(len(self.level.labels)))
+        for u, c in self.level.moves[: self.n_moves]:
             comm[u] = c
+        # a level node is named by its smallest member, so grouping in
+        # ascending node order puts the blocks in order of their smallest
+        # member
         grouped: dict[int, list[int]] = {}
-        for u, c in comm.items():
-            grouped.setdefault(c, []).extend(level.members[u])
-        return [sorted(block) for block in grouped.values()]
+        for u in sorted(members):
+            grouped.setdefault(comm[u], []).extend(members[u])
+        blocks = list(grouped.values())
+        for block in blocks:
+            block.sort()
+        return blocks
 
     def __iter__(self):
         labels = self.level.labels
         return iter([frozenset(map(labels.__getitem__, b)) for b in self.rank_blocks()])
 
 
-def _louvain_states(
-    g: Subgraph, comp: frozenset[EntityId], rng: random.Random, m_max: int | None = None
-):
-    """Louvain states from singletons on; with ``m_max``, stop once a level
-    converges with a block bigger than ``m_max``."""
-    labels = sorted(comp)
-    n = len(labels)
-    rank = {v: i for i, v in enumerate(labels)}
-    # working (possibly aggregated) weighted graph; weights stay component-local
-    weight: dict[int, dict[int, float]] = {i: {} for i in range(n)}
-    self_w = [0.0] * n
-    members: dict[int, list[int]] = {i: [i] for i in range(n)}
-    two_m = 0.0
-    for u, i in rank.items():
-        for v in g.adj[u]:
-            j = rank.get(v)
-            if j is not None and i < j:
-                weight[i][j] = weight[j][i] = 1.0
-                two_m += 2.0
-
-    level = _Level(labels, members)
+def _louvain_states(g: Subgraph, comp: list[int], rng: random.Random, m_max: int | None = None):
+    """Louvain states of the component ``comp`` (ascending local indices)
+    from singletons on; with ``m_max``, stop once a level converges with a
+    block bigger than ``m_max``."""
+    n = len(comp)
+    if n == len(g):  # the whole subgraph: ranks are local indices
+        nbrs, labels = g.nbrs, g.labels
+    else:
+        rank = {v: i for i, v in enumerate(comp)}
+        nbrs = [[rank[u] for u in g.nbrs[v]] for v in comp]
+        labels = list(map(g.labels.__getitem__, comp))
+    level = _Level(labels, {i: [i] for i in range(n)})
     states = [_Labelling(level, 0, 1)]
+    two_m = float(sum(map(len, nbrs)))
     if two_m == 0.0:
         return states
     getrandbits = rng.getrandbits
 
+    # the working (possibly aggregated) weighted graph: each level node's
+    # neighbours and their link weights, its weighted degree, its self-loop
+    # weight and its block size. Weights are whole numbers, so their sums are
+    # exact in any order. The first level's links all share one list of unit
+    # weights, as long as the longest neighbour list
+    level_nodes = list(range(n))
+    nbrs_of = nbrs
+    weights_of = [[1.0] * max(map(len, nbrs))] * n
+    k_w = list(map(float, map(len, nbrs)))
+    self_w = [0.0] * n
+    size = [1] * n
     max_size = 1
     while True:
-        level_nodes = sorted(weight)
-        k_w = [0.0] * n
-        nbrs: list[tuple[tuple[int, float], ...]] = [()] * n
-        for u in level_nodes:
-            k_w[u] = self_w[u] + sum(weight[u].values())
-            nbrs[u] = tuple(weight[u].items())
-        comm_of = list(range(n))
-        comm_tot = list(k_w)
-        size = [0] * n
+        members = level.members
         count_of_size = [0] * (n + 1)  # communities per block size
         for u in level_nodes:
-            size[u] = len(members[u])
             count_of_size[size[u]] += 1
+        comm_of = list(range(n))
+        comm_tot = list(k_w)
         moves = level.moves
 
         while True:
@@ -288,8 +314,8 @@ def _louvain_states(
             _shuffle(order, getrandbits)
             for u in order:
                 old = comm_of[u]
-                nb = nbrs[u]
-                if len(nb) == 1 and comm_of[nb[0][0]] == old:
+                nb = nbrs_of[u]
+                if len(nb) == 1 and comm_of[nb[0]] == old:
                     # a leaf in its neighbour's community stays. Taking its
                     # weight out of old's total and back in would be exact:
                     # totals are sums of whole-number weights
@@ -303,15 +329,15 @@ def _louvain_states(
                 if len(nb) == 1:
                     # most nodes are leaves: the general scan below with one
                     # link, whose weight is 0.0 + w == w
-                    v, w = nb[0]
-                    c = comm_of[v]
+                    c = comm_of[nb[0]]
+                    w = weights_of[u][0]
                     bar = 0.0 - comm_tot[old] * k / two_m + 1e-12
                     if w - comm_tot[c] * k / two_m > bar:
                         best_comm = c
                 else:
                     # weight from u into each neighboring community
                     links: dict[int, float] = {}
-                    for v, w in nb:
+                    for v, w in zip(nb, weights_of[u]):
                         c = comm_of[v]
                         links[c] = links.get(c, 0.0) + w
                     bar = links.get(old, 0.0) - comm_tot[old] * k / two_m + 1e-12
@@ -325,11 +351,17 @@ def _louvain_states(
                 if best_comm != old:
                     moved_in_pass = True
                     moving = len(members[u])
-                    for c, delta in ((old, -moving), (best_comm, moving)):
-                        count_of_size[size[c]] -= 1
-                        size[c] += delta
-                        count_of_size[size[c]] += 1
-                    max_size = max(max_size, size[best_comm])
+                    s = size[old]
+                    count_of_size[s] -= 1
+                    count_of_size[s - moving] += 1
+                    size[old] = s - moving
+                    s = size[best_comm]
+                    count_of_size[s] -= 1
+                    s += moving
+                    count_of_size[s] += 1
+                    size[best_comm] = s
+                    if s > max_size:
+                        max_size = s
                     while not count_of_size[max_size]:
                         max_size -= 1
                     # state per accepted move: the trajectory must pass
@@ -352,54 +384,68 @@ def _louvain_states(
         groups: dict[int, list[int]] = {}
         for u in level_nodes:
             groups.setdefault(comm_of[u], []).append(u)
+        if len(groups) == 1:
+            return states
         rename = {c: min(us) for c, us in groups.items()}
-        new_weight: dict[int, dict[int, float]] = {}
-        new_self = [0.0] * n
         new_members: dict[int, list[int]] = {}
+        new_self = [0.0] * n
+        new_weight: dict[int, dict[int, float]] = {}
         for c, us in groups.items():
             name = rename[c]
             new_members[name] = [i for u in us for i in members[u]]
-            new_weight[name] = {}
-            new_self[name] = sum(self_w[u] for u in us)
-        for c, us in groups.items():
-            name = rename[c]
+            w_self = sum(self_w[u] for u in us)
+            to = new_weight[name] = {}
             for u in us:
-                for v, w in weight[u].items():
+                for v, w in zip(nbrs_of[u], weights_of[u]):
                     other = rename[comm_of[v]]
                     if other == name:
-                        new_self[name] += w
+                        w_self += w
                     else:
-                        new_weight[name][other] = new_weight[name].get(other, 0.0) + w
-        weight, self_w, members = new_weight, new_self, new_members
-        if len(weight) == 1:
-            return states
-        level = _Level(labels, members)
+                        to[other] = to.get(other, 0.0) + w
+            new_self[name] = w_self
+        level_nodes = sorted(new_members)
+        nbrs_of = [()] * n
+        weights_of = [()] * n
+        k_w = [0.0] * n
+        size = [0] * n
+        for u in level_nodes:
+            nbrs_of[u] = list(new_weight[u])
+            weights_of[u] = list(new_weight[u].values())
+            k_w[u] = new_self[u] + sum(weights_of[u])
+            size[u] = len(new_members[u])
+        self_w = new_self
+        level = _Level(labels, new_members)
 
 
 def _shuffle(x: list, getrandbits) -> None:
     """``random.Random.shuffle(x)`` with the same draws from ``getrandbits``,
     the generator's bound method, but no method call per element."""
-    for i in range(len(x) - 1, 0, -1):
+    i = len(x) - 1
+    while i > 0:
+        # every i down to stop + 1 draws the same number of bits
         bits = (i + 1).bit_length()
-        j = getrandbits(bits)
-        while j > i:
+        stop = (1 << (bits - 1)) - 2
+        for i in range(i, stop, -1):
             j = getrandbits(bits)
-        x[i], x[j] = x[j], x[i]
+            while j > i:
+                j = getrandbits(bits)
+            x[i], x[j] = x[j], x[i]
+        i = stop
 
 
 # -- girvan-newman -----------------------------------------------------------
 
 
 def _girvan_newman_states(g: Subgraph, comp: frozenset[EntityId]):
-    adj = {u: set(g.adj[u] & comp) for u in sorted(comp)}
-    chronological = [_components_of(adj)]
+    adj = {u: set(g.adj[u] & comp) for u in sorted(comp)}  # keys in label order
+    chronological = [_components_of(adj, adj)]
     while any(adj[u] for u in adj):
         betweenness = _edge_betweenness(adj)
         top = max(betweenness.values())
         edge = min(e for e, b in betweenness.items() if b >= top - 1e-9)
         adj[edge[0]].discard(edge[1])
         adj[edge[1]].discard(edge[0])
-        comps = _components_of(adj)
+        comps = _components_of(adj, adj)
         if len(comps) > len(chronological[-1]):
             chronological.append(comps)
     # removal order runs coarse to fine; reverse so backtracking from the
@@ -407,23 +453,20 @@ def _girvan_newman_states(g: Subgraph, comp: frozenset[EntityId]):
     return list(reversed(chronological))
 
 
-def _components_of(adj):
-    """BFS blocks of an adjacency map, ordered by smallest member."""
-    seen: set[EntityId] = set()
+def _components_of(adj, nodes):
+    """Blocks of the adjacency ``adj`` over ``nodes`` (ascending), ordered by
+    smallest member. Each block grows a whole frontier at a time, by set
+    operations."""
+    seen = set()
     comps = []
-    for start in sorted(adj):
+    for start in nodes:
         if start in seen:
             continue
-        block = {start}
-        seen.add(start)
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    block.add(v)
-                    queue.append(v)
+        block = frontier = {start}
+        while frontier:
+            frontier = set().union(*map(adj.__getitem__, frontier)) - block
+            block |= frontier
+        seen |= block
         comps.append(block)
     return comps
 

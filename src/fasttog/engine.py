@@ -382,7 +382,7 @@ class Engine:
             chain=chain_index,
             depth=depth,
             center=sorted(current_members),
-            nodes=len(g.nodes),
+            nodes=len(g),
             edges=g.m,
         )
         partition = detect(g, cfg.detector, cfg.max_community_size, seed=self._next_seed())

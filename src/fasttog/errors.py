@@ -34,10 +34,14 @@ class ResolutionError(FastToGError):
 
 
 class DataError(FastToGError):
-    """A dataset record violated the expected schema."""
+    """A dataset record or a line of a data file violated the expected schema.
 
-    def __init__(self, index: int, message: str):
-        super().__init__(f"record {index}: {message}")
+    ``kind`` names what ``index`` counts: ``"record"`` for a dataset record,
+    ``"line"`` for a line of a trace file.
+    """
+
+    def __init__(self, index: int, message: str, kind: str = "record"):
+        super().__init__(f"{kind} {index}: {message}")
         self.index = index
 
 

@@ -7,6 +7,13 @@ sorted integer columns; ``Triple`` objects are made only for the rows a
 caller reads. The graph is immutable once built and safe for concurrent
 readers.
 
+An extracted :class:`Subgraph` numbers its nodes 0..n-1 in label order and
+keeps one integer neighbour list per node, read from the store's neighbour
+index. Louvain, the component split and candidate search work on those
+lists; labels, the label adjacency and the subgraph's triples are views built
+when first read, and a node's triples are read from the store only when a
+lookup needs them.
+
 Triple file format: UTF-8, one ``subject<TAB>predicate<TAB>object`` per line.
 Lines starting with ``#`` are comments; blank lines are skipped. Labels may
 contain spaces but not tabs.
@@ -18,12 +25,11 @@ import random
 from array import array
 from bisect import bisect_left
 from collections import defaultdict, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from itertools import count, groupby
-from operator import itemgetter
+from itertools import count, repeat
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
+from typing import Iterable, Iterator, NamedTuple, TextIO
 
 import numpy as np
 
@@ -75,6 +81,10 @@ class KnowledgeGraph:
       neighbours of ``v`` (either direction, parallel edges collapsed,
       self-loops dropped), ascending.
 
+    Both offset arrays are int32, so a store holds fewer than 2**30 rows.
+    Subgraphs read single items and short runs of the columns and indexes
+    through memoryviews (``_views``), which hand back Python ints.
+
     The sort key and the neighbour index are built by helpers that free
     their int64 temporaries before they return, so ingest peaks little
     above what the store keeps. ``label in kg`` is the cheap membership
@@ -97,8 +107,10 @@ class KnowledgeGraph:
                 log.warning("collapsed %d duplicate triple(s)", self.duplicate_count)
             if self.self_loop_count:
                 log.warning("graph contains %d self-loop triple(s)", self.self_loop_count)
+        if 2 * len(s) > _OFFSET_LIMIT:
+            raise ValueError(f"{len(s)} distinct triples overflow the int32 row offsets")
         # int32 probes: int64 ones would make numpy search an int64 copy of ``s``
-        self._out_start = np.searchsorted(s, np.arange(n + 1, dtype=np.int32))
+        self._out_start = np.searchsorted(s, np.arange(n + 1, dtype=np.int32)).astype(np.int32)
         self._nbr, self._nbr_start = _neighbour_index(s, o, n)
 
     # -- construction -----------------------------------------------------
@@ -186,6 +198,14 @@ class KnowledgeGraph:
         counts = self._out_start[ids + 1] - lo
         return np.arange(counts.sum()) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
 
+    def _views(self) -> tuple[memoryview, ...]:
+        """The ``_p`` and ``_o`` columns, ``_out_start``, ``_nbr`` and
+        ``_nbr_start`` as memoryviews, whose items and slices read as Python
+        ints at about half the cost of numpy's. Made per call, so the store
+        keeps none."""
+        arrays = (self._p, self._o, self._out_start, self._nbr, self._nbr_start)
+        return tuple(map(memoryview, arrays))
+
     def _triples_at(self, rows) -> list[Triple]:
         """``Triple`` objects for ``rows`` (an index array or a slice), in order."""
         labels, predicates = self._labels, self._predicates
@@ -199,6 +219,9 @@ class KnowledgeGraph:
 
 # a packed (subject, predicate, object) sort key must stay below this
 _KEY_LIMIT = 2**63
+# row and neighbour offsets are int32; the neighbour index holds at most two
+# entries per row
+_OFFSET_LIMIT = 2**31 - 1
 
 
 def _parse_tsv(lines: TextIO) -> Iterator[tuple[str, str, str]]:
@@ -312,7 +335,7 @@ def _neighbour_index(s: np.ndarray, o: np.ndarray, n: int) -> tuple[np.ndarray, 
     back += edges
     del edges
     pairs.sort()
-    start = np.searchsorted(pairs, np.arange(n + 1, dtype=np.int64) * n)
+    start = np.searchsorted(pairs, np.arange(n + 1, dtype=np.int64) * n).astype(np.int32)
     return _remainder32(pairs, n), start
 
 
@@ -328,82 +351,154 @@ def _first_of_runs(ordered: np.ndarray) -> np.ndarray:
     return fresh
 
 
-@dataclass
 class Subgraph:
     """A hop-limited working graph extracted around a center node set.
 
-    ``triples`` holds every source triple between retained nodes (including
-    parallel predicates and self-loops, for verbalization), sorted. ``out``
-    indexes those same triples by subject, so member-set lookups read only
-    the members' entries and extraction cost follows the neighbourhood, not
-    the whole graph. The structural view collapses parallel edges to a
-    single undirected edge and drops self-loops; ``m`` is the structural
-    edge count used by modularity.
+    A subgraph is held by local index: node ``i`` is store id ``ids[i]``, and
+    the ids ascend, so local order is label order. ``nbrs[i]`` lists the local
+    indices of node ``i``'s structural neighbours, ascending: parallel edges
+    collapse to one undirected edge and self-loops are dropped. ``m`` is the
+    structural edge count used by modularity, and ``n_centres`` the number of
+    hop-0 nodes. Louvain, the component split and candidate search read these
+    lists.
+
+    The label views are built on first read: ``labels`` (by local index),
+    ``nodes``, ``index`` (label -> local index), ``adj``, ``hop_of`` (centers
+    first, in center-set order, then discovery order), ``triples``, every
+    source triple between retained nodes (including parallel predicates and
+    self-loops, for verbalization), sorted, and ``out``, those triples by
+    subject. A node's rows are read from the store the first time a lookup
+    needs them, and ``Triple`` objects are made only for the triples a lookup
+    returns.
     """
 
-    nodes: frozenset[EntityId]
-    triples: tuple[Triple, ...]
-    out: dict[EntityId, tuple[Triple, ...]] = field(repr=False)
-    hop_of: dict[EntityId, int]
-    adj: dict[EntityId, frozenset[EntityId]] = field(repr=False)
-    m: int = 0
+    def __init__(self, omega: KnowledgeGraph, hop: dict[int, int], n_centres: int):
+        # ``hop`` maps each retained store id to its hop, in discovery order
+        self._omega = omega
+        self._hop = hop
+        self.n_centres = n_centres
+        self.ids = ids = sorted(hop)
+        self._local = local = dict(zip(ids, range(len(ids))))
+        self._views = omega._views()
+        _, _, _, nbr, nbr_start = self._views
+        self.nbrs = [
+            [local[u] for u in nbr[nbr_start[v] : nbr_start[v + 1]].tolist() if u in local]
+            for v in ids
+        ]
+        self.m = sum(map(len, self.nbrs)) // 2
+        self._rows: list[list[tuple[int, int]] | None] = [None] * len(ids)
 
-    # both lookups walk subjects in sorted order, so they return triples in
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    @cached_property
+    def labels(self) -> list[EntityId]:
+        return list(map(self._omega._labels.__getitem__, self.ids))
+
+    @cached_property
+    def nodes(self) -> frozenset[EntityId]:
+        return frozenset(self.labels)
+
+    @cached_property
+    def index(self) -> dict[EntityId, int]:
+        return dict(zip(self.labels, range(len(self.ids))))
+
+    @cached_property
+    def adj(self) -> dict[EntityId, frozenset[EntityId]]:
+        labels = self.labels
+        return {
+            labels[i]: frozenset(map(labels.__getitem__, nb)) for i, nb in enumerate(self.nbrs)
+        }
+
+    @cached_property
+    def hop_of(self) -> dict[EntityId, int]:
+        labels = self._omega._labels
+        return {labels[v]: h for v, h in self._hop.items()}
+
+    @cached_property
+    def out(self) -> dict[EntityId, tuple[Triple, ...]]:
+        every = range(len(self.ids))
+        return {
+            v: tuple(t for _, _, t in self._select([i], [every]))
+            for i, v in enumerate(self.labels)
+        }
+
+    @cached_property
+    def triples(self) -> tuple[Triple, ...]:
+        every = range(len(self.ids))
+        return tuple(t for _, _, t in self._select(every, repeat(every)))
+
+    # the lookups walk subjects in ascending order, so they return triples in
     # the same order as ``triples``
     def intra_triples(self, members: frozenset[EntityId]) -> list[Triple]:
-        return [t for v in sorted(members) for t in self.out.get(v, ()) if t.object in members]
+        inside = self.local_set(members)
+        return [t for _, _, t in self._select(sorted(inside), repeat(inside))]
 
     def triples_between(
         self, left: frozenset[EntityId], right: frozenset[EntityId]
     ) -> list[Triple]:
         """Triples with one endpoint in ``left`` and the other in ``right``."""
+        return [t for _, _, t in self.rows_between(self.local_set(left), self.local_set(right))]
+
+    def rows_between(self, left: set[int], right: set[int]) -> list[tuple[int, int, Triple]]:
+        """The triples with one endpoint in ``left`` and the other in
+        ``right`` (sets of local indices), in triple order, each as
+        ``(subject, object, triple)`` with local endpoints."""
+        nbrs = self.nbrs
+        ends, targets_of = [], []
+        for i in sorted(left | right):
+            if i in left:
+                targets = left | right if i in right else right
+            else:
+                targets = left
+            # a row joins i to a structural neighbour, or is a self-loop
+            if i in targets or not targets.isdisjoint(nbrs[i]):
+                ends.append(i)
+                targets_of.append(targets)
+        return self._select(ends, targets_of)
+
+    def local_set(self, labels) -> set[int]:
+        """The local indices of ``labels``; labels outside the subgraph have none."""
+        local = set(map(self.index.get, labels))
+        local.discard(None)
+        return local
+
+    def _select(self, subjects, targets_of) -> list[tuple[int, int, Triple]]:
+        """For each node ``i`` of ``subjects`` and the matching set of
+        ``targets_of``, the triples from ``i`` to a node of that set, as
+        ``(subject, object, triple)`` with local endpoints."""
+        labels, predicates = self.labels, self._omega._predicates
         return [
-            t
-            for v in sorted(left | right)
-            for t in self.out.get(v, ())
-            if (v in left and t.object in right) or (v in right and t.object in left)
+            (i, j, Triple(labels[i], predicates[q], labels[j]))
+            for i, targets, rows in zip(subjects, targets_of, self._rows_of(subjects))
+            for q, j in rows
+            if j in targets
         ]
 
-    @classmethod
-    def _from_retained(
-        cls,
-        omega: KnowledgeGraph,
-        retained: Sequence[int],
-        hop_of: dict[EntityId, int],
-    ) -> "Subgraph":
-        # ``retained`` holds ascending node ids. Their outgoing rows are runs
-        # of the sorted columns, so gathering the runs in that order yields
-        # the triples already sorted
-        ids = np.asarray(retained, dtype=np.int64)
-        rows = omega._out_rows(ids)
-        objects = omega._o[rows]
-        at = np.minimum(np.searchsorted(ids, objects), max(len(ids) - 1, 0))
-        triples = omega._triples_at(rows[ids[at] == objects])
-        labels = omega._labels
-        out: dict[EntityId, tuple[Triple, ...]] = {labels[v]: () for v in retained}
-        for subject, mine in groupby(triples, key=itemgetter(0)):
-            out[subject] = tuple(mine)
-        adj: dict[EntityId, set[EntityId]] = {v: set() for v in out}
-        for t in triples:
-            if t.object != t.subject:
-                adj[t.subject].add(t.object)
-                adj[t.object].add(t.subject)
-        m = sum(len(s) for s in adj.values()) // 2
-        return cls(
-            nodes=frozenset(out),
-            triples=tuple(triples),
-            out=out,
-            hop_of=hop_of,
-            adj={v: frozenset(s) for v, s in adj.items()},
-            m=m,
-        )
+    def _rows_of(self, nodes) -> list[list[tuple[int, int]]]:
+        """Each node's rows with a retained object as ``(predicate id, local
+        object)``, in (predicate, object) order. A node's rows are read from
+        the store on its first lookup."""
+        rows = self._rows
+        missing = [i for i in nodes if rows[i] is None]
+        if missing:
+            ids, local = self.ids, self._local
+            p, o, out_start, _, _ = self._views
+            for i in missing:
+                v = ids[i]
+                lo, hi = out_start[v], out_start[v + 1]
+                rows[i] = [
+                    (q, local[u])
+                    for q, u in zip(p[lo:hi].tolist(), o[lo:hi].tolist())
+                    if u in local
+                ]
+        return [rows[i] for i in nodes]
 
     @classmethod
     def from_full_graph(cls, omega: KnowledgeGraph) -> "Subgraph":
         """Wrap a whole graph as a hop-0 subgraph (used by offline detection)."""
-        return cls._from_retained(
-            omega, range(len(omega._labels)), dict.fromkeys(omega._labels, 0)
-        )
+        n = len(omega._labels)
+        return cls(omega, dict.fromkeys(range(n), 0), n)
 
 
 def extract_subgraph(
@@ -422,7 +517,9 @@ def extract_subgraph(
     center_set = frozenset(center)
     if not center_set:
         raise NotFoundError("center must contain at least one entity")
-    hop: dict[int, int] = {}  # retained ids
+    # retained ids and their hops, in discovery order: the centers first, in
+    # center-set order
+    hop: dict[int, int] = {}
     for v in center_set:
         i = omega._find(v)
         if i is None:
@@ -432,23 +529,22 @@ def extract_subgraph(
     # the walk runs over ids; ascending id order is sorted label order, so
     # neighbours are visited, and random draws made, in label order
     rng = random.Random(cfg.seed)
-    labels, nbr, nbr_start = omega._labels, omega._nbr, omega._nbr_start
-    hop_of: dict[EntityId, int] = {v: 0 for v in center_set}
+    r_max = cfg.r_max
+    keep_p = [cfg.rho**h for h in range(r_max)]  # for a node found from hop h
+    _, _, _, nbr, nbr_start = omega._views()
     decided: set[int] = set(hop)  # kept or rejected, never revisited
-    queue: deque[int] = deque(sorted(hop))
+    queue: deque[int] = deque(sorted(hop))  # nodes below hop r_max
 
     while queue:
         u = queue.popleft()
         h = hop[u]
-        if h >= cfg.r_max:
-            continue
+        p = keep_p[h]
         for v in nbr[nbr_start[u] : nbr_start[u + 1]].tolist():
             if v in decided:
                 continue
             decided.add(v)
-            keep_p = cfg.rho ** h  # discovery hop is h + 1
-            if keep_p >= 1.0 or rng.random() < keep_p:
+            if p >= 1.0 or rng.random() < p:
                 hop[v] = h + 1
-                hop_of[labels[v]] = h + 1
-                queue.append(v)
-    return Subgraph._from_retained(omega, sorted(hop), hop_of)
+                if h + 1 < r_max:
+                    queue.append(v)
+    return Subgraph(omega, hop, len(center_set))

@@ -45,16 +45,25 @@ def candidate_communities(
     """
     # a community holds a connecting triple iff it holds a frontier node, so
     # only the blocks holding one are built; the sort key below is total, so
-    # the order they are visited in does not matter
-    frontier = set().union(*(g.adj[v] for v in current.members)) - current.members
-    block_of = {v: i for i, block in enumerate(p.blocks) for v in block}
+    # the order they are visited in does not matter. Nodes are local indices
+    nbrs = g.nbrs
+    inside = g.local_set(current.members)
+    frontier = set().union(*map(nbrs.__getitem__, inside)) - inside
+    index = g.index
+    block_of = [None] * len(g)
+    for i, block in enumerate(p.blocks):
+        for v in block:
+            block_of[index[v]] = i
+    # every connecting triple joins a current member to a frontier node of
+    # the candidate; grouping keeps each block's triples in triple order
+    bridges_of: dict[int, list[Triple]] = {}
+    for i, j, t in g.rows_between(frontier, inside):
+        bridges_of.setdefault(block_of[i if i in frontier else j], []).append(t)
     out = []
-    for i in {block_of.get(v) for v in frontier} - {None}:
+    for i, bridges in bridges_of.items():
         c = p.community(i)
         if c.canonical_id in h:
             continue
-        # triples_between already returns the bridges in triple order
-        bridges = g.triples_between(c.members - current.members, current.members)
         out.append(CandidateCommunity(c, tuple(bridges), modularity_community(c, g)))
     out.sort(key=lambda cand: (-cand.modularity, cand.community.canonical_id))
     return out

@@ -8,7 +8,7 @@ from collections import deque
 
 import numpy as np
 
-from fasttog import KnowledgeGraph, Subgraph, Triple
+from fasttog import KnowledgeGraph, SamplerConfig, Subgraph, Triple, extract_subgraph
 from fasttog.gateway import GenerationRequest, GenerationResponse, CallLedger
 from fasttog.pruning import CandidateCommunity
 
@@ -112,6 +112,20 @@ def multigraph(n: int, n_triples: int, rng: random.Random) -> KnowledgeGraph:
     return KnowledgeGraph(triples)
 
 
+def mixed_extractions(seed: int, trials: int):
+    """Seeded extractions from graphs that join a ``multigraph`` to
+    ``tricky_triples`` over disjoint labels, so that an extraction may have
+    several centers and several components. Yields ``(kg, center, cfg, g)``
+    with 1-4 centers, ``rho`` of 1, 0.6 or 0.3 and ``r_max`` of 1-3."""
+    rng = random.Random(seed)
+    for trial in range(trials):
+        triples = list(multigraph(40, rng.randint(30, 90), rng).triples)
+        kg = KnowledgeGraph(triples + tricky_triples(rng.randint(20, 60), rng))
+        center = rng.sample(sorted(kg.nodes), rng.randint(1, 4))
+        cfg = SamplerConfig(rho=rng.choice((1.0, 0.6, 0.3)), r_max=rng.randint(1, 3), seed=trial)
+        yield kg, center, cfg, extract_subgraph(kg, center, cfg)
+
+
 # labels that sort and compare awkwardly: case pairs, a trailing NUL, a label
 # that is a prefix of others, and non-ASCII (composed and decomposed forms)
 TRICKY_LABELS = (
@@ -173,6 +187,49 @@ def reference_triples(kg: KnowledgeGraph, nodes) -> tuple[Triple, ...]:
     """Independent oracle: scan every triple of the whole graph for those
     between retained nodes."""
     return tuple(t for t in kg.triples if t.subject in nodes and t.object in nodes)
+
+
+def reference_hops(kg: KnowledgeGraph, center, cfg) -> dict:
+    """Independent oracle for ``extract_subgraph``'s hops: a BFS over labels
+    whose neighbours come from a scan of every triple. The centers come
+    first, in center-set order, then the kept nodes in discovery order;
+    neighbours are visited, and random draws made, in label order."""
+    store = ReferenceStore(kg.triples)
+    rng = random.Random(cfg.seed)
+    center = frozenset(center)
+    hop = dict.fromkeys(center, 0)
+    decided = set(center)
+    queue = deque(sorted(center))
+    while queue:
+        u = queue.popleft()
+        if hop[u] >= cfg.r_max:
+            continue
+        keep_p = cfg.rho ** hop[u]
+        for v in sorted(store.structural_neighbors(u)):
+            if v in decided:
+                continue
+            decided.add(v)
+            if keep_p >= 1.0 or rng.random() < keep_p:
+                hop[v] = hop[u] + 1
+                queue.append(v)
+    return hop
+
+
+def reference_components(adj) -> list[frozenset]:
+    """Connected components of a label adjacency, ordered by smallest member."""
+    seen, comps = set(), []
+    for start in sorted(adj):
+        if start in seen:
+            continue
+        block, stack = {start}, [start]
+        while stack:
+            for v in adj[stack.pop()]:
+                if v not in block:
+                    block.add(v)
+                    stack.append(v)
+        seen |= block
+        comps.append(frozenset(block))
+    return comps
 
 
 def reference_adj(nodes, triples) -> dict:

@@ -429,7 +429,7 @@ def test_malformed_trace_events_are_data_errors(tmp_path, capsys, line, why):
     path.write_text(f"{good}\n\n{line}\n", encoding="utf-8")
     assert main(["trace", str(path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: record 3: invalid trace line: ")  # the line's number
+    assert err.startswith("error: line 3: invalid trace line: ")
     assert why in err and "Traceback" not in err
 
 

@@ -17,12 +17,21 @@ from fasttog.community import PartitionSnapshot, partition_dump
 from fasttog.detect import (
     DETECTOR_KINDS,
     _hierarchical_states,
+    _local_components,
     _louvain_states,
     _shuffle,
     connected_components,
 )
 
-from helpers import eager_community_sums, eq1_direct, full_subgraph, multigraph, random_graph
+from helpers import (
+    eager_community_sums,
+    eq1_direct,
+    full_subgraph,
+    mixed_extractions,
+    multigraph,
+    random_graph,
+    reference_components,
+)
 
 STRUCTURAL_KINDS = ("louvain", "girvan_newman", "hierarchical", "spectral")
 
@@ -359,6 +368,21 @@ def test_detect_matches_detect_full_over_the_sweeps(kind):
         assert partition_dump(detect(g, kind, m_max, seed=trial)) == partition_dump(full)
 
 
+@pytest.mark.parametrize("kind", DETECTOR_KINDS)
+def test_detect_matches_detect_full_on_multi_component_extractions(kind):
+    cases = 0
+    for trial, (_kg, _center, _cfg, g) in enumerate(mixed_extractions(37, 60)):
+        comps = reference_components(g.adj)
+        if len(comps) < 2 or (kind in ("girvan_newman", "spectral") and len(g) > 20):
+            continue
+        cases += 1
+        m_max = 2 + trial % 3
+        full = detect_full(g, kind, m_max, seed=trial)
+        assert [frozenset(c.nodes) for c in full.components] == comps
+        assert partition_dump(detect(g, kind, m_max, seed=trial)) == partition_dump(full.partition)
+    assert cases >= 5
+
+
 def test_bounded_hierarchical_states_stop_at_the_first_oversized_block():
     for g, m_max in _hierarchical_sweep_graphs():
         for comp in connected_components(g):
@@ -375,7 +399,7 @@ def _replayed(states):
 
 def test_bounded_louvain_states_stop_at_the_first_oversized_level():
     for trial, (g, m_max) in enumerate(_louvain_sweep_graphs()):
-        for comp in connected_components(g):
+        for comp in _local_components(g):
             full = _louvain_states(g, comp, random.Random(trial))
             bounded = _louvain_states(g, comp, random.Random(trial), m_max)
             assert _replayed(bounded) == _replayed(full[: len(bounded)])
@@ -402,7 +426,7 @@ def test_louvain_stops_early_only_on_the_last_component():
     m_max = 2  # the ring's first level ends with pairs, its second with bigger blocks
     for seed in range(3):
         g = _ring_and_random_graph(seed)
-        first, second = connected_components(g)
+        first, second = _local_components(g)
         rng = random.Random(seed)
         _louvain_states(g, first, rng)
         unbounded = _replayed(_louvain_states(g, second, rng))

@@ -362,3 +362,39 @@ def test_engine_traces_match_pinned_digest():
                 _, trace = engine.run("Which entity does the lane lead to?", [start])
                 digest.update(trace.to_jsonl().encode())
     assert digest.hexdigest() == ENGINE_TRACE_DIGEST
+
+
+def test_a_louvain_walk_builds_no_label_adjacency_or_subgraph_triples(monkeypatch):
+    # the louvain runs of the pinned digest above. A walk's local search reads
+    # the subgraph's local-index lists and only the rows of the nodes it
+    # bridges from or verbalizes: no subgraph builds its full triple tuple,
+    # its label adjacency or its full ``out`` map
+    import fasttog.engine
+
+    built = []
+    extract = fasttog.engine.extract_subgraph
+
+    def keep(*args):
+        g = extract(*args)
+        built.append(g)
+        return g
+
+    monkeypatch.setattr(fasttog.engine, "extract_subgraph", keep)
+    for seed in range(6):
+        kg, start, target = lane_in_background(seed=seed)
+        for bound in (4, 8):
+            cfg = EngineConfig(
+                width=2,
+                max_depth=6,
+                r_max=2,
+                max_community_size=bound,
+                detector="louvain",
+                seed=seed,
+            )
+            engine = Engine(kg, OracleGateway(kg, target), cfg)
+            engine.run("Which entity does the lane lead to?", [start])
+    assert len(built) > 12
+    for g in built:
+        assert not {"triples", "adj", "out"} & set(vars(g))
+    g = built[-1]
+    assert len(g.intra_triples(g.nodes)) == len(g.triples)  # the views still work

@@ -16,14 +16,19 @@ from fasttog import (
 )
 from fasttog.kg import SamplerConfig, extract_subgraph
 
+from fasttog.detect import connected_components
+
 from helpers import (
     ReferenceStore,
     bridged_triangles,
     clique_path,
+    mixed_extractions,
     multigraph,
     never_answer_script,
     reference_adj,
     reference_between,
+    reference_components,
+    reference_hops,
     reference_triples,
     structural_edges,
     tricky_triples,
@@ -260,6 +265,54 @@ def test_extract_matches_full_scan_reference():
             assert g.intra_triples(left) == reference_between(want, left, left)
             # overlapping sets included: each triple is reported once
             assert g.triples_between(left, right) == reference_between(want, left, right)
+
+
+def test_label_views_match_full_scan_references():
+    # the views and a node's rows are built lazily and cached; even trials
+    # build the views before the lookups, odd trials after
+    seen = {"rho<1 dropped a node": 0, "multi-center": 0, "multi-component": 0,
+            "self-loop": 0, "parallel predicates": 0}
+    for trial, (kg, center, cfg, g) in enumerate(mixed_extractions(31, 80)):
+        rng = random.Random(trial)
+        hops = reference_hops(kg, center, cfg)
+        members = sorted(hops)
+        outside = ["not a node", "\x00"]
+        probes = [
+            (
+                frozenset(rng.sample(members, rng.randint(1, len(members))) + outside[: trial % 3]),
+                frozenset(rng.sample(members, rng.randint(1, len(members)))),
+            )
+            for _ in range(4)
+        ]
+        want = reference_triples(kg, frozenset(hops))
+        if trial % 2 == 0:
+            g.triples, g.out, g.adj  # noqa: B018  built before the lookups read rows
+        lookups = [(g.intra_triples(left), g.triples_between(left, right)) for left, right in probes]
+        want_adj = reference_adj(hops, want)
+        assert list(g.hop_of.items()) == list(hops.items())
+        assert g.labels == members and g.nodes == frozenset(members) and len(g) == len(members)
+        assert g.ids == sorted(g.ids) and len(set(g.ids)) == len(g.ids)
+        assert g.index == {v: i for i, v in enumerate(members)}
+        assert g.triples == want
+        assert g.out == {v: tuple(t for t in want if t.subject == v) for v in members}
+        assert g.adj == want_adj
+        assert g.nbrs == [sorted(g.index[u] for u in want_adj[v]) for v in members]
+        assert g.m == sum(len(s) for s in want_adj.values()) // 2
+        assert connected_components(g) == reference_components(want_adj)
+        for (left, right), (intra, between) in zip(probes, lookups):
+            assert intra == reference_between(want, left, left)
+            assert between == reference_between(want, left, right)
+        assert lookups == [(g.intra_triples(left), g.triples_between(left, right)) for left, right in probes]
+        seen["rho<1 dropped a node"] += cfg.rho < 1 and any(
+            v not in hops for u in hops if hops[u] < cfg.r_max for v in kg.structural_neighbors(u)
+        )
+        seen["multi-center"] += len(center) > 1
+        seen["multi-component"] += len(connected_components(g)) > 1
+        seen["self-loop"] += any(t.subject == t.object for t in want)
+        seen["parallel predicates"] += any(
+            (a.subject, a.object) == (b.subject, b.object) for a, b in zip(want, want[1:])
+        )
+    assert all(seen.values()), seen
 
 
 def test_triples_between_returns_triple_order():
