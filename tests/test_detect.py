@@ -488,3 +488,46 @@ def test_backtrack_without_a_feasible_snapshot_raises(triangles_g):
     snaps = _size_snapshots(triangles_g, [[3, 3], [6]])
     with pytest.raises(ValueError):
         backtrack_to_size(snaps, 2)
+
+
+# SHA-1 per detector over the sweep below: for each case, the chosen
+# partition's dump, then each component's nodes and every snapshot's dump.
+# Pinned from the label-adjacency implementation of these detectors, so
+# running them on local indices may not move a single partition, snapshot or
+# tie-break. Hierarchical is hashed on the multi-component cases only; its
+# own sweep above covers the rest.
+DETECTOR_SWEEP_DIGEST = {
+    "girvan_newman": "18c78630a63c922bc23b2d8c966dc6e9c5c57e91",
+    "hierarchical": "209c0a2aedbca420b65b5aeee9c880b40e566ba0",
+    "spectral": "41724311da108b338a6e15043608f28368144be0",
+    "random": "34c3a5a0d3ea93ce99cd5bd29b965166d29e9c8c",
+}
+
+
+def _detector_sweep_cases():
+    rng = random.Random(2026)
+    cases = [g for _kg, _center, _cfg, g in mixed_extractions(41, 50)]
+    cases += [full_subgraph(random_graph(rng.randint(2, 24), rng.choice((0.1, 0.2, 0.4)), rng))
+              for _ in range(30)]
+    cases += [full_subgraph(multigraph(rng.randint(2, 24), rng.randint(1, 50), rng))
+              for _ in range(20)]
+    return [(g, rng.randint(2, 6)) for g in cases]
+
+
+@pytest.mark.parametrize("kind", sorted(DETECTOR_SWEEP_DIGEST))
+def test_detector_sweep_matches_pinned_digest(kind):
+    digest = hashlib.sha1()
+    for trial, (g, m_max) in enumerate(_detector_sweep_cases()):
+        if kind in ("girvan_newman", "spectral") and len(g) > 30:
+            continue
+        full = detect_full(g, kind, m_max, seed=trial)
+        if kind == "hierarchical" and len(full.components) < 2:
+            continue
+        dump = partition_dump(full.partition)
+        assert partition_dump(detect(g, kind, m_max, seed=trial)) == dump
+        digest.update(dump.encode())
+        for comp in full.components:
+            digest.update(repr(comp.nodes).encode())
+            for snap in comp.snapshots:
+                digest.update(partition_dump(snap.partition).encode())
+    assert digest.hexdigest() == DETECTOR_SWEEP_DIGEST[kind]
