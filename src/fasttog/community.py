@@ -133,17 +133,10 @@ class Partition:
     The :class:`Community` of block ``i`` is built through
     :meth:`Community.from_members` on the first ``community(i)`` and then
     cached, so ``communities`` returns the same objects on every read; a walk
-    builds only the communities next to its frontier. ``Partition(communities,
-    subgraph_m)`` wraps communities already built, in the order given.
+    builds only the communities next to its frontier.
     """
 
     __slots__ = ("blocks", "subgraph_m", "_g", "_communities")
-
-    def __init__(self, communities, subgraph_m: int):
-        self._communities = list(communities)
-        self.blocks = tuple(c.sorted_members for c in self._communities)
-        self.subgraph_m = subgraph_m
-        self._g = None
 
     @classmethod
     def of_blocks(cls, blocks: tuple[tuple[EntityId, ...], ...], g: Subgraph) -> "Partition":

@@ -8,14 +8,18 @@ size bound. The finest state is always all singletons, so a feasible state
 always exists for any bound >= 1.
 
 Components are split over the subgraph's local indices; an extraction with
-one center is connected, so it is not searched. Louvain runs on the local
-neighbour lists, and the other detectors read the label adjacency.
+one center is connected, so it is not searched. Every detector runs on the
+component's neighbour lists over its ranks (``_rank_nbrs``); ranks follow
+local order, which is label order, so integer order and tie-breaks are those
+of the labels. A state is a list of rank blocks, and no label is read before
+a state is chosen.
 
 States are recorded compactly: the scan reads only each state's largest
 block size, so only the chosen state of each component is turned into
-blocks, sorted label tuples. The :class:`Partition` they form builds no
-:class:`Community` until one is read. The full snapshot list of a component
-is built on first access to :attr:`ComponentTrace.snapshots`.
+blocks, sorted label tuples (``_label_blocks``). The :class:`Partition` they
+form builds no :class:`Community` until one is read. Only :func:`detect_full`
+keeps a :class:`ComponentTrace` per component, and its snapshot list is
+built on first access to :attr:`ComponentTrace.snapshots`.
 
 Trajectory recording per detector:
 
@@ -68,8 +72,10 @@ DETECTOR_KINDS = ("louvain", "girvan_newman", "hierarchical", "spectral", "rando
 class ComponentTrace:
     """Recorded trajectory and chosen state for one connected component.
 
-    ``snapshots`` is built from the recorded states on first access and then
-    cached; the chosen step's snapshot holds the ``chosen`` object itself.
+    ``nodes`` are the component's labels in label order, so node ``i`` is the
+    label of rank ``i``. ``snapshots`` is built from the recorded states on
+    first access and then cached; the chosen step's snapshot holds the
+    ``chosen`` object itself.
     """
 
     nodes: tuple[EntityId, ...]
@@ -85,7 +91,7 @@ class ComponentTrace:
                 i,
                 self.chosen
                 if i == self._chosen_step
-                else Partition.from_member_sets(state, self._g),
+                else Partition.of_blocks(tuple(sorted(_label_blocks(state, self.nodes))), self._g),
             )
             for i, state in enumerate(self._states)
         ]
@@ -135,15 +141,15 @@ def detect(g: Subgraph, kind: str, m_max: int, seed: int = 0) -> Partition:
     level with such a block; blocks only grow, so the chosen state is the
     same as :func:`detect_full`'s.
     """
-    return _detect(g, kind, m_max, seed, stop_early=True).partition
+    return _detect(g, kind, m_max, seed, full=False).partition
 
 
 def detect_full(g: Subgraph, kind: str, m_max: int, seed: int = 0) -> DetectionOutcome:
     """Like :func:`detect` but keeps per-component trajectories for inspection."""
-    return _detect(g, kind, m_max, seed, stop_early=False)
+    return _detect(g, kind, m_max, seed, full=True)
 
 
-def _detect(g, kind, m_max, seed, stop_early) -> DetectionOutcome:
+def _detect(g, kind, m_max, seed, full) -> DetectionOutcome:
     if kind not in DETECTOR_KINDS:
         raise ValueError(f"unknown detector kind: {kind!r}")
     if not len(g):
@@ -156,25 +162,26 @@ def _detect(g, kind, m_max, seed, stop_early) -> DetectionOutcome:
     np_rng = np.random.default_rng(seed) if kind == "spectral" else None
     traces: list[ComponentTrace] = []
     all_blocks = []
-    labels = g.labels
     comps = _local_components(g)
     for i, comp in enumerate(comps):
         # louvain may stop early only on the last component: stopping sooner
         # would change the random draws every later component sees
-        bounded = stop_early and (kind != "louvain" or i == len(comps) - 1)
-        states = _component_states(g, comp, kind, m_max, rng, np_rng, bounded)
+        bounded = not full and (kind != "louvain" or i == len(comps) - 1)
+        states = _component_states(_rank_nbrs(g, comp), kind, m_max, rng, np_rng, bounded)
         # the same scan as backtrack_to_size, on block sizes alone; the
         # finest state always fits, so the scan always stops
         step = len(states) - 1
         while _largest_block(states[step]) > m_max:
             step -= 1
-        blocks = _label_blocks(states[step])
-        # disjoint blocks differ in their first label, so the sort reads only that
-        blocks.sort()
-        chosen = Partition.of_blocks(tuple(blocks), g)
-        nodes = tuple(map(labels.__getitem__, comp))
-        traces.append(ComponentTrace(nodes, chosen, states, step, g))
+        # the component's rank -> label map
+        labels = g.labels if len(comp) == len(g) else list(map(g.labels.__getitem__, comp))
+        blocks = _label_blocks(states[step], labels)
         all_blocks.extend(blocks)
+        if full:
+            # disjoint blocks differ in their first label, so the sort reads only that
+            blocks.sort()
+            chosen = Partition.of_blocks(tuple(blocks), g)
+            traces.append(ComponentTrace(tuple(labels), chosen, states, step, g))
 
     all_blocks.sort()
     partition = Partition.of_blocks(tuple(all_blocks), g)
@@ -182,37 +189,43 @@ def _detect(g, kind, m_max, seed, stop_early) -> DetectionOutcome:
     return DetectionOutcome(partition, traces)
 
 
+def _rank_nbrs(g: Subgraph, comp: list[int]) -> list[list[int]]:
+    """The neighbour lists of the component ``comp`` (ascending local
+    indices) over its ranks, each ascending. A whole-subgraph component's
+    ranks are its local indices."""
+    if len(comp) == len(g):
+        return g.nbrs
+    rank = {v: i for i, v in enumerate(comp)}
+    return [[rank[u] for u in g.nbrs[v]] for v in comp]
+
+
 def _largest_block(state) -> int:
-    # louvain labellings track their largest block; other states are set lists
+    # louvain labellings track their largest block; other states are block lists
     return state.max_size if isinstance(state, _Labelling) else max(map(len, state))
 
 
-def _label_blocks(state) -> list[tuple[EntityId, ...]]:
-    """The blocks of a state as tuples of labels in label order."""
-    if isinstance(state, _Labelling):
-        # ranks follow label order, so sorted ranks give sorted labels
-        labels = state.level.labels
-        return [tuple(map(labels.__getitem__, ranks)) for ranks in state.rank_blocks()]
-    return [tuple(sorted(block)) for block in state]
+def _label_blocks(state, labels) -> list[tuple[EntityId, ...]]:
+    """The blocks of a state as tuples of labels in label order; ``labels``
+    maps the state's ranks to labels. Ranks follow label order, so sorted
+    ranks give sorted labels."""
+    blocks = state.rank_blocks() if isinstance(state, _Labelling) else map(sorted, state)
+    return [tuple(map(labels.__getitem__, block)) for block in blocks]
 
 
-def _component_states(g, comp, kind, m_max, rng, np_rng, bounded):
-    """States of the component ``comp``, ascending local indices."""
-    labels = g.labels
-    if len(comp) == 1 or m_max == 1:
+def _component_states(nbrs, kind, m_max, rng, np_rng, bounded):
+    """States of the component whose neighbour lists over ranks are ``nbrs``."""
+    if len(nbrs) == 1 or m_max == 1:
         # singletons are the only feasible state; skip the algorithms
-        return [[{labels[v]} for v in comp]]
+        return [[{v} for v in range(len(nbrs))]]
     if kind == "louvain":
-        return _louvain_states(g, comp, rng, m_max if bounded else None)
-    # the other detectors read the label views
-    comp = frozenset(map(labels.__getitem__, comp))
+        return _louvain_states(nbrs, rng, m_max if bounded else None)
     if kind == "girvan_newman":
-        return _girvan_newman_states(g, comp)
+        return _girvan_newman_states(nbrs)
     if kind == "hierarchical":
-        return _hierarchical_states(g, comp, m_max if bounded else None)
+        return _hierarchical_states(nbrs, m_max if bounded else None)
     if kind == "spectral":
-        return _spectral_states(g, comp, m_max, np_rng)
-    return _random_states(comp, m_max, rng)
+        return _spectral_states(nbrs, m_max, np_rng)
+    return _random_states(len(nbrs), m_max, rng)
 
 
 # -- louvain ----------------------------------------------------------------
@@ -223,14 +236,12 @@ class _Level:
     """One louvain aggregation level and the moves made on it.
 
     Nodes are numbered by their rank in the component's ascending local
-    indices, which is label order, and ``labels`` gives each rank's label; a
-    level node is named by the rank of its smallest original member, so
-    integer order is label order. ``members`` maps each level node to the
-    ranks it stands for; ``moves`` logs each accepted ``(node, community)``
-    move in order.
+    indices, which is label order; a level node is named by the rank of its
+    smallest original member, so integer order is label order. ``members``
+    maps each level node to the ranks it stands for; ``moves`` logs each
+    accepted ``(node, community)`` move in order.
     """
 
-    labels: list[EntityId]
     members: dict[int, list[int]]
     moves: list[tuple[int, int]] = field(default_factory=list)
 
@@ -240,8 +251,7 @@ class _Labelling:
     """One louvain state: the first ``n_moves`` moves of its level.
 
     :meth:`rank_blocks` replays those moves from the level's singletons and
-    gives the blocks over original nodes as ascending rank lists; iterating
-    yields them as member sets of labels.
+    gives the blocks over original nodes as ascending rank lists.
     """
 
     level: _Level
@@ -250,7 +260,7 @@ class _Labelling:
 
     def rank_blocks(self) -> list[list[int]]:
         members = self.level.members
-        comm = list(range(len(self.level.labels)))
+        comm = dict(zip(members, members))
         for u, c in self.level.moves[: self.n_moves]:
             comm[u] = c
         # a level node is named by its smallest member, so grouping in
@@ -264,23 +274,13 @@ class _Labelling:
             block.sort()
         return blocks
 
-    def __iter__(self):
-        labels = self.level.labels
-        return iter([frozenset(map(labels.__getitem__, b)) for b in self.rank_blocks()])
 
-
-def _louvain_states(g: Subgraph, comp: list[int], rng: random.Random, m_max: int | None = None):
-    """Louvain states of the component ``comp`` (ascending local indices)
-    from singletons on; with ``m_max``, stop once a level converges with a
-    block bigger than ``m_max``."""
-    n = len(comp)
-    if n == len(g):  # the whole subgraph: ranks are local indices
-        nbrs, labels = g.nbrs, g.labels
-    else:
-        rank = {v: i for i, v in enumerate(comp)}
-        nbrs = [[rank[u] for u in g.nbrs[v]] for v in comp]
-        labels = list(map(g.labels.__getitem__, comp))
-    level = _Level(labels, {i: [i] for i in range(n)})
+def _louvain_states(nbrs: list[list[int]], rng: random.Random, m_max: int | None = None):
+    """Louvain states of the component whose neighbour lists over ranks are
+    ``nbrs``, from singletons on; with ``m_max``, stop once a level converges
+    with a block bigger than ``m_max``."""
+    n = len(nbrs)
+    level = _Level({i: [i] for i in range(n)})
     states = [_Labelling(level, 0, 1)]
     two_m = float(sum(map(len, nbrs)))
     if two_m == 0.0:
@@ -414,7 +414,7 @@ def _louvain_states(g: Subgraph, comp: list[int], rng: random.Random, m_max: int
             k_w[u] = new_self[u] + sum(weights_of[u])
             size[u] = len(new_members[u])
         self_w = new_self
-        level = _Level(labels, new_members)
+        level = _Level(new_members)
 
 
 def _shuffle(x: list, getrandbits) -> None:
@@ -436,16 +436,17 @@ def _shuffle(x: list, getrandbits) -> None:
 # -- girvan-newman -----------------------------------------------------------
 
 
-def _girvan_newman_states(g: Subgraph, comp: frozenset[EntityId]):
-    adj = {u: set(g.adj[u] & comp) for u in sorted(comp)}  # keys in label order
-    chronological = [_components_of(adj, adj)]
-    while any(adj[u] for u in adj):
+def _girvan_newman_states(nbrs: list[list[int]]):
+    adj = list(map(set, nbrs))
+    nodes = range(len(adj))
+    chronological = [_components_of(adj, nodes)]
+    while any(adj):
         betweenness = _edge_betweenness(adj)
         top = max(betweenness.values())
         edge = min(e for e, b in betweenness.items() if b >= top - 1e-9)
         adj[edge[0]].discard(edge[1])
         adj[edge[1]].discard(edge[0])
-        comps = _components_of(adj, adj)
+        comps = _components_of(adj, nodes)
         if len(comps) > len(chronological[-1]):
             chronological.append(comps)
     # removal order runs coarse to fine; reverse so backtracking from the
@@ -471,18 +472,15 @@ def _components_of(adj, nodes):
     return comps
 
 
-def _edge_betweenness(adj):
+def _edge_betweenness(adj: list[set[int]]):
     """Brandes accumulation of shortest-path counts onto edges."""
-    eb = {}
-    for u in adj:
-        for v in adj[u]:
-            if u < v:
-                eb[(u, v)] = 0.0
-    for s in sorted(adj):
+    n = len(adj)
+    eb = {(u, v): 0.0 for u in range(n) for v in adj[u] if u < v}
+    for s in range(n):
         dist = {s: 0}
-        sigma = {v: 0.0 for v in adj}
+        sigma = [0.0] * n
         sigma[s] = 1.0
-        preds: dict[EntityId, list[EntityId]] = {v: [] for v in adj}
+        preds: list[list[int]] = [[] for _ in range(n)]
         order = []
         queue = deque([s])
         while queue:
@@ -495,7 +493,7 @@ def _edge_betweenness(adj):
                 if dist[w] == dist[v] + 1:
                     sigma[w] += sigma[v]
                     preds[w].append(v)
-        delta = {v: 0.0 for v in adj}
+        delta = [0.0] * n
         for w in reversed(order):
             for v in preds[w]:
                 c = sigma[v] / sigma[w] * (1.0 + delta[w])
@@ -508,29 +506,28 @@ def _edge_betweenness(adj):
 # -- hierarchical -------------------------------------------------------------
 
 
-def _dense_adjacency(g: Subgraph, comp: frozenset[EntityId]):
-    """The component's sorted nodes, their row index, and the boolean adjacency."""
-    nodes = sorted(comp)
-    index = {v: i for i, v in enumerate(nodes)}
-    A = np.zeros((len(nodes), len(nodes)), dtype=bool)
-    for u in nodes:
-        for v in g.adj[u]:
-            if v in comp:
-                A[index[u], index[v]] = True
-    return nodes, index, A
+def _dense_adjacency(nbrs: list[list[int]]) -> np.ndarray:
+    """The 0/1 float adjacency matrix of the neighbour lists ``nbrs``."""
+    A = np.zeros((len(nbrs), len(nbrs)))
+    for u, nb in enumerate(nbrs):
+        A[u, nb] = 1.0
+    return A
 
 
-def _hierarchical_states(g: Subgraph, comp: frozenset[EntityId], m_max: int | None = None):
+def _hierarchical_states(nbrs: list[list[int]], m_max: int | None = None):
     """Merge states from singletons on; with ``m_max``, stop after the first
     merge that makes a block bigger than ``m_max``."""
-    nodes, index, A = _dense_adjacency(g, comp)
-    inter = (A.astype(np.int64) @ A.astype(np.int64).T).astype(float)
-    deg = A.sum(axis=1).astype(float)
+    A = _dense_adjacency(nbrs)
+    # a float product runs on BLAS; the shared-neighbour counts are far below
+    # 2**53, so they are exact
+    inter = A @ A.T
+    deg = A.sum(axis=1)
     union = deg[:, None] + deg[None, :] - inter
     with np.errstate(invalid="ignore", divide="ignore"):
         sim = np.where(union > 0, inter / union, 0.0)
 
-    clusters: dict[tuple, list[int]] = {(v,): [index[v]] for v in nodes}
+    # a cluster is keyed by its sorted ranks and lists them in merge order
+    clusters: dict[tuple, list[int]] = {(v,): [v] for v in range(len(nbrs))}
 
     def pair(x, y):
         return (x, y) if x < y else (y, x)
@@ -543,9 +540,9 @@ def _hierarchical_states(g: Subgraph, comp: frozenset[EntityId], m_max: int | No
     # clusters merge only across an existing edge; a pair's score depends on
     # its two clusters alone, so a merge rescores only the merged cluster's
     # pairs, and the strict-tuple minimum picks the same pair as a full scan
-    touch = {(u,): {(v,) for v in g.adj[u] if v != u} for u in nodes}
+    touch = {(u,): {(v,) for v in nb} for u, nb in enumerate(nbrs)}
     scores = {(a, b): score(a, b) for a in touch for b in touch[a] if a < b}
-    states = [[{v} for v in nodes]]
+    states = [list(clusters)]
     while scores:
         _, a, b = min((-s, x, y) for (x, y), s in scores.items())
         merged_key = tuple(sorted(a + b))
@@ -558,7 +555,7 @@ def _hierarchical_states(g: Subgraph, comp: frozenset[EntityId], m_max: int | No
             scores.pop(pair(b, c), None)
             scores[pair(merged_key, c)] = score(*pair(merged_key, c))
         del scores[(a, b)]
-        states.append([set(key) for key in clusters])
+        states.append(list(clusters))
         if m_max is not None and len(merged_key) > m_max:
             break
     return states
@@ -567,10 +564,9 @@ def _hierarchical_states(g: Subgraph, comp: frozenset[EntityId], m_max: int | No
 # -- spectral -----------------------------------------------------------------
 
 
-def _spectral_states(g: Subgraph, comp: frozenset[EntityId], m_max: int, np_rng):
-    nodes, _, adjacency = _dense_adjacency(g, comp)
-    n = len(nodes)
-    A = adjacency.astype(float)
+def _spectral_states(nbrs: list[list[int]], m_max: int, np_rng):
+    n = len(nbrs)
+    A = _dense_adjacency(nbrs)
     deg = A.sum(axis=1)
     d_inv_sqrt = 1.0 / np.sqrt(deg)
     lap = np.eye(n) - (A * d_inv_sqrt[:, None]) * d_inv_sqrt[None, :]
@@ -582,9 +578,9 @@ def _spectral_states(g: Subgraph, comp: frozenset[EntityId], m_max: int, np_rng)
         norms = np.linalg.norm(emb, axis=1, keepdims=True)
         emb = np.where(norms > 1e-12, emb / norms, emb)
         labels = _kmeans(emb, k, np_rng)
-        blocks: dict[int, set[EntityId]] = {}
-        for v, lab in zip(nodes, labels):
-            blocks.setdefault(int(lab), set()).add(v)
+        blocks: dict[int, list[int]] = {}
+        for v, lab in enumerate(labels.tolist()):
+            blocks.setdefault(lab, []).append(v)
         state = list(blocks.values())
         ascending.append(state)
         if max(len(b) for b in state) <= m_max:
@@ -626,14 +622,13 @@ def _kmeans(points, k, np_rng, restarts=10, max_iter=100):
 # -- random baseline ----------------------------------------------------------
 
 
-def _random_states(comp: frozenset[EntityId], m_max: int, rng: random.Random):
-    nodes = sorted(comp)
-    order = list(nodes)
+def _random_states(n: int, m_max: int, rng: random.Random):
+    order = list(range(n))
     rng.shuffle(order)
     blocks = []
     i = 0
-    while i < len(order):
+    while i < n:
         size = rng.randint(1, m_max)
-        blocks.append(set(order[i : i + size]))
+        blocks.append(order[i : i + size])
         i += size
-    return [[{v} for v in nodes], blocks]
+    return [[[v] for v in range(n)], blocks]

@@ -8,9 +8,9 @@ caller reads. The graph is immutable once built and safe for concurrent
 readers.
 
 An extracted :class:`Subgraph` numbers its nodes 0..n-1 in label order and
-keeps one integer neighbour list per node, read from the store's neighbour
-index. Louvain, the component split and candidate search work on those
-lists; labels, the label adjacency and the subgraph's triples are views built
+keeps one adjacency, an integer neighbour list per node, read from the
+store's neighbour index. Every detector, the component split and candidate
+search work on those lists; labels and the subgraph's triples are views built
 when first read, and a node's triples are read from the store only when a
 lookup needs them.
 
@@ -359,17 +359,16 @@ class Subgraph:
     indices of node ``i``'s structural neighbours, ascending: parallel edges
     collapse to one undirected edge and self-loops are dropped. ``m`` is the
     structural edge count used by modularity, and ``n_centres`` the number of
-    hop-0 nodes. Louvain, the component split and candidate search read these
-    lists.
+    hop-0 nodes. These lists are the subgraph's one adjacency: every detector,
+    the component split and candidate search read them.
 
     The label views are built on first read: ``labels`` (by local index),
-    ``nodes``, ``index`` (label -> local index), ``adj``, ``hop_of`` (centers
-    first, in center-set order, then discovery order), ``triples``, every
-    source triple between retained nodes (including parallel predicates and
-    self-loops, for verbalization), sorted, and ``out``, those triples by
-    subject. A node's rows are read from the store the first time a lookup
-    needs them, and ``Triple`` objects are made only for the triples a lookup
-    returns.
+    ``nodes``, ``index`` (label -> local index), ``hop_of`` (centers first, in
+    center-set order, then discovery order) and ``triples``, every source
+    triple between retained nodes (including parallel predicates and
+    self-loops, for verbalization), sorted. A node's rows are read from the
+    store the first time a lookup needs them, and ``Triple`` objects are made
+    only for the triples a lookup returns.
     """
 
     def __init__(self, omega: KnowledgeGraph, hop: dict[int, int], n_centres: int):
@@ -404,24 +403,9 @@ class Subgraph:
         return dict(zip(self.labels, range(len(self.ids))))
 
     @cached_property
-    def adj(self) -> dict[EntityId, frozenset[EntityId]]:
-        labels = self.labels
-        return {
-            labels[i]: frozenset(map(labels.__getitem__, nb)) for i, nb in enumerate(self.nbrs)
-        }
-
-    @cached_property
     def hop_of(self) -> dict[EntityId, int]:
         labels = self._omega._labels
         return {labels[v]: h for v, h in self._hop.items()}
-
-    @cached_property
-    def out(self) -> dict[EntityId, tuple[Triple, ...]]:
-        every = range(len(self.ids))
-        return {
-            v: tuple(t for _, _, t in self._select([i], [every]))
-            for i, v in enumerate(self.labels)
-        }
 
     @cached_property
     def triples(self) -> tuple[Triple, ...]:

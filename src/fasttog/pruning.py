@@ -12,7 +12,8 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .community import Community, Partition, modularity_community
+# kept importable: bench/run.py hooks it, and tests/test_bench_hooks.py needs every hook
+from .community import Community, Partition, modularity_community  # noqa: F401
 from .gateway import GenerationRequest, parse_choice
 from .kg import Subgraph, Triple
 from .verbalize import CommunityText, build_pruning_prompt
@@ -64,7 +65,7 @@ def candidate_communities(
         c = p.community(i)
         if c.canonical_id in h:
             continue
-        out.append(CandidateCommunity(c, tuple(bridges), modularity_community(c, g)))
+        out.append(CandidateCommunity(c, tuple(bridges), c.modularity))
     out.sort(key=lambda cand: (-cand.modularity, cand.community.canonical_id))
     return out
 

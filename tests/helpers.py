@@ -56,9 +56,17 @@ def random_partition_sets(nodes, rng: random.Random) -> list[set]:
     return blocks
 
 
+def label_adj(g: Subgraph) -> dict:
+    """The structural neighbours of each node of ``g`` by label, built from
+    its local neighbour lists."""
+    labels = g.labels
+    return {labels[i]: frozenset(map(labels.__getitem__, nb)) for i, nb in enumerate(g.nbrs)}
+
+
 def structural_edges(g: Subgraph) -> list[tuple]:
     """Undirected structural edges of ``g`` as sorted (u, v) pairs with u < v."""
-    return [(u, v) for u in sorted(g.adj) for v in g.adj[u] if u < v]
+    adj = label_adj(g)
+    return [(u, v) for u in sorted(adj) for v in adj[u] if u < v]
 
 
 def eager_community_sums(members, g: Subgraph) -> tuple[int, int, float]:

@@ -138,13 +138,15 @@ def test_validate_partition_detects_overlap(triangles_g):
     a = Community.from_members({"a", "b", "c"}, triangles_g)
     b = Community.from_members({"c", "d", "e", "f"}, triangles_g)
     with pytest.raises(InvalidPartitionError):
-        validate_partition(Partition((a, b), triangles_g.m), triangles_g.nodes)
+        p = Partition.of_blocks((a.sorted_members, b.sorted_members), triangles_g)
+        validate_partition(p, triangles_g.nodes)
 
 
 def test_validate_partition_detects_gap(triangles_g):
     a = Community.from_members({"a", "b", "c"}, triangles_g)
     with pytest.raises(InvalidPartitionError):
-        validate_partition(Partition((a,), triangles_g.m), triangles_g.nodes)
+        p = Partition.of_blocks((a.sorted_members,), triangles_g)
+        validate_partition(p, triangles_g.nodes)
 
 
 def test_partition_dump_format(triangles_g):

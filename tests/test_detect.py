@@ -19,6 +19,7 @@ from fasttog.detect import (
     _hierarchical_states,
     _local_components,
     _louvain_states,
+    _rank_nbrs,
     _shuffle,
     connected_components,
 )
@@ -27,6 +28,7 @@ from helpers import (
     eager_community_sums,
     eq1_direct,
     full_subgraph,
+    label_adj,
     mixed_extractions,
     multigraph,
     random_graph,
@@ -372,7 +374,7 @@ def test_detect_matches_detect_full_over_the_sweeps(kind):
 def test_detect_matches_detect_full_on_multi_component_extractions(kind):
     cases = 0
     for trial, (_kg, _center, _cfg, g) in enumerate(mixed_extractions(37, 60)):
-        comps = reference_components(g.adj)
+        comps = reference_components(label_adj(g))
         if len(comps) < 2 or (kind in ("girvan_newman", "spectral") and len(g) > 20):
             continue
         cases += 1
@@ -385,23 +387,25 @@ def test_detect_matches_detect_full_on_multi_component_extractions(kind):
 
 def test_bounded_hierarchical_states_stop_at_the_first_oversized_block():
     for g, m_max in _hierarchical_sweep_graphs():
-        for comp in connected_components(g):
-            full = _hierarchical_states(g, comp)
-            bounded = _hierarchical_states(g, comp, m_max)
+        for comp in _local_components(g):
+            nbrs = _rank_nbrs(g, comp)
+            full = _hierarchical_states(nbrs)
+            bounded = _hierarchical_states(nbrs, m_max)
             assert bounded == full[: len(bounded)]
             over = [i for i, state in enumerate(full) if max(map(len, state)) > m_max]
             assert len(bounded) == (over[0] + 1 if over else len(full))
 
 
 def _replayed(states):
-    return [(state.max_size, sorted(map(sorted, state))) for state in states]
+    return [(state.max_size, sorted(state.rank_blocks())) for state in states]
 
 
 def test_bounded_louvain_states_stop_at_the_first_oversized_level():
     for trial, (g, m_max) in enumerate(_louvain_sweep_graphs()):
         for comp in _local_components(g):
-            full = _louvain_states(g, comp, random.Random(trial))
-            bounded = _louvain_states(g, comp, random.Random(trial), m_max)
+            nbrs = _rank_nbrs(g, comp)
+            full = _louvain_states(nbrs, random.Random(trial))
+            bounded = _louvain_states(nbrs, random.Random(trial), m_max)
             assert _replayed(bounded) == _replayed(full[: len(bounded)])
             assert all(state.max_size > m_max for state in full[len(bounded) :])
             # the stop falls at the end of the first level that ends oversized
@@ -426,15 +430,15 @@ def test_louvain_stops_early_only_on_the_last_component():
     m_max = 2  # the ring's first level ends with pairs, its second with bigger blocks
     for seed in range(3):
         g = _ring_and_random_graph(seed)
-        first, second = _local_components(g)
+        first, second = (_rank_nbrs(g, comp) for comp in _local_components(g))
         rng = random.Random(seed)
-        _louvain_states(g, first, rng)
-        unbounded = _replayed(_louvain_states(g, second, rng))
+        _louvain_states(first, rng)
+        unbounded = _replayed(_louvain_states(second, rng))
         rng = random.Random(seed)
-        cut = _louvain_states(g, first, rng, m_max)
-        assert len(cut) < len(_louvain_states(g, first, random.Random(seed)))
+        cut = _louvain_states(first, rng, m_max)
+        assert len(cut) < len(_louvain_states(first, random.Random(seed)))
         # stopping the first component early would change the second's draws
-        assert _replayed(_louvain_states(g, second, rng)) != unbounded
+        assert _replayed(_louvain_states(second, rng)) != unbounded
         bounded = detect(g, "louvain", m_max, seed=seed)
         full = detect_full(g, "louvain", m_max, seed=seed)
         assert partition_dump(bounded) == partition_dump(full.partition)
@@ -469,13 +473,13 @@ def test_louvain_states_track_size_and_move_one_level_node():
             if len(comp.nodes) < 2:
                 continue
             states = comp._states
-            blocks = [[frozenset(b) for b in state] for state in states]
+            blocks = [[frozenset(b) for b in state.rank_blocks()] for state in states]
             for state, replayed in zip(states, blocks):
                 assert state.max_size == max(map(len, replayed))
             for state, before, after in zip(states[1:], blocks, blocks[1:]):
                 # the moved level node's members leave one block for another
                 u, _c = state.level.moves[state.n_moves - 1]
-                moved = frozenset(state.level.labels[i] for i in state.level.members[u])
+                moved = frozenset(state.level.members[u])
                 source = next(b for b in before if moved <= b)
                 target = next(b for b in after if moved <= b)
                 assert source != target

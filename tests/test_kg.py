@@ -22,6 +22,7 @@ from helpers import (
     ReferenceStore,
     bridged_triangles,
     clique_path,
+    label_adj,
     mixed_extractions,
     multigraph,
     never_answer_script,
@@ -259,7 +260,7 @@ def test_extract_matches_full_scan_reference():
         want = reference_triples(kg, g.nodes)
         assert g.triples == want
         want_adj = reference_adj(g.nodes, want)
-        assert g.adj == want_adj
+        assert label_adj(g) == want_adj
         assert g.m == sum(len(s) for s in want_adj.values()) // 2
         for left, right in probes:
             assert g.intra_triples(left) == reference_between(want, left, left)
@@ -286,7 +287,7 @@ def test_label_views_match_full_scan_references():
         ]
         want = reference_triples(kg, frozenset(hops))
         if trial % 2 == 0:
-            g.triples, g.out, g.adj  # noqa: B018  built before the lookups read rows
+            g.triples  # noqa: B018  built before the lookups read rows
         lookups = [(g.intra_triples(left), g.triples_between(left, right)) for left, right in probes]
         want_adj = reference_adj(hops, want)
         assert list(g.hop_of.items()) == list(hops.items())
@@ -294,8 +295,7 @@ def test_label_views_match_full_scan_references():
         assert g.ids == sorted(g.ids) and len(set(g.ids)) == len(g.ids)
         assert g.index == {v: i for i, v in enumerate(members)}
         assert g.triples == want
-        assert g.out == {v: tuple(t for t in want if t.subject == v) for v in members}
-        assert g.adj == want_adj
+        assert label_adj(g) == want_adj
         assert g.nbrs == [sorted(g.index[u] for u in want_adj[v]) for v in members]
         assert g.m == sum(len(s) for s in want_adj.values()) // 2
         assert connected_components(g) == reference_components(want_adj)
@@ -492,7 +492,7 @@ def extraction_sweep_digest() -> str:
         # the centers come first, in set order, which varies with the string
         # hash seed; everything after them is in discovery order
         hops = sorted(hops[: len(center)]) + hops[len(center) :]
-        adj = sorted((v, sorted(ns)) for v, ns in g.adj.items())
+        adj = sorted((v, sorted(ns)) for v, ns in label_adj(g).items())
         h.update(repr((g.triples, adj, hops, g.m)).encode("utf-8"))
     return h.hexdigest()
 
