@@ -260,7 +260,8 @@ class _Labelling:
 
     def rank_blocks(self) -> list[list[int]]:
         members = self.level.members
-        comm = dict(zip(members, members))
+        # level nodes are named by ranks, so a list up to the largest holds them
+        comm = list(range(max(members) + 1))
         for u, c in self.level.moves[: self.n_moves]:
             comm[u] = c
         # a level node is named by its smallest member, so grouping in

@@ -137,15 +137,15 @@ def test_sigma_in_even_everywhere():
 def test_validate_partition_detects_overlap(triangles_g):
     a = Community.from_members({"a", "b", "c"}, triangles_g)
     b = Community.from_members({"c", "d", "e", "f"}, triangles_g)
+    p = Partition.of_blocks((a.sorted_members, b.sorted_members), triangles_g)
     with pytest.raises(InvalidPartitionError):
-        p = Partition.of_blocks((a.sorted_members, b.sorted_members), triangles_g)
         validate_partition(p, triangles_g.nodes)
 
 
 def test_validate_partition_detects_gap(triangles_g):
     a = Community.from_members({"a", "b", "c"}, triangles_g)
+    p = Partition.of_blocks((a.sorted_members,), triangles_g)
     with pytest.raises(InvalidPartitionError):
-        p = Partition.of_blocks((a.sorted_members,), triangles_g)
         validate_partition(p, triangles_g.nodes)
 
 
