@@ -70,13 +70,15 @@ class KnowledgeGraph:
     Entity ``i`` is ``_labels[i]`` and predicate ``j`` is ``_predicates[j]``;
     ids are ranks in sorted label order, so integer order is label order, and
     a label's id is found by bisecting ``_labels``, with no label map kept.
-    The deduplicated triples are the columns ``_s``, ``_p`` and ``_o``, sorted
-    by (subject, predicate, object), which is the order of sorted ``Triple``
-    tuples. Two compressed sparse row (CSR) indexes read one node's share of
-    them:
+    The deduplicated triples are sorted by (subject, predicate, object), which
+    is the order of sorted ``Triple`` tuples. The store keeps their predicate
+    and object columns, ``_p`` and ``_o``, and no subject column: two
+    compressed sparse row (CSR) indexes read one node's share of them.
 
     * rows ``_out_start[v]`` up to ``_out_start[v + 1]`` have subject ``v``,
-      in (predicate, object) order, which subgraph extraction relies on;
+      in (predicate, object) order, which subgraph extraction relies on; a
+      row's subject is the last entity whose run starts at or before it
+      (``_subjects``);
     * ``_nbr[_nbr_start[v]:_nbr_start[v + 1]]`` are the structural
       neighbours of ``v`` (either direction, parallel edges collapsed,
       self-loops dropped), ascending.
@@ -86,9 +88,11 @@ class KnowledgeGraph:
     through memoryviews (``_views``), which hand back Python ints.
 
     The sort key and the neighbour index are built by helpers that free
-    their int64 temporaries before they return, so ingest peaks little
-    above what the store keeps. ``label in kg`` is the cheap membership
-    test; the label set ``nodes`` is built on first read.
+    their temporaries before they return, so ingest peaks little above what
+    the store keeps. The neighbour index packs each edge as one integer below
+    ``n * n``: int32 while ``n * n < 2**31`` (46,340 entities or fewer),
+    int64 above. ``label in kg`` is the cheap membership test; the label set
+    ``nodes`` is built on first read.
     """
 
     def __init__(self, triples: Iterable[Triple]):
@@ -96,7 +100,7 @@ class KnowledgeGraph:
         n = len(self._labels)
         read = len(columns[0])
         s, p, o = _sorted_distinct(columns, n, len(self._predicates))
-        self._s, self._p, self._o = s, p, o
+        self._p, self._o = p, o
         self.duplicate_count = read - len(s)
         self.self_loop_count = int(np.count_nonzero(s == o))
         if self.duplicate_count or self.self_loop_count:
@@ -111,7 +115,9 @@ class KnowledgeGraph:
             raise ValueError(f"{len(s)} distinct triples overflow the int32 row offsets")
         # int32 probes: int64 ones would make numpy search an int64 copy of ``s``
         self._out_start = np.searchsorted(s, np.arange(n + 1, dtype=np.int32)).astype(np.int32)
-        self._nbr, self._nbr_start = _neighbour_index(s, o, n)
+        ends = [s, o]
+        del s  # the helper frees the subject column before its pairs buffer
+        self._nbr, self._nbr_start = _neighbour_index(ends, n)
 
     # -- construction -----------------------------------------------------
 
@@ -154,7 +160,7 @@ class KnowledgeGraph:
             ]
             + [
                 (predicates[p], labels[s], "in")
-                for p, s in zip(self._p[inc].tolist(), self._s[inc].tolist())
+                for p, s in zip(self._p[inc].tolist(), self._subjects(inc).tolist())
             ]
         )
 
@@ -168,7 +174,9 @@ class KnowledgeGraph:
         labels, predicates = self._labels, self._predicates
         lines = sorted(
             f"{labels[s]}\t{predicates[p]}\t{labels[o]}"
-            for s, p, o in zip(self._s.tolist(), self._p.tolist(), self._o.tolist())
+            for s, p, o in zip(
+                self._subjects(slice(None)).tolist(), self._p.tolist(), self._o.tolist()
+            )
         )
         return "\n".join(lines) + ("\n" if lines else "")
 
@@ -212,9 +220,17 @@ class KnowledgeGraph:
         return [
             Triple(labels[s], predicates[p], labels[o])
             for s, p, o in zip(
-                self._s[rows].tolist(), self._p[rows].tolist(), self._o[rows].tolist()
+                self._subjects(rows).tolist(), self._p[rows].tolist(), self._o[rows].tolist()
             )
         ]
+
+    def _subjects(self, rows) -> np.ndarray:
+        """The subject of each of ``rows`` (an index array or a slice): the
+        last entity whose run of outgoing rows starts at or before the row,
+        which skips entities that have no outgoing row."""
+        if isinstance(rows, slice):  # int32 probes search ``_out_start`` uncopied
+            rows = np.arange(*rows.indices(len(self._p)), dtype=np.int32)
+        return np.searchsorted(self._out_start, rows, side="right") - 1
 
 
 # a packed (subject, predicate, object) sort key must stay below this
@@ -310,23 +326,28 @@ def _sorted_distinct(columns: list[np.ndarray], n: int, n_p: int):
     return key.astype(np.int32), p, o
 
 
-def _neighbour_index(s: np.ndarray, o: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The structural-neighbour CSR of the rows ``(s, o)``: neighbours, offsets.
+def _neighbour_index(ends: list[np.ndarray], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The structural-neighbour CSR of the rows ``ends = [s, o]``: neighbours,
+    offsets. Takes the columns out of the list, so a column the caller no
+    longer holds is freed before the pairs buffer is made.
 
-    Each distinct undirected edge is packed once as ``low * n + high`` and
-    then stored in both directions in one int64 buffer, sorted. Self-loops
-    are kept for verbalization but carry no structural weight (degree and
-    modularity ignore them), so they are dropped here.
+    Each distinct undirected edge is packed once as ``low * n + high``, int32
+    while ``n * n`` fits, and then stored in both directions in one buffer,
+    sorted. Self-loops are kept for verbalization but carry no structural
+    weight (degree and modularity ignore them), so they are dropped here.
     """
+    s, o = ends
+    ends.clear()
+    key = np.int32 if n * n < 2**31 else np.int64
     keep = s != o
     s, o = s[keep], o[keep]
-    edges = np.minimum(s, o).astype(np.int64)
+    edges = np.minimum(s, o).astype(key, copy=False)
     edges *= n
     edges += np.maximum(s, o)
     del s, o, keep
     edges.sort()
     edges = edges[_first_of_runs(edges)]
-    pairs = np.empty(2 * len(edges), dtype=np.int64)
+    pairs = np.empty(2 * len(edges), dtype=key)
     pairs[: len(edges)] = edges
     back = pairs[len(edges) :]
     np.remainder(edges, n, out=back)
@@ -335,7 +356,7 @@ def _neighbour_index(s: np.ndarray, o: np.ndarray, n: int) -> tuple[np.ndarray, 
     back += edges
     del edges
     pairs.sort()
-    start = np.searchsorted(pairs, np.arange(n + 1, dtype=np.int64) * n).astype(np.int32)
+    start = np.searchsorted(pairs, np.arange(n + 1, dtype=key) * n).astype(np.int32)
     return _remainder32(pairs, n), start
 
 

@@ -108,6 +108,11 @@ def eq1_direct(g: Subgraph, member_sets) -> float:
 
 
 def multigraph(n: int, n_triples: int, rng: random.Random) -> KnowledgeGraph:
+    """The graph of ``multigraph_triples``."""
+    return KnowledgeGraph(multigraph_triples(n, n_triples, rng))
+
+
+def multigraph_triples(n: int, n_triples: int, rng: random.Random) -> list[Triple]:
     """Random directed triples over ``n`` nodes with parallel predicates,
     reversed pairs and self-loops mixed in."""
     names = [f"v{i:02d}" for i in range(n)]
@@ -117,7 +122,7 @@ def multigraph(n: int, n_triples: int, rng: random.Random) -> KnowledgeGraph:
         if rng.random() < 0.05:
             v = u
         triples.append(Triple(u, rng.choice(("p", "q", "r")), v))
-    return KnowledgeGraph(triples)
+    return triples
 
 
 def mixed_extractions(seed: int, trials: int):

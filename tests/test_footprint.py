@@ -3,9 +3,13 @@ other tests imported do not count."""
 
 import json
 import os
+import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
+
+from fasttog import KnowledgeGraph
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -81,3 +85,33 @@ def test_a_louvain_walk_loads_no_http_stack_and_builds_no_label_set():
     assert report["spectral"]["loaded"] == ["numpy.random"]
     assert report["endpoint"]["loaded"] == http_stack + ["numpy.random"]
     assert report["refused_s"] < 5
+
+
+def _kept_bytes(kg):
+    """What the store keeps: its arrays' buffers, and the label lists with
+    their strings."""
+    arrays = sum(a.nbytes for a in vars(kg).values() if hasattr(a, "nbytes"))
+    lists = (kg._labels, kg._predicates)
+    return arrays + sum(sys.getsizeof(x) + sum(map(sys.getsizeof, x)) for x in lists)
+
+
+def test_ingest_peaks_within_a_fixed_ratio_of_what_the_store_keeps(tmp_path):
+    # 2,000 entities and 20,000 triples, so the neighbour index, not the
+    # label interning, sets the peak. It reads 1.38x what the store keeps
+    # with 32-bit edge keys and no subject column; with int64 keys and a
+    # kept subject column it read 1.70x.
+    rng = random.Random(7)
+    path = tmp_path / "graph.tsv"
+    with open(path, "w", encoding="utf-8") as fh:
+        for _ in range(20_000):
+            s, o = rng.randrange(2_000), rng.randrange(2_000)
+            fh.write(f"entity {s:06d}\trelation {rng.randrange(20):02d}\tentity {o:06d}\n")
+    KnowledgeGraph.ingest(path)  # first-call allocations stay out of the count
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kg = KnowledgeGraph.ingest(path)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.45 * _kept_bytes(kg)

@@ -1,7 +1,9 @@
 import hashlib
 import random
 import tracemalloc
+from itertools import accumulate
 
+import numpy as np
 import pytest
 
 from fasttog import (
@@ -25,6 +27,7 @@ from helpers import (
     label_adj,
     mixed_extractions,
     multigraph,
+    multigraph_triples,
     never_answer_script,
     reference_adj,
     reference_between,
@@ -380,13 +383,22 @@ def _as_tsv(triples, rng):
     return "".join(parts)
 
 
+# sink labels that sort first, in the middle and last: entities with no
+# outgoing row, whose empty runs a row's subject lookup must step over
+SINKS = ("!sink", "m sink", "\uffff sink")
+
+
 @pytest.mark.parametrize("seed", range(6))
 @pytest.mark.parametrize("source", ["iterable", "ingest"])
 def test_store_matches_set_and_sort_reference(tmp_path, seed, source):
     rng = random.Random(seed)
     triples = tricky_triples(rng.randint(40, 160), rng)
+    triples += multigraph_triples(30, rng.randint(40, 120), rng)
+    triples += [Triple(rng.choice(("a", "v03", "z")), "into", sink) for sink in SINKS]
     want = ReferenceStore(triples)
     assert want.duplicate_count > 0 and want.self_loop_count > 0
+    assert len({(t.subject, t.object) for t in want.triples}) < len(want.triples)  # parallel
+    assert set(SINKS) <= want.nodes - {t.subject for t in want.triples}
     if source == "iterable":
         kg = KnowledgeGraph(iter(triples))
     else:
@@ -407,6 +419,13 @@ def test_store_matches_set_and_sort_reference(tmp_path, seed, source):
         assert type(kg.structural_neighbors(v)) is frozenset
     assert kg.triples == want.triples
     assert type(kg.triples) is tuple and all(type(t) is Triple for t in kg.triples)
+    # a row's subject is read from the row offsets; the store keeps no column
+    assert "_s" not in vars(kg)
+    n_rows = len(want.triples)
+    rows = np.array([rng.randrange(n_rows) for _ in range(50)])  # unsorted, with repeats
+    assert kg._triples_at(rows) == [want.triples[r] for r in rows.tolist()]
+    for cut in (slice(None), slice(5, n_rows - 3), slice(n_rows - 1, None), slice(3, 3)):
+        assert kg._triples_at(cut) == list(want.triples[cut])
 
 
 def test_neighbors_reads_incoming_rows_from_the_neighbours_out_rows():
@@ -429,6 +448,32 @@ def test_neighbors_reads_incoming_rows_from_the_neighbours_out_rows():
     assert sum(e[2] == "in" for e in hub) == 12 + 2 + 2
 
 
+def _path_triples(n):
+    """A path over ``n`` entities, with a self-loop and a reversed edge at its end."""
+    names = [f"n{i:05d}" for i in range(n)]
+    triples = [Triple(a, "next", b) for a, b in zip(names, names[1:])]
+    return triples + [Triple(names[-1], "loop", names[-1]), Triple(names[-1], "prev", names[-2])]
+
+
+@pytest.mark.parametrize("n", [46_340, 46_341])
+def test_neighbour_index_matches_set_and_sort_on_both_sides_of_the_32_bit_rule(n):
+    # edge keys are packed as low * n + high and stored both ways: int32 while
+    # n * n < 2**31, that is up to 46,340 entities, int64 above
+    triples = _path_triples(n)
+    kg = KnowledgeGraph(iter(triples))
+    assert len(kg) == n and (n * n < 2**31) == (n == 46_340)
+    nbrs = {v: set() for v in kg._labels}
+    for t in triples:
+        if t.subject != t.object:
+            nbrs[t.subject].add(t.object)
+            nbrs[t.object].add(t.subject)
+    index = {v: i for i, v in enumerate(kg._labels)}
+    want = [sorted(index[u] for u in nbrs[v]) for v in kg._labels]
+    assert kg._nbr.tolist() == [u for nb in want for u in nb]
+    assert kg._nbr_start.tolist() == [0] + list(accumulate(map(len, want)))
+    assert kg._nbr.dtype == kg._nbr_start.dtype == np.int32
+
+
 def _write_random_graph(path, n_entities, n_triples, seed):
     rng = random.Random(seed)
     with open(path, "w", encoding="utf-8") as fh:
@@ -439,9 +484,10 @@ def _write_random_graph(path, n_entities, n_triples, seed):
 
 def test_ingest_peak_memory_stays_near_what_the_store_keeps(tmp_path):
     # Every index frees its temporaries before the next one is built, so
-    # ingest peaks at about 1.3x the memory the store keeps (1.28x on this
-    # graph); keeping each stage's int64 temporaries alive to the end peaks
-    # near 1.9x.
+    # ingest peaks at 1.46x the memory the store keeps on this graph, where
+    # interning the labels sets the peak; keeping each stage's int64
+    # temporaries alive to the end peaks near 1.9x.
+    # tests/test_footprint.py checks a graph whose neighbour index sets it.
     path = tmp_path / "graph.tsv"
     _write_random_graph(path, 6_000, 24_000, seed=5)
     KnowledgeGraph.ingest(path)  # first-call allocations stay out of the count
