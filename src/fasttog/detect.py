@@ -36,7 +36,9 @@ Trajectory recording per detector:
 * girvan_newman -- edge removals by highest betweenness down to the empty
                   graph; one state per change of the component structure,
                   recorded in reverse removal order so the list still runs
-                  fine to coarse.
+                  fine to coarse. Blocks only split, so :func:`detect`
+                  stops at the first state whose blocks all fit;
+                  :func:`detect_full` removes every edge.
 * hierarchical -- singletons, then one state per merge (average-linkage
                   over shared-neighbor Jaccard similarity; only clusters
                   joined by at least one edge may merge). A pair's score
@@ -139,7 +141,8 @@ def detect(g: Subgraph, kind: str, m_max: int, seed: int = 0) -> Partition:
     Hierarchical merging stops at the first state with a block over
     ``m_max``, and louvain on the last component at the end of the first
     level with such a block; blocks only grow, so the chosen state is the
-    same as :func:`detect_full`'s.
+    same as :func:`detect_full`'s. Girvan-Newman stops at the first state
+    whose blocks all fit, for the same reason: its blocks only split.
     """
     return _detect(g, kind, m_max, seed, full=False).partition
 
@@ -220,7 +223,7 @@ def _component_states(nbrs, kind, m_max, rng, np_rng, bounded):
     if kind == "louvain":
         return _louvain_states(nbrs, rng, m_max if bounded else None)
     if kind == "girvan_newman":
-        return _girvan_newman_states(nbrs)
+        return _girvan_newman_states(nbrs, m_max if bounded else None)
     if kind == "hierarchical":
         return _hierarchical_states(nbrs, m_max if bounded else None)
     if kind == "spectral":
@@ -437,16 +440,19 @@ def _shuffle(x: list, getrandbits) -> None:
 # -- girvan-newman -----------------------------------------------------------
 
 
-def _girvan_newman_states(nbrs: list[list[int]]):
-    adj = list(map(set, nbrs))
+def _girvan_newman_states(nbrs: list[list[int]], m_max: int | None = None):
+    """Edge-removal states from the whole component on; with ``m_max``, stop
+    at the first state whose blocks all fit."""
+    adj = [list(nb) for nb in nbrs]  # ascending; a removal keeps them so
     nodes = range(len(adj))
-    chronological = [_components_of(adj, nodes)]
-    while any(adj):
+    comps = _components_of(adj, nodes)
+    chronological = [comps]
+    while any(adj) and (m_max is None or max(map(len, comps)) > m_max):
         betweenness = _edge_betweenness(adj)
         top = max(betweenness.values())
         edge = min(e for e, b in betweenness.items() if b >= top - 1e-9)
-        adj[edge[0]].discard(edge[1])
-        adj[edge[1]].discard(edge[0])
+        adj[edge[0]].remove(edge[1])
+        adj[edge[1]].remove(edge[0])
         comps = _components_of(adj, nodes)
         if len(comps) > len(chronological[-1]):
             chronological.append(comps)
@@ -473,8 +479,9 @@ def _components_of(adj, nodes):
     return comps
 
 
-def _edge_betweenness(adj: list[set[int]]):
-    """Brandes accumulation of shortest-path counts onto edges."""
+def _edge_betweenness(adj: list[list[int]]):
+    """Brandes accumulation of shortest-path counts onto edges; ``adj`` holds
+    ascending neighbour lists, visited in that order."""
     n = len(adj)
     eb = {(u, v): 0.0 for u in range(n) for v in adj[u] if u < v}
     for s in range(n):
@@ -487,7 +494,7 @@ def _edge_betweenness(adj: list[set[int]]):
         while queue:
             v = queue.popleft()
             order.append(v)
-            for w in sorted(adj[v]):
+            for w in adj[v]:
                 if w not in dist:
                     dist[w] = dist[v] + 1
                     queue.append(w)

@@ -16,6 +16,7 @@ from fasttog import (
 from fasttog.community import PartitionSnapshot, partition_dump
 from fasttog.detect import (
     DETECTOR_KINDS,
+    _girvan_newman_states,
     _hierarchical_states,
     _local_components,
     _louvain_states,
@@ -394,6 +395,25 @@ def test_bounded_hierarchical_states_stop_at_the_first_oversized_block():
             assert bounded == full[: len(bounded)]
             over = [i for i, state in enumerate(full) if max(map(len, state)) > m_max]
             assert len(bounded) == (over[0] + 1 if over else len(full))
+
+
+def test_bounded_girvan_newman_states_stop_at_the_first_state_that_fits():
+    rng = random.Random(24)
+    graphs = [full_subgraph(random_graph(rng.randint(2, 24), rng.choice((0.1, 0.2, 0.4)), rng))
+              for _ in range(40)]
+    graphs += [full_subgraph(multigraph(rng.randint(2, 20), rng.randint(1, 50), rng)) for _ in range(10)]
+    stopped = 0
+    for g in graphs:
+        m_max = rng.randint(2, 6)
+        for comp in _local_components(g):
+            nbrs = _rank_nbrs(g, comp)
+            full = _girvan_newman_states(nbrs)  # fine to coarse
+            bounded = _girvan_newman_states(nbrs, m_max)
+            assert bounded == full[len(full) - len(bounded) :]
+            sizes = [max(map(len, state)) for state in bounded]
+            assert sizes[0] <= m_max and all(size > m_max for size in sizes[1:])
+            stopped += len(bounded) < len(full)
+    assert stopped > 10
 
 
 def _replayed(states):
