@@ -78,6 +78,8 @@ def load_dataset(
     path: str | Path, sample_n: int | None = None, seed: int = 0
 ) -> list[QARecord]:
     """Parse a JSONL dataset, optionally subsampling with a fixed seed."""
+    if sample_n is not None and sample_n < 1:
+        raise ValueError(f"sample_n must be >= 1, got {sample_n}")
     records: list[QARecord] = []
     with open(path, encoding="utf-8") as fh:
         for idx, line in enumerate(fh):
@@ -153,6 +155,8 @@ def evaluate(
     ``trace_dir``, two records whose ids name the same trace file raise
     DataError before any record runs.
     """
+    if parallelism < 1:
+        raise ValueError(f"parallelism must be >= 1, got {parallelism}")
     records = list(records)
     if trace_dir is not None:
         first: dict[str, int] = {}

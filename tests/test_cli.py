@@ -456,3 +456,25 @@ def test_bad_template_override_is_a_data_error_naming_the_file(tmp_path, capsys,
     assert code == 2
     err = capsys.readouterr().err
     assert f"template {templates / 'pruning.txt'}: " in err and named in err
+
+
+@pytest.mark.parametrize(
+    "flag, value, named",
+    [
+        ("--width", "0", "width must be >= 1"),
+        ("--parallelism", "0", "parallelism must be >= 1, got 0"),
+        ("--parallelism", "-2", "parallelism must be >= 1, got -2"),
+        ("--sample-n", "0", "sample_n must be >= 1, got 0"),
+        ("--sample-n", "-1", "sample_n must be >= 1, got -1"),
+    ],
+)
+def test_bad_eval_counts_are_data_errors_on_one_line(tmp_path, capsys, flag, value, named):
+    graph, start, target = path_fixture(tmp_path)
+    data = tmp_path / "data.jsonl"
+    row = {"id": "q1", "question": "q?", "answers": [target], "start_entities": [start]}
+    data.write_text(json.dumps(row) + "\n", encoding="utf-8")
+    script = script_file(tmp_path, ["A", f"Answer: {target}"])
+    argv = ["eval", "--graph", str(graph), "--data", str(data), "--mock-script", str(script)]
+    assert main(argv + [flag, value]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {named}\n"
