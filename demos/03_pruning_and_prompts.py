@@ -33,26 +33,26 @@ current = Community.from_members({center}, g)
 cands = candidate_communities(partition, current, set(), g)
 print(f"candidates adjacent to {center!r} (score-ranked):")
 for cand in cands:
-    print(f"   {cand.modularity:7.3f}  {','.join(cand.community.sorted_members)}")
+    print(f"   {cand.community.modularity:7.3f}  {','.join(cand.community.sorted_members)}")
 
 kept = coarse_prune(cands, 3)
 print("\ncoarse pruning keeps the top 3:")
 for cand in kept:
-    print(f"   {cand.modularity:7.3f}  {','.join(cand.community.sorted_members)}")
+    print(f"   {cand.community.modularity:7.3f}  {','.join(cand.community.sorted_members)}")
 
 print("\nverbalized candidate (intra-community facts, then connecting facts):")
 text = triple2text(kept[0].community, kept[0].bridge_edges, g)
 print("  ", text.text)
 
 gateway = ScriptedGateway(["B"])
-verbalizer = lambda cand: triple2text(cand.community, cand.bridge_edges, g)
+texts = [triple2text(cand.community, cand.bridge_edges, g) for cand in kept]
 outcome = fine_prune(
     "Which state is Philadelphia in?",
     kept,
     [triple2text(current, (), g)],
     gateway,
     k=1,
-    verbalizer=verbalizer,
+    texts=texts,
 )
 print("\nscripted gateway replied 'B'; fine pruning chose:")
 print("  ", ",".join(outcome.chosen[0].community.sorted_members))
@@ -63,7 +63,7 @@ from fasttog import build_pruning_prompt
 bundle = build_pruning_prompt(
     "Which state is Philadelphia in?",
     [triple2text(current, (), g)],
-    [verbalizer(c) for c in kept],
+    texts,
     k=1,
 )
 print("-" * 60)

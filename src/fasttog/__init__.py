@@ -24,7 +24,7 @@ from .detect import (
     detect,
     detect_full,
 )
-from .engine import ChainSet, Engine, EngineConfig, ReasoningChain, RunTrace, trace_to_dot
+from .engine import Engine, EngineConfig, RunTrace, trace_to_dot
 from .errors import (
     DataError,
     FastToGError,
@@ -73,7 +73,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CallLedger",
     "CandidateCommunity",
-    "ChainSet",
     "ChatEndpoint",
     "Community",
     "CommunityText",
@@ -96,7 +95,6 @@ __all__ = [
     "ProviderError",
     "PruneOutcome",
     "QARecord",
-    "ReasoningChain",
     "ReplyParseError",
     "ResolutionError",
     "RunTrace",

@@ -10,6 +10,9 @@ global reasoning call over all chains. A chain whose selection or
 confirmation comes back negative is discontinued. If the depth budget is
 exhausted without an answer, the run degrades to an inner-knowledge baseline.
 
+An engine keeps no per-run state: each ``Engine.run`` call builds its own
+run state, so threads may share one engine.
+
 Call accounting: each run counts its own calls, g2t rewrites included, in a
 fresh ledger that ``RunTrace.ledger`` reports; retries inside a gateway count
 once. With no stalled chains the retrieval calls total exactly
@@ -20,11 +23,12 @@ chain plus one reasoning call per iteration).
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 from dataclasses import dataclass, field
 
-from .community import Community
+from .community import Community, canonical_community_id
 from .detect import DETECTOR_KINDS, detect
 from .errors import FastToGError, ResolutionError
 from .gateway import (
@@ -103,31 +107,10 @@ class EngineConfig:
 
 
 @dataclass
-class ReasoningChain:
-    communities: list[Community] = field(default_factory=list)
-    texts: list[CommunityText] = field(default_factory=list)
-    active: bool = True
-
-    def last(self) -> Community:
-        return self.communities[-1]
-
-
-@dataclass
-class ChainSet:
-    chains: list[ReasoningChain]
-    start: Community
-    start_text: CommunityText
-
-    def active_chains(self) -> list[ReasoningChain]:
-        return [c for c in self.chains if c.active]
-
-
-@dataclass
 class RunTrace:
     events: list[dict] = field(default_factory=list)
     depth_reached: int = 0
     ledger: dict[str, int] = field(default_factory=dict)
-    answer: ParsedVerdict | None = None
     degraded: bool = False
 
     def add(self, event: str, **payload) -> None:
@@ -165,77 +148,84 @@ class Engine:
         self.config = config or EngineConfig()
         self.g2t_backend = g2t_backend
 
-    # -- public entry ------------------------------------------------------
-
     def run(
         self, question: str, start_entities: list[str] | None = None
     ) -> tuple[ParsedVerdict, RunTrace]:
-        cfg = self.config
-        self._seed_counter = 0
-        self._rng = random.Random(cfg.seed ^ 0x9E3779B9)
-        self._ledger = CallLedger()
-        self._gateway = _Counted(self.gateway, self._ledger)
-        self._g2t = None
-        if self.g2t_backend is not None:
-            self._g2t = _Counted(self.g2t_backend, self._ledger)
-        trace = RunTrace()
-        trace.add("start", question=question, config=cfg.public_dict())
+        state = _Run(self, question)
         try:
-            return self._run(question, start_entities, trace)
+            return state.answer(start_entities)
         except FastToGError as exc:
             # fatal aborts still expose what happened up to the failure
-            trace.ledger = self._ledger.counts()
-            trace.add("aborted", error=str(exc))
-            exc.partial_trace = trace
+            state.trace.ledger = state.ledger.counts()
+            state.trace.add("aborted", error=str(exc))
+            exc.partial_trace = state.trace
             raise
 
-    def _run(self, question, start_entities, trace) -> tuple[ParsedVerdict, RunTrace]:
-        cfg = self.config
-        start_label = self._resolve_start(question, start_entities, trace)
-        history: set[str] = set()
-        chainset = self._initial_phase(question, start_label, history, trace)
+
+class _Run:
+    """Everything one run reads and writes, built afresh by each ``Engine.run``.
+
+    Chain ``i`` is ``texts[i]``, its community texts in order, and
+    ``ends[i]``, the members of its last community or ``None`` once the chain
+    has stopped.
+    """
+
+    def __init__(self, engine: Engine, question: str):
+        cfg = self.config = engine.config
+        self.omega = engine.omega
+        self.question = question
+        self.seeds = ((cfg.seed * 1_000_003 + i) & 0x7FFFFFFF for i in itertools.count(1))
+        self.rng = random.Random(cfg.seed ^ 0x9E3779B9)
+        self.ledger = CallLedger()
+        self.gateway = _Counted(engine.gateway, self.ledger)
+        self.g2t = None
+        if engine.g2t_backend is not None:
+            self.g2t = _Counted(engine.g2t_backend, self.ledger)
+        self.trace = RunTrace()
+        self.trace.add("start", question=question, config=cfg.public_dict())
+        self.history: set[str] = set()
+        self.start_text: CommunityText | None = None
+        self.texts: list[list[CommunityText]] = []
+        self.ends: list[frozenset | None] = []
+
+    def answer(self, start_entities) -> tuple[ParsedVerdict, RunTrace]:
+        cfg, trace = self.config, self.trace
+        self._initial_phase(self._resolve_start(start_entities))
 
         verdict = ParsedVerdict("unknown")
-        degraded = False
-        if chainset.active_chains():
-            verdict = self._reason(question, chainset, trace, depth=0)
+        if any(self.ends):  # a stopped chain's end is None
+            verdict = self._reason(depth=0)
         else:
             trace.add("no_headers", depth=0)
-
+        for depth in range(1, cfg.max_depth + 1):
+            if verdict.kind == "answer" or not any(self.ends):
+                break
+            verdict = self._step_and_reason(depth)
+            trace.depth_reached = depth
         if verdict.kind != "answer":
-            for depth in range(1, cfg.max_depth + 1):
-                if not chainset.active_chains():
-                    break
-                verdict = self._step_and_reason(question, chainset, history, depth, trace)
-                trace.depth_reached = depth
-                if verdict.kind == "answer":
-                    break
-            if verdict.kind != "answer":
-                degraded = True
-                trace.add("degrade", mode=cfg.degrade_mode, depth=trace.depth_reached)
-                verdict = baseline_answer(
-                    question, cfg.degrade_mode, self._gateway, templates_dir=cfg.templates_dir
-                )
+            trace.degraded = True
+            trace.add("degrade", mode=cfg.degrade_mode, depth=trace.depth_reached)
+            verdict = baseline_answer(
+                self.question, cfg.degrade_mode, self.gateway, templates_dir=cfg.templates_dir
+            )
 
-        trace.answer = verdict
-        trace.degraded = degraded
-        trace.ledger = self._ledger.counts()
+        trace.ledger = self.ledger.counts()
         trace.add(
             "final",
             answer={"kind": verdict.kind, "text": verdict.text},
             depth_reached=trace.depth_reached,
-            degraded=degraded,
+            degraded=trace.degraded,
             ledger=trace.ledger,
         )
         return verdict, trace
 
     # -- phases -------------------------------------------------------------
 
-    def _resolve_start(self, question, start_entities, trace) -> str:
+    def _resolve_start(self, start_entities) -> str:
         if start_entities:
             for label in start_entities:
                 if label in self.omega:
-                    trace.add("start_entity", label=label, source="provided")
+                    self.trace.add("start_entity", label=label, source="provided")
                     return label
             raise ResolutionError(
                 f"no provided start entity found in graph: {start_entities!r}"
@@ -243,74 +233,56 @@ class Engine:
         preamble, body_tpl = load_template("extract", self.config.templates_dir)
         bundle = PromptBundle(
             system_preamble=preamble,
-            body=body_tpl.format(question=question),
+            body=body_tpl.format(question=self.question),
             temperature=PRUNING_TEMPERATURE,
         )
-        resp = self._gateway.generate(GenerationRequest(bundle, "pruning"))
+        resp = self.gateway.generate(GenerationRequest(bundle, "pruning"))
         label = resp.text.strip().strip('"')
         if label not in self.omega:
             raise ResolutionError(f"extracted entity not in graph: {label!r}")
-        trace.add("start_entity", label=label, source="extracted")
+        self.trace.add("start_entity", label=label, source="extracted")
         return label
 
-    def _initial_phase(self, question, start_label, history, trace) -> ChainSet:
-        cfg = self.config
-        outcome, current, start_text = self._local_community_search(
-            question,
-            frozenset([start_label]),
-            history,
-            n_pick=cfg.width,
-            context_texts=None,
-            trace=trace,
-            depth=0,
-            chain_index=None,
+    def _initial_phase(self, start_label) -> None:
+        start = frozenset([start_label])
+        outcome = self._local_community_search(
+            start, n_pick=self.config.width, context_texts=None, depth=0, chain_index=None
         )
-        history.add(current.canonical_id)
-        chains = [ReasoningChain() for _ in range(cfg.width)]
-        for i, (cand, text) in enumerate(zip(outcome.chosen, outcome.chosen_texts)):
-            chains[i].communities.append(cand.community)
-            chains[i].texts.append(text)
-            history.add(cand.community.canonical_id)
-        for chain in chains:
-            if not chain.communities:
-                chain.active = False
-        trace.add(
+        self.history.add(canonical_community_id(start))
+        self.history.update(cand.community.canonical_id for cand in outcome.chosen)
+        stopped = self.config.width - len(outcome.chosen)
+        self.texts = [[text] for text in outcome.chosen_texts] + [[] for _ in range(stopped)]
+        self.ends = [cand.community.members for cand in outcome.chosen] + [None] * stopped
+        self.trace.add(
             "headers",
             depth=0,
             chosen=[c.community.canonical_id for c in outcome.chosen],
             none_selected=outcome.none_selected,
         )
-        return ChainSet(chains=chains, start=current, start_text=start_text)
 
-    def _step_and_reason(self, question, chainset, history, depth, trace) -> ParsedVerdict:
-        for idx, chain in enumerate(chainset.chains):
-            if not chain.active:
+    def _step_and_reason(self, depth) -> ParsedVerdict:
+        trace = self.trace
+        for idx, members in enumerate(self.ends):
+            if members is None:
                 continue
-            context = [chainset.start_text] + chain.texts
-            outcome, _, _ = self._local_community_search(
-                question,
-                chain.last().members,
-                history,
-                n_pick=1,
-                context_texts=context,
-                trace=trace,
-                depth=depth,
-                chain_index=idx,
+            context = [self.start_text] + self.texts[idx]
+            outcome = self._local_community_search(
+                members, n_pick=1, context_texts=context, depth=depth, chain_index=idx
             )
             if outcome.none_selected or not outcome.chosen:
-                chain.active = False
+                self.ends[idx] = None
                 # empty candidate sets carry no model reply
                 reason = "no_candidates" if outcome.raw_reply is None else "none_selected"
                 trace.add("chain_stopped", chain=idx, depth=depth, reason=reason)
                 continue
             cand, cand_text = outcome.chosen[0], outcome.chosen_texts[0]
             confirm = fine_prune(
-                question,
+                self.question,
                 [cand],
                 context,
-                self._gateway,
+                self.gateway,
                 k=1,
-                verbalizer=lambda _c, _t=cand_text: _t,
+                texts=[cand_text],
                 templates_dir=self.config.templates_dir,
             )
             trace.add(
@@ -322,12 +294,12 @@ class Engine:
                 reply=confirm.raw_reply,
             )
             if confirm.none_selected:
-                chain.active = False
+                self.ends[idx] = None
                 trace.add("chain_stopped", chain=idx, depth=depth, reason="not_confirmed")
                 continue
-            chain.communities.append(cand.community)
-            chain.texts.append(cand_text)
-            history.add(cand.community.canonical_id)
+            self.ends[idx] = cand.community.members
+            self.texts[idx].append(cand_text)
+            self.history.add(cand.community.canonical_id)
             trace.add(
                 "chain_grew",
                 chain=idx,
@@ -335,18 +307,18 @@ class Engine:
                 community=cand.community.canonical_id,
                 members=list(cand.community.sorted_members),
             )
-        return self._reason(question, chainset, trace, depth)
+        return self._reason(depth)
 
-    def _reason(self, question, chainset, trace, depth) -> ParsedVerdict:
+    def _reason(self, depth) -> ParsedVerdict:
         bundle = build_reasoning_prompt(
-            question,
-            [chain.texts for chain in chainset.chains],
-            chainset.start_text,
+            self.question,
+            self.texts,
+            self.start_text,
             templates_dir=self.config.templates_dir,
         )
-        resp = self._gateway.generate(GenerationRequest(bundle, "reasoning"))
+        resp = self.gateway.generate(GenerationRequest(bundle, "reasoning"))
         verdict = parse_verdict(resp.text)
-        trace.add(
+        self.trace.add(
             "verdict",
             depth=depth,
             kind=verdict.kind,
@@ -358,24 +330,16 @@ class Engine:
     # -- local community search ---------------------------------------------
 
     def _local_community_search(
-        self,
-        question,
-        current_members: frozenset,
-        history: set[str],
-        n_pick: int,
-        context_texts,
-        trace: RunTrace,
-        depth: int,
-        chain_index,
-    ) -> tuple[PruneOutcome, Community, CommunityText]:
+        self, current_members: frozenset, n_pick: int, context_texts, depth: int, chain_index
+    ) -> PruneOutcome:
         """Extract, detect, filter, coarse-prune, fine-prune around one community.
 
-        Returns the outcome, the current community, and the premise text the
-        pruning prompt opened with (the current community's own text when no
-        context was given).
+        With no ``context_texts`` (the initial search), the pruning prompt
+        opens with the current community's own text, which becomes the run's
+        start text.
         """
-        cfg = self.config
-        sampler = SamplerConfig(rho=cfg.rho, r_max=cfg.r_max, seed=self._next_seed())
+        cfg, trace = self.config, self.trace
+        sampler = SamplerConfig(rho=cfg.rho, r_max=cfg.r_max, seed=next(self.seeds))
         g = extract_subgraph(self.omega, current_members, sampler)
         trace.add(
             "subgraph",
@@ -385,7 +349,7 @@ class Engine:
             nodes=len(g),
             edges=g.m,
         )
-        partition = detect(g, cfg.detector, cfg.max_community_size, seed=self._next_seed())
+        partition = detect(g, cfg.detector, cfg.max_community_size, seed=next(self.seeds))
         trace.add(
             "partition",
             chain=chain_index,
@@ -394,14 +358,15 @@ class Engine:
         )
         current = Community.from_members(current_members, g)
         if context_texts is None:
-            context_texts = [self._community_text(current, (), g, trace)]
-        cands = candidate_communities(partition, current, history, g)
+            self.start_text = self._community_text(current, (), g)
+            context_texts = [self.start_text]
+        cands = candidate_communities(partition, current, self.history, g)
         if not cands:
             trace.add("coarse", chain=chain_index, depth=depth, kept=[], current=sorted(current_members))
-            return PruneOutcome((), (), True, None), current, context_texts[0]
+            return PruneOutcome((), (), True, None)
         top_k = cfg.resolved_coarse_top_k
         if cfg.prune_mode == "random":
-            kept = random_prune(cands, top_k, self._rng)
+            kept = random_prune(cands, top_k, self.rng)
         else:
             kept = coarse_prune(cands, top_k)
         trace.add(
@@ -414,21 +379,19 @@ class Engine:
                 {
                     "id": cand.community.canonical_id,
                     "members": list(cand.community.sorted_members),
-                    "modularity": cand.modularity,
+                    "modularity": cand.community.modularity,
                     "bridges": [list(t) for t in cand.bridge_edges],
                 }
                 for cand in kept
             ],
         )
         outcome = fine_prune(
-            question,
+            self.question,
             kept,
             context_texts,
-            self._gateway,
+            self.gateway,
             k=n_pick,
-            verbalizer=lambda cand, _g=g: self._community_text(
-                cand.community, cand.bridge_edges, _g, trace
-            ),
+            texts=[self._community_text(c.community, c.bridge_edges, g) for c in kept],
             templates_dir=cfg.templates_dir,
         )
         trace.add(
@@ -439,27 +402,21 @@ class Engine:
             none_selected=outcome.none_selected,
             reply=outcome.raw_reply,
         )
-        return outcome, current, context_texts[0]
+        return outcome
 
-    def _community_text(
-        self, community: Community, bridges, g: Subgraph, trace: RunTrace | None = None
-    ) -> CommunityText:
+    def _community_text(self, community: Community, bridges, g: Subgraph) -> CommunityText:
         if self.config.mode == "g2t":
             text = graph2text(
                 community,
                 list(bridges),
-                self._g2t,
+                self.g2t,
                 g,
                 templates_dir=self.config.templates_dir,
             )
-            if text.fallback and trace is not None:
-                trace.add("g2t_fallback", community=community.canonical_id)
+            if text.fallback:
+                self.trace.add("g2t_fallback", community=community.canonical_id)
             return text
         return triple2text(community, list(bridges), g)
-
-    def _next_seed(self) -> int:
-        self._seed_counter += 1
-        return (self.config.seed * 1_000_003 + self._seed_counter) & 0x7FFFFFFF
 
 
 def check_trace_event(ev) -> None:

@@ -152,8 +152,9 @@ def evaluate(
     fresh for every run; engines share the immutable graph. Per-record
     failures are recorded as incorrect items, not batch failures. Results are
     assembled in record order regardless of worker scheduling. With
-    ``trace_dir``, two records whose ids name the same trace file raise
-    DataError before any record runs.
+    ``trace_dir``, every record's trace is written, the partial trace of a
+    record that raised included (it ends in an ``aborted`` event); two records
+    whose ids name the same trace file raise DataError before any record runs.
     """
     if parallelism < 1:
         raise ValueError(f"parallelism must be >= 1, got {parallelism}")
@@ -173,22 +174,25 @@ def evaluate(
         gateway = gateway_factory(record)
         backend = g2t_backend_factory(record) if g2t_backend_factory else None
         engine = Engine(omega, gateway, config, g2t_backend=backend)
+        error = None
         try:
             verdict, trace = engine.run(
                 record.question, list(record.start_entities) or None
             )
         except FastToGError as exc:
+            trace, error = exc.partial_trace, str(exc)
+        if trace_dir is not None:
+            path = Path(trace_dir) / _trace_name(record.id)
+            path.write_text(trace.to_jsonl(), encoding="utf-8")
+        if error is not None:
             return {
                 "id": record.id,
                 "correct": False,
                 "depth": 0,
-                "calls": sum(exc.partial_trace.ledger.values()),
+                "calls": sum(trace.ledger.values()),
                 "degraded": False,
-                "error": str(exc),
+                "error": error,
             }
-        if trace_dir is not None:
-            path = Path(trace_dir) / _trace_name(record.id)
-            path.write_text(trace.to_jsonl(), encoding="utf-8")
         prediction = verdict.text if verdict.kind == "answer" and verdict.text else ""
         correct = bool(prediction) and exact_match(prediction, record.gold_answers)
         return {

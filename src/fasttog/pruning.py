@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 # kept importable: bench/run.py hooks it, and tests/test_bench_hooks.py needs every hook
 from .community import Community, Partition, modularity_community  # noqa: F401
@@ -23,7 +23,6 @@ from .verbalize import CommunityText, build_pruning_prompt
 class CandidateCommunity:
     community: Community
     bridge_edges: tuple[Triple, ...]
-    modularity: float
 
 
 @dataclass(frozen=True)
@@ -65,8 +64,8 @@ def candidate_communities(
         c = p.community(i)
         if c.canonical_id in h:
             continue
-        out.append(CandidateCommunity(c, tuple(bridges), c.modularity))
-    out.sort(key=lambda cand: (-cand.modularity, cand.community.canonical_id))
+        out.append(CandidateCommunity(c, tuple(bridges)))
+    out.sort(key=lambda cand: (-cand.community.modularity, cand.community.canonical_id))
     return out
 
 
@@ -74,7 +73,7 @@ def coarse_prune(cands: Sequence[CandidateCommunity], k: int) -> list[CandidateC
     """Top-k candidates by score, ties broken by canonical id ascending."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    ranked = sorted(cands, key=lambda cand: (-cand.modularity, cand.community.canonical_id))
+    ranked = sorted(cands, key=lambda c: (-c.community.modularity, c.community.canonical_id))
     return ranked[:k]
 
 
@@ -95,20 +94,20 @@ def fine_prune(
     context_chain: Sequence[CommunityText],
     gateway,
     k: int,
-    verbalizer: Callable[[CandidateCommunity], CommunityText],
+    texts: Sequence[CommunityText],
     templates_dir=None,
 ) -> PruneOutcome:
     """Model-driven final selection among the coarse survivors.
 
     Issues exactly one generation request. A reply naming no relevant option
     yields an outcome with ``none_selected`` set; an unparseable reply raises
-    with the raw text attached. ``k`` is clamped to the candidate count, so a
-    width-sized pick over fewer surviving candidates selects what exists.
+    with the raw text attached. ``texts[i]`` is the prompt text of ``cands[i]``.
+    ``k`` is clamped to the candidate count, so a width-sized pick over fewer
+    surviving candidates selects what exists.
     """
-    if not cands:
-        raise ValueError("cands must be non-empty")
+    if not cands or len(texts) != len(cands):
+        raise ValueError("cands must be non-empty, with one text each")
     k = min(k, len(cands))
-    texts = [verbalizer(c) for c in cands]
     bundle = build_pruning_prompt(question, context_chain, texts, k, templates_dir=templates_dir)
     resp = gateway.generate(GenerationRequest(bundle, "pruning"))
     indices = parse_choice(resp.text, len(cands), k)

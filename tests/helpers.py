@@ -275,8 +275,8 @@ def reference_candidates(p, current, h, g) -> list:
         novel = c.members - current.members
         bridges = reference_between(g.triples, novel, current.members)
         if novel and bridges:
-            out.append(CandidateCommunity(c, tuple(sorted(bridges)), c.modularity))
-    out.sort(key=lambda cand: (-cand.modularity, cand.community.canonical_id))
+            out.append(CandidateCommunity(c, tuple(sorted(bridges))))
+    out.sort(key=lambda cand: (-cand.community.modularity, cand.community.canonical_id))
     return out
 
 

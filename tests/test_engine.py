@@ -1,5 +1,7 @@
 import hashlib
-import random
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -7,7 +9,6 @@ from fasttog import (
     Engine,
     EngineConfig,
     GenerationResponse,
-    RunTrace,
     ScriptedGateway,
     trace_to_dot,
 )
@@ -282,6 +283,32 @@ def test_runs_sharing_a_gateway_report_their_own_calls():
     assert second.events[-1]["ledger"] == expected
 
 
+def test_threads_sharing_an_engine_trace_and_count_their_own_runs():
+    # one engine, four threads at once: each run must trace and count exactly
+    # as a run on its own; the 1 ms replies make the threads interleave
+    kg, start, target = lane_in_background(n_background=60, seed=1)
+
+    class Slow(OracleGateway):
+        def generate(self, req):
+            time.sleep(0.001)
+            return super().generate(req)
+
+    eng = Engine(kg, Slow(kg, target), EngineConfig(width=2, max_depth=4, seed=1))
+    _, alone = eng.run("q?", [start])
+    together = threading.Barrier(4)
+
+    def run(_):
+        together.wait()
+        return eng.run("q?", [start])[1]
+
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        traces = list(pool.map(run, range(4)))
+    assert alone.ledger["pruning"] > 4
+    for trace in traces:
+        assert trace.to_jsonl() == alone.to_jsonl()
+        assert trace.ledger == alone.ledger
+
+
 def test_gateway_with_only_generate_runs():
     kg, hub = clique_spider(arms=3, arm_len=3, seed=1)
     replies = iter(["A", "Answer: ok"])
@@ -296,20 +323,22 @@ def test_gateway_with_only_generate_runs():
 
 
 def test_local_search_walks_to_opposite_triangle():
-    # the search seeded at one triangle, scripted to take option A, must
+    # started at c, the run takes triangle a-b-c as its header (option B);
+    # the search seeded at that triangle, scripted to take option A, must
     # surface the opposite triangle as the chosen community
     kg = bridged_triangles()
-    gw = ScriptedGateway(["A"])
+    gw = ScriptedGateway(["B", "Unknown", "A", "A", "Answer: done"])
     eng = Engine(kg, gw, EngineConfig(width=1, max_depth=1, r_max=2, seed=0))
-    eng._seed_counter = 0
-    eng._rng = random.Random(0)
-    eng._gateway = gw
-    outcome, _current, _premise = eng._local_community_search(
-        "q?", frozenset({"a", "b", "c"}), set(), 1, None, RunTrace(), 0, None
+    _, trace = eng.run("q?", ["c"])
+    coarse, fine = (
+        next(e for e in trace.events if e["event"] == kind and e["depth"] == 1)
+        for kind in ("coarse", "fine")
     )
-    assert not outcome.none_selected
-    assert outcome.chosen[0].community.sorted_members == ("d", "e", "f")
-    assert outcome.chosen[0].bridge_edges[0] == ("c", "bridge", "d")
+    assert coarse["current"] == ["a", "b", "c"]
+    assert not fine["none_selected"]
+    chosen = next(c for c in coarse["kept"] if c["id"] == fine["chosen"][0])
+    assert chosen["members"] == ["d", "e", "f"]
+    assert chosen["bridges"][0] == ["c", "bridge", "d"]
 
 
 def test_g2t_mode_without_backend_falls_back_with_trace_flag():

@@ -242,6 +242,24 @@ def test_trace_dir_written(tmp_path):
     assert (trace_dir / "r0.trace.jsonl").exists()
 
 
+def test_trace_dir_keeps_the_partial_trace_of_a_record_that_raised(tmp_path):
+    # r1's script runs out at its first confirmation: its trace is still
+    # written, and ends in the aborted event the run attached to the error
+    rows = [record(0), record(1)]
+    scripts = {"r0": script_answering_at_depth(0, "alpha"), "r1": ["A", "Unknown", "A"]}
+    trace_dir = tmp_path / "traces"
+    report = run_eval(tmp_path, rows, scripts, trace_dir=trace_dir)
+    error = report.per_item[1]["error"]
+    assert error == "script exhausted after 3 replies"
+    assert report.per_item[1]["calls"] == 4
+    lines = (trace_dir / "r1.trace.jsonl").read_text(encoding="utf-8").splitlines()
+    events = [json.loads(line) for line in lines]
+    assert events[0]["event"] == "start"
+    assert events[-1] == {"event": "aborted", "error": error}
+    assert [e["event"] for e in events].count("verdict") == 1
+    assert (trace_dir / "r0.trace.jsonl").exists()
+
+
 def test_ids_that_name_one_trace_file_raise_before_any_run(tmp_path):
     # "x/y" and "x_y" both sanitise to x_y.trace.jsonl
     rows = [record(0), dict(record(1), id="x/y"), dict(record(2), id="x_y")]

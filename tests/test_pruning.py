@@ -30,8 +30,8 @@ def triangle_partition(triangles_g):
     return Partition.from_member_sets([TRIANGLE_1, TRIANGLE_2], triangles_g)
 
 
-def t2t_verbalizer(g):
-    return lambda cand: triple2text(cand.community, cand.bridge_edges, g)
+def t2t_texts(g, cands):
+    return [triple2text(cand.community, cand.bridge_edges, g) for cand in cands]
 
 
 def test_candidates_on_triangles(triangles_g, triangle_partition):
@@ -40,7 +40,7 @@ def test_candidates_on_triangles(triangles_g, triangle_partition):
     assert len(cands) == 1
     assert cands[0].community.sorted_members == ("d", "e", "f")
     assert cands[0].bridge_edges == (Triple("c", "bridge", "d"),)
-    assert cands[0].modularity == pytest.approx(2.5)
+    assert cands[0].community.modularity == pytest.approx(2.5)
 
 
 def test_candidates_exclude_history(triangles_g, triangle_partition):
@@ -77,33 +77,30 @@ def test_candidates_with_overlapping_community(triangles_g):
     assert Triple("c", "bridge", "d") in bridge  # novel d touching current c
 
 
-def test_coarse_prune_orders_and_truncates(triangles_g):
-    def cand(members, q):
-        c = Community.from_members(members, triangles_g)
-        return CandidateCommunity(c, (Triple("a", "r", "b"),), q)
+def candidate(members, g):
+    return CandidateCommunity(Community.from_members(members, g), (Triple("a", "r", "b"),))
 
-    c1, c2, c3 = cand({"a"}, 2.5), cand({"b"}, 1.0), cand({"c"}, -0.5)
+
+def test_coarse_prune_orders_and_truncates(triangles_g):
+    # scored by their own communities: 2.5, 2 - 16/14 and -9/14
+    c1, c2, c3 = (candidate(m, triangles_g) for m in ({"a", "b", "c"}, {"a", "b"}, {"c"}))
+    scores = [c.community.modularity for c in (c1, c2, c3)]
+    assert scores == pytest.approx([2.5, 2 - 16 / 14, -9 / 14])
     assert coarse_prune([c3, c1, c2], 2) == [c1, c2]
     assert coarse_prune([c1], 5) == [c1]
 
 
 def test_coarse_prune_tie_breaks_on_canonical_id(triangles_g):
-    def cand(members):
-        c = Community.from_members(members, triangles_g)
-        return CandidateCommunity(c, (Triple("a", "r", "b"),), 0.0)
-
-    cands = [cand({"e"}), cand({"d"}), cand({"f"})]
+    # equal-degree singletons score the same
+    cands = [candidate({x}, triangles_g) for x in "ebf"]
+    assert len({c.community.modularity for c in cands}) == 1
     ids = sorted(c.community.canonical_id for c in cands)
     kept = coarse_prune(cands, 1)
     assert kept[0].community.canonical_id == ids[0]
 
 
 def test_random_prune_is_seeded_subset(triangles_g):
-    def cand(members):
-        c = Community.from_members(members, triangles_g)
-        return CandidateCommunity(c, (Triple("a", "r", "b"),), 0.0)
-
-    cands = [cand({x}) for x in "abcdef"]
+    cands = [candidate({x}, triangles_g) for x in "abcdef"]
     first = random_prune(cands, 2, random.Random(5))
     second = random_prune(cands, 2, random.Random(5))
     assert first == second
@@ -116,14 +113,14 @@ def _cands_for_fine(triangles_g, n):
     out = []
     for members in ({"d"}, {"e"}, {"f"}):
         c = Community.from_members(members, triangles_g)
-        out.append(CandidateCommunity(c, (Triple("c", "bridge", "d"),), c.modularity))
+        out.append(CandidateCommunity(c, (Triple("c", "bridge", "d"),)))
     return out[:n]
 
 
 def test_fine_prune_single_choice(triangles_g):
     gw = Counting(ScriptedGateway(["A"]))
     cands = _cands_for_fine(triangles_g, 3)
-    out = fine_prune("q?", cands, [], gw, 1, verbalizer=t2t_verbalizer(triangles_g))
+    out = fine_prune("q?", cands, [], gw, 1, texts=t2t_texts(triangles_g, cands))
     assert not out.none_selected
     assert out.chosen == (cands[0],)
     assert gw.ledger.counts()["pruning"] == 1
@@ -132,7 +129,7 @@ def test_fine_prune_single_choice(triangles_g):
 def test_fine_prune_multi_choice_partial(triangles_g):
     gw = ScriptedGateway(["A, C"])
     cands = _cands_for_fine(triangles_g, 3)
-    out = fine_prune("q?", cands, [], gw, 3, verbalizer=t2t_verbalizer(triangles_g))
+    out = fine_prune("q?", cands, [], gw, 3, texts=t2t_texts(triangles_g, cands))
     assert [c.community.sorted_members for c in out.chosen] == [("d",), ("f",)]
     assert len(out.chosen) == 2
 
@@ -140,7 +137,7 @@ def test_fine_prune_multi_choice_partial(triangles_g):
 def test_fine_prune_none_reply(triangles_g):
     gw = ScriptedGateway(["None of the above"])
     cands = _cands_for_fine(triangles_g, 2)
-    out = fine_prune("q?", cands, [], gw, 1, verbalizer=t2t_verbalizer(triangles_g))
+    out = fine_prune("q?", cands, [], gw, 1, texts=t2t_texts(triangles_g, cands))
     assert out.none_selected
     assert out.chosen == ()
 
@@ -149,43 +146,43 @@ def test_fine_prune_unparseable_carries_raw_reply(triangles_g):
     gw = ScriptedGateway(["total nonsense 123"])
     cands = _cands_for_fine(triangles_g, 2)
     with pytest.raises(ReplyParseError) as err:
-        fine_prune("q?", cands, [], gw, 1, verbalizer=t2t_verbalizer(triangles_g))
+        fine_prune("q?", cands, [], gw, 1, texts=t2t_texts(triangles_g, cands))
     assert err.value.raw_reply == "total nonsense 123"
 
 
 def test_fine_prune_issues_exactly_one_call(triangles_g):
     gw = Counting(ScriptedGateway(["B", "A"]))
     cands = _cands_for_fine(triangles_g, 3)
-    fine_prune("q?", cands, [], gw, 1, verbalizer=t2t_verbalizer(triangles_g))
+    fine_prune("q?", cands, [], gw, 1, texts=t2t_texts(triangles_g, cands))
     assert sum(gw.ledger.counts().values()) == 1
 
 
 def test_fine_prune_single_candidate_still_consults(triangles_g):
     gw = Counting(ScriptedGateway(["None"]))
     cands = _cands_for_fine(triangles_g, 1)
-    out = fine_prune("q?", cands, [], gw, 1, verbalizer=t2t_verbalizer(triangles_g))
+    out = fine_prune("q?", cands, [], gw, 1, texts=t2t_texts(triangles_g, cands))
     assert out.none_selected
     assert gw.ledger.counts()["pruning"] == 1
 
 
 def test_fine_prune_requires_candidates(triangles_g):
     with pytest.raises(ValueError):
-        fine_prune("q?", [], [], ScriptedGateway(["A"]), 1, verbalizer=lambda c: None)
+        fine_prune("q?", [], [], ScriptedGateway(["A"]), 1, texts=[])
 
 
 def test_coarse_prune_properties(triangles_g):
+    # random member sets of the two triangles, scored by their own communities
     rng = random.Random(3)
-    singles = [Community.from_members({x}, triangles_g) for x in "abcdef"]
     for _ in range(50):
         cands = [
-            CandidateCommunity(c, (Triple("a", "r", "b"),), rng.uniform(-3, 3))
-            for c in rng.sample(singles, rng.randint(1, 6))
+            candidate(rng.sample("abcdef", rng.randint(1, 6)), triangles_g)
+            for _ in range(rng.randint(1, 6))
         ]
         k = rng.randint(1, 8)
         kept = coarse_prune(cands, k)
         assert len(kept) <= k
         assert all(c in cands for c in kept)
-        scores = [c.modularity for c in kept]
+        scores = [c.community.modularity for c in kept]
         assert scores == sorted(scores, reverse=True)
 
 
