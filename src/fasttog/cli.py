@@ -17,7 +17,7 @@ from pathlib import Path
 from .detect import DETECTOR_KINDS, detect
 from .engine import Engine, EngineConfig, check_trace_event, trace_to_dot
 from .errors import DataError, FastToGError, GatewayError
-from .evaluate import evaluate, load_dataset
+from .evaluate import evaluate, load_dataset, run_record
 from .community import partition_dump
 from .gateway import ChatEndpoint, ScriptedGateway
 from .kg import KnowledgeGraph, Subgraph
@@ -124,31 +124,33 @@ def _cmd_detect(args) -> int:
     return 0
 
 
-def _make_gateway(args):
-    if args.mock_script:
-        return ScriptedGateway.from_file(args.mock_script)
-    return ChatEndpoint(url=args.endpoint, api_key=args.api_key, model=args.model)
+def _backends(args):
+    """Per-record factories of the retrieval gateway and of the g2t backend: a
+    fresh ScriptedGateway for each record, or one ChatEndpoint shared by all."""
+    g2t = args.mode == "g2t"
+    g2t_script = args.g2t_script if g2t else None
+    chat = None
+    if not args.mock_script or (g2t and args.endpoint and not g2t_script):
+        chat = ChatEndpoint(url=args.endpoint, api_key=args.api_key, model=args.model)
 
+    def factory(script, shared):
+        if script:
+            return lambda _record=None: ScriptedGateway.from_file(script)
+        return lambda _record=None: shared
 
-def _make_g2t_backend(args):
-    if args.mode != "g2t":
-        return None
-    if args.g2t_script:
-        return ScriptedGateway.from_file(args.g2t_script)
-    if args.endpoint or not args.mock_script:
-        return ChatEndpoint(url=args.endpoint, api_key=args.api_key, model=args.model)
-    return None
+    return factory(args.mock_script, chat), factory(g2t_script, chat if g2t else None)
 
 
 def _cmd_run(args) -> int:
     graph = KnowledgeGraph.ingest(args.graph)
     config = _engine_config(args)
-    gateway = _make_gateway(args)
-    engine = Engine(graph, gateway, config, g2t_backend=_make_g2t_backend(args))
-    verdict, trace = engine.run(args.question, args.start_entity or None)
-    print(f"answer: {verdict.text if verdict.kind == 'answer' else 'Unknown'}")
-    print(f"depth_reached: {trace.depth_reached}  degraded: {trace.degraded}")
-    print(f"calls: {json.dumps(trace.ledger, sort_keys=True)}")
+    make_gateway, make_g2t_backend = _backends(args)
+    engine = Engine(graph, make_gateway(), config, g2t_backend=make_g2t_backend())
+    verdict, trace, error = run_record(engine, args.question, args.start_entity)
+    if error is None:
+        print(f"answer: {verdict.text if verdict.kind == 'answer' else 'Unknown'}")
+        print(f"depth_reached: {trace.depth_reached}  degraded: {trace.degraded}")
+        print(f"calls: {json.dumps(trace.ledger, sort_keys=True)}")
     if args.out_dir:
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -158,6 +160,8 @@ def _cmd_run(args) -> int:
         dot_path.write_text(trace_to_dot(trace.events), encoding="utf-8")
         print(f"trace: {trace_path}")
         print(f"dot: {dot_path}")
+    if error is not None:
+        raise error
     return 0
 
 
@@ -165,22 +169,13 @@ def _cmd_eval(args) -> int:
     graph = KnowledgeGraph.ingest(args.graph)
     config = _engine_config(args)
     records = load_dataset(args.data, sample_n=args.sample_n, seed=args.seed)
-
-    if args.mock_script:
-        def gateway_factory(_record):
-            return ScriptedGateway.from_file(args.mock_script)
-    else:
-        endpoint = ChatEndpoint(url=args.endpoint, api_key=args.api_key, model=args.model)
-
-        def gateway_factory(_record):
-            return endpoint
-
+    gateway_factory, g2t_backend_factory = _backends(args)
     report = evaluate(
         records,
         graph,
         config,
         gateway_factory,
-        g2t_backend_factory=lambda _record: _make_g2t_backend(args),
+        g2t_backend_factory=g2t_backend_factory,
         parallelism=args.parallelism,
         trace_dir=args.trace_dir,
     )

@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .community import Community, canonical_community_id
 from .detect import DETECTOR_KINDS, detect
@@ -91,19 +91,11 @@ class EngineConfig:
         return self.coarse_top_k if self.coarse_top_k is not None else 2 * self.width
 
     def public_dict(self) -> dict:
-        return {
-            "width": self.width,
-            "max_depth": self.max_depth,
-            "r_max": self.r_max,
-            "max_community_size": self.max_community_size,
-            "rho": self.rho,
-            "mode": self.mode,
-            "detector": self.detector,
-            "coarse_top_k": self.resolved_coarse_top_k,
-            "prune_mode": self.prune_mode,
-            "degrade_mode": self.degrade_mode,
-            "seed": self.seed,
-        }
+        """The config a trace records: no template path, the resolved top-k."""
+        public = asdict(self)
+        del public["templates_dir"]
+        public["coarse_top_k"] = self.resolved_coarse_top_k
+        return public
 
 
 @dataclass

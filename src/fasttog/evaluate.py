@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .engine import Engine, EngineConfig
@@ -38,16 +38,7 @@ class EvalReport:
     per_item: list[dict] = field(default_factory=list)
 
     def to_json(self) -> str:
-        payload = {
-            "n": self.n,
-            "hit_at_1": self.hit_at_1,
-            "avg_depth": self.avg_depth,
-            "avg_depth_all_degraded": self.avg_depth_all_degraded,
-            "avg_calls": self.avg_calls,
-            "degraded_fraction": self.degraded_fraction,
-            "per_item": self.per_item,
-        }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"
 
     def to_table(self) -> str:
         lines = [
@@ -137,6 +128,19 @@ def exact_match(prediction: str, golds) -> bool:
     return False
 
 
+def run_record(engine: Engine, question: str, start_entities=()):
+    """Run one question for ``fasttog run`` and for each ``evaluate`` record.
+
+    Returns ``(verdict, trace, None)``, or ``(None, partial_trace, error)``
+    when the run raises a FastToGError; that trace ends in ``aborted``.
+    """
+    try:
+        verdict, trace = engine.run(question, list(start_entities) or None)
+    except FastToGError as exc:
+        return None, exc.partial_trace, exc
+    return verdict, trace, None
+
+
 def evaluate(
     records,
     omega: KnowledgeGraph,
@@ -174,34 +178,21 @@ def evaluate(
         gateway = gateway_factory(record)
         backend = g2t_backend_factory(record) if g2t_backend_factory else None
         engine = Engine(omega, gateway, config, g2t_backend=backend)
-        error = None
-        try:
-            verdict, trace = engine.run(
-                record.question, list(record.start_entities) or None
-            )
-        except FastToGError as exc:
-            trace, error = exc.partial_trace, str(exc)
+        verdict, trace, error = run_record(engine, record.question, record.start_entities)
         if trace_dir is not None:
             path = Path(trace_dir) / _trace_name(record.id)
             path.write_text(trace.to_jsonl(), encoding="utf-8")
-        if error is not None:
-            return {
-                "id": record.id,
-                "correct": False,
-                "depth": 0,
-                "calls": sum(trace.ledger.values()),
-                "degraded": False,
-                "error": error,
-            }
-        prediction = verdict.text if verdict.kind == "answer" and verdict.text else ""
-        correct = bool(prediction) and exact_match(prediction, record.gold_answers)
-        return {
+        answered = verdict is not None and verdict.kind == "answer" and verdict.text
+        item = {
             "id": record.id,
-            "correct": correct,
+            "correct": bool(answered) and exact_match(verdict.text, record.gold_answers),
             "depth": trace.depth_reached,
             "calls": sum(trace.ledger.values()),
             "degraded": trace.degraded,
         }
+        if error is not None:  # a record that raised reports no depth
+            item.update(depth=0, degraded=False, error=str(error))
+        return item
 
     if parallelism <= 1:
         items = [run_one(r) for r in records]

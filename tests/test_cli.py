@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from fasttog.cli import main
+from fasttog.detect import DETECTOR_KINDS
 
 from helpers import bridged_triangles, clique_path, never_answer_script
 
@@ -113,6 +114,7 @@ def test_run_answers_with_mock(tmp_path, capsys):
 def test_run_script_exhaustion_is_provider_error(tmp_path, capsys):
     graph, start, _ = path_fixture(tmp_path)
     script = script_file(tmp_path, ["A"])
+    out_dir = tmp_path / "out"
     code = main(
         [
             "run",
@@ -121,9 +123,55 @@ def test_run_script_exhaustion_is_provider_error(tmp_path, capsys):
             "--start-entity", start,
             "--width", "1",
             "--mock-script", str(script),
+            "--out-dir", str(out_dir),
         ]
     )
     assert code == 3
+    assert capsys.readouterr().err == "provider error: script exhausted after 1 replies\n"
+    # the partial trace of the failed run is kept, as eval --trace-dir keeps it
+    last = (out_dir / "run.trace.jsonl").read_text(encoding="utf-8").splitlines()[-1]
+    assert json.loads(last) == {"event": "aborted", "error": "script exhausted after 1 replies"}
+    assert (out_dir / "run.dot").exists()
+
+
+PARITY_QUESTION = "What is the climate of the state containing the Pennsylvania Convention Center?"
+# the first script answers at depth 2 under every flag of the grid below
+PARITY_SCRIPTS = {
+    "answers": ["A", "Unknown", "A", "A", "Unknown", "A", "A", "A", "Answer: Humid Subtropical"],
+    "runs_out": ["A"],
+}
+
+
+@pytest.mark.parametrize("script_kind", sorted(PARITY_SCRIPTS))
+@pytest.mark.parametrize("width", ["1", "2"])
+@pytest.mark.parametrize("mode", ["t2t", "g2t"])
+@pytest.mark.parametrize("detector", DETECTOR_KINDS)
+def test_run_trace_equals_one_record_eval_trace(tmp_path, capsys, detector, mode, width, script_kind):
+    script = script_file(tmp_path, PARITY_SCRIPTS[script_kind])
+    flags = [
+        "--graph", str(US_GEO),
+        "--detector", detector,
+        "--mode", mode,
+        "--width", width,
+        "--max-depth", "3",
+        "--mock-script", str(script),
+    ]
+    if mode == "g2t":
+        flags += ["--g2t-script", str(script_file(tmp_path, ["fluent facts"] * 50, name="g2t.txt"))]
+    start = "Pennsylvania Convention Center"
+    out_dir = tmp_path / "out"
+    code = main(
+        ["run", "--question", PARITY_QUESTION, "--start-entity", start, "--out-dir", str(out_dir)]
+        + flags
+    )
+    assert code == (0 if script_kind == "answers" else 3)
+    data = tmp_path / "data.jsonl"
+    row = {"id": "q", "question": PARITY_QUESTION, "answers": ["x"], "start_entities": [start]}
+    data.write_text(json.dumps(row) + "\n", encoding="utf-8")
+    trace_dir = tmp_path / "traces"
+    assert main(["eval", "--data", str(data), "--trace-dir", str(trace_dir)] + flags) == 0
+    run_trace = (out_dir / "run.trace.jsonl").read_bytes()
+    assert run_trace == (trace_dir / "q.trace.jsonl").read_bytes()
 
 
 def test_eval_writes_report(tmp_path, capsys):
@@ -156,25 +204,32 @@ def test_eval_writes_report(tmp_path, capsys):
 
 
 def test_eval_g2t_with_endpoint_builds_backend(tmp_path, monkeypatch):
-    from fasttog.gateway import load_template
+    from fasttog.gateway import ChatEndpoint, load_template
 
     from test_gateway import fake_reply, ok_payload
 
     graph, start, target = path_fixture(tmp_path)
     data = tmp_path / "data.jsonl"
-    data.write_text(
-        json.dumps({"id": "q", "question": "q?", "answers": [target], "start_entities": [start]})
-        + "\n",
-        encoding="utf-8",
-    )
+    rows = [
+        {"id": f"q{i}", "question": "q?", "answers": [target], "start_entities": [start]}
+        for i in range(4)
+    ]
+    data.write_text("\n".join(json.dumps(r) for r in rows) + "\n", encoding="utf-8")
     script = script_file(tmp_path, ["A", f"Answer: {target}"])
     g2t_preamble = load_template("g2t")[0]
     posted = []
+    built = []
+    endpoint_init = ChatEndpoint.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(self)
+        endpoint_init(self, *args, **kwargs)
 
     def fake_post(self, body, headers):
         posted.append(json.loads(body)["messages"][0]["content"])
         return fake_reply(200, ok_payload("fluent facts"))
 
+    monkeypatch.setattr("fasttog.gateway.ChatEndpoint.__init__", counted_init)
     monkeypatch.setattr("fasttog.gateway.ChatEndpoint._post", fake_post)
     trace_dir = tmp_path / "traces"
     code = main(
@@ -188,12 +243,15 @@ def test_eval_g2t_with_endpoint_builds_backend(tmp_path, monkeypatch):
             "--mock-script", str(script),
             "--endpoint", "http://x",
             "--model", "m",
+            "--parallelism", "2",
             "--trace-dir", str(trace_dir),
         ]
     )
     assert code == 0
     # the scripted gateway answers retrieval; only g2t rewrites go to the endpoint
     assert posted and set(posted) == {g2t_preamble}
+    # one endpoint serves every record's rewrites, so max_in_flight bounds them all
+    assert len(built) == 1
     events = [
         json.loads(line)
         for path in trace_dir.iterdir()
