@@ -1,11 +1,13 @@
 """Size-bounded community detection and the snapshot backtracking behind it.
 
-Every detector runs to its natural stop while recording its partition
-trajectory from finest to coarsest, then walks back from the coarse end and
-returns the first state whose communities all fit the size bound. The two
-bridged triangles below are the canonical sanity fixture: all four
-structure-aware detectors find them, and the per-community score of each
-triangle is 2.5 with a global modularity of 5/14.
+Every detector streams its states in its natural order, fine to coarse or
+coarse to fine, and one rule picks the state: the last one that fits the size
+bound, read fine to coarse. ``detect_full`` drains each stream and keeps the
+trajectory, printed below fine to coarse; ``detect`` stops pulling a stream
+once no later state could be picked. The two bridged triangles below are the
+canonical sanity fixture: all four structure-aware detectors find them, and
+the per-community score of each triangle is 2.5 with a global modularity of
+5/14.
 """
 
 from fasttog import (

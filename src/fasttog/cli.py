@@ -17,7 +17,7 @@ from pathlib import Path
 from .detect import DETECTOR_KINDS, detect
 from .engine import Engine, EngineConfig, check_trace_event, trace_to_dot
 from .errors import DataError, FastToGError, GatewayError
-from .evaluate import evaluate, load_dataset, run_record
+from .evaluate import check_count, evaluate, load_dataset, run_record
 from .community import partition_dump
 from .gateway import ChatEndpoint, ScriptedGateway
 from .kg import KnowledgeGraph, Subgraph
@@ -169,6 +169,8 @@ def _cmd_eval(args) -> int:
     graph = KnowledgeGraph.ingest(args.graph)
     config = _engine_config(args)
     records = load_dataset(args.data, sample_n=args.sample_n, seed=args.seed)
+    # before an endpoint is built, which fails when none is configured
+    check_count("parallelism", args.parallelism)
     gateway_factory, g2t_backend_factory = _backends(args)
     report = evaluate(
         records,

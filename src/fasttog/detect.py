@@ -1,64 +1,52 @@
 """Size-constrained community detection with snapshot backtracking.
 
-Five detectors share one driver contract: run the algorithm on each connected
-component to its natural stop, record the state trajectory ordered from
-finest to coarsest, then walk the trajectory from the coarse end back toward
-the fine end and keep the first state whose communities all fit within the
-size bound. The finest state is always all singletons, so a feasible state
-always exists for any bound >= 1.
+One contract serves the five detectors. Each is a stream: a generator of a
+connected component's states in its natural order, fine to coarse (louvain,
+hierarchical, random) or coarse to fine (Girvan-Newman; spectral by ascending
+k), and every state reports its largest block as ``max_size``. One rule picks
+the state: the last that fits the size bound, read fine to coarse
+(:func:`backtrack_to_size`). The finest state is all singletons, or a state
+that fits, so some state fits any bound >= 1. :func:`detect_full` drains each
+stream; :func:`detect` pulls no state past its stop, which never passes over
+the state the rule picks:
+
+* a coarse-to-fine stream stops at its first state that fits;
+* hierarchical stops at its first state that does not fit: blocks only grow;
+* louvain stops at the end of a level whose blocks do not all fit: super-nodes
+  never split, but within a level a move can bring the largest block back
+  under the bound, so only a level's last state is ``settled``. It stops so
+  on the subgraph's last component only: the components draw from one
+  generator, so cutting an earlier one short would move a later one's draws.
 
 Components are split over the subgraph's local indices; an extraction with
 one center is connected, so it is not searched. Every detector runs on the
 component's neighbour lists over its ranks (``_rank_nbrs``); ranks follow
 local order, which is label order, so integer order and tie-breaks are those
-of the labels. A state is a list of rank blocks, and no label is read before
-a state is chosen.
+of the labels. A state holds rank blocks; only the chosen state of each
+component is turned into label blocks (``_State.label_blocks``), and the
+:class:`Partition` they form builds no :class:`Community` until one is read.
+A :class:`ComponentTrace` builds its snapshots on first access.
 
-States are recorded compactly: the scan reads only each state's largest
-block size, so only the chosen state of each component is turned into
-blocks, sorted label tuples (``_label_blocks``). The :class:`Partition` they
-form builds no :class:`Community` until one is read. Only :func:`detect_full`
-keeps a :class:`ComponentTrace` per component, and its snapshot list is
-built on first access to :attr:`ComponentTrace.snapshots`.
+The streams:
 
-Trajectory recording per detector:
-
-* louvain      -- singletons, then one state per accepted local move
-                  (across aggregation levels), so the trajectory passes
-                  through every intermediate grouping. Each level logs its
-                  moves once; a state is a move count on its level plus its
-                  largest block size, and is replayed into member sets on
-                  demand, only when chosen or inspected. Super-nodes never
-                  split, so on the subgraph's last component :func:`detect`
-                  stops at the end of the first level whose blocks do not
-                  all fit; earlier components run to the natural stop,
-                  because a later component draws from the same RNG.
-* girvan_newman -- edge removals by highest betweenness down to the empty
-                  graph; one state per change of the component structure,
-                  recorded in reverse removal order so the list still runs
-                  fine to coarse. Blocks only split, so :func:`detect`
-                  stops at the first state whose blocks all fit;
-                  :func:`detect_full` removes every edge.
-* hierarchical -- singletons, then one state per merge (average-linkage
-                  over shared-neighbor Jaccard similarity; only clusters
-                  joined by at least one edge may merge). A pair's score
-                  depends on its two clusters alone, so each merge rescores
-                  only the merged cluster's pairs. :func:`detect` stops
-                  after the first merge that makes a block bigger than the
-                  bound: blocks only grow, so no later state fits;
-                  :func:`detect_full` merges to the natural stop.
-* spectral     -- normalized-Laplacian embedding with seeded k-means; k is
-                  swept upward from 1 and the sweep stops at the first k
-                  whose clusters all fit, so the chosen state is the
-                  smallest feasible k.
-* random       -- seeded shuffle chunked into blocks of random size <= bound
-                  (structure-blind baseline).
+* louvain      -- singletons, then one state per accepted local move across
+                  aggregation levels. A state is a move count on its level's
+                  move log plus its largest block size, replayed into blocks
+                  only when chosen or inspected.
+* girvan_newman -- the whole component, then one state per change of the
+                  component structure as edges of highest betweenness go.
+* hierarchical -- singletons, then one state per merge (average linkage over
+                  shared-neighbour Jaccard similarity, across an edge only);
+                  a merge rescores only the merged cluster's pairs.
+* spectral     -- normalized-Laplacian embedding with seeded k-means, from
+                  k = 1 to the first k whose clusters all fit.
+* random       -- singletons, then a seeded shuffle chunked into blocks of
+                  random size <= bound (structure-blind baseline).
 """
 
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -67,21 +55,16 @@ import numpy as np
 from .community import Partition, PartitionSnapshot, validate_partition
 from .kg import EntityId, Subgraph
 
-DETECTOR_KINDS = ("louvain", "girvan_newman", "hierarchical", "spectral", "random")
-
-
 @dataclass
 class ComponentTrace:
     """Recorded trajectory and chosen state for one connected component.
 
     ``nodes`` are the component's labels in label order, so node ``i`` is the
     label of rank ``i``. ``snapshots`` is built from the recorded states on
-    first access and then cached; the chosen step's snapshot holds the
-    ``chosen`` object itself.
+    first access and then cached; ``chosen`` is the chosen step's snapshot.
     """
 
     nodes: tuple[EntityId, ...]
-    chosen: Partition
     _states: list = field(repr=False)
     _chosen_step: int
     _g: Subgraph = field(repr=False)
@@ -90,13 +73,14 @@ class ComponentTrace:
     def snapshots(self) -> list[PartitionSnapshot]:
         return [
             PartitionSnapshot(
-                i,
-                self.chosen
-                if i == self._chosen_step
-                else Partition.of_blocks(tuple(sorted(_label_blocks(state, self.nodes))), self._g),
+                i, Partition.of_blocks(tuple(sorted(state.label_blocks(self.nodes))), self._g)
             )
             for i, state in enumerate(self._states)
         ]
+
+    @property
+    def chosen(self) -> Partition:
+        return self.snapshots[self._chosen_step].partition
 
 
 @dataclass
@@ -124,31 +108,36 @@ def _local_components(g: Subgraph) -> list[list[int]]:
 
 
 def backtrack_to_size(snapshots: list[PartitionSnapshot], m_max: int) -> Partition:
-    """First feasible state scanning from the last snapshot toward the first.
+    """The pick rule on recorded snapshots: the last one, read fine to
+    coarse, whose blocks all fit ``m_max``.
 
     Every detector trajectory starts from a state that fits, so a list with
     no feasible snapshot raises ``ValueError``.
     """
-    for snap in reversed(snapshots):
-        if snap.partition.max_size() <= m_max:
-            return snap.partition
+    return snapshots[_last_fitting(snapshots, m_max, lambda s: s.partition.max_size())].partition
+
+
+def _last_fitting(states: list, m_max: int, largest) -> int:
+    """The pick rule: the index of the last of ``states``, read fine to
+    coarse, whose largest block, ``largest(state)``, is at most ``m_max``."""
+    for i in range(len(states) - 1, -1, -1):
+        if largest(states[i]) <= m_max:
+            return i
     raise ValueError(f"no snapshot fits the size bound {m_max}")
 
 
 def detect(g: Subgraph, kind: str, m_max: int, seed: int = 0) -> Partition:
     """Partition ``g`` with every community size <= ``m_max``.
 
-    Hierarchical merging stops at the first state with a block over
-    ``m_max``, and louvain on the last component at the end of the first
-    level with such a block; blocks only grow, so the chosen state is the
-    same as :func:`detect_full`'s. Girvan-Newman stops at the first state
-    whose blocks all fit, for the same reason: its blocks only split.
+    Each component's stream is pulled only up to its stop, which never cuts
+    off the state :func:`detect_full` picks.
     """
     return _detect(g, kind, m_max, seed, full=False).partition
 
 
 def detect_full(g: Subgraph, kind: str, m_max: int, seed: int = 0) -> DetectionOutcome:
-    """Like :func:`detect` but keeps per-component trajectories for inspection."""
+    """Like :func:`detect` but drains every stream and keeps per-component
+    trajectories, fine to coarse, for inspection."""
     return _detect(g, kind, m_max, seed, full=True)
 
 
@@ -160,36 +149,50 @@ def _detect(g, kind, m_max, seed, full) -> DetectionOutcome:
     if m_max < 1:
         raise ValueError(f"m_max must be >= 1, got {m_max}")
 
-    rng = random.Random(seed)
-    # spectral is the only reader; numpy.random is not loaded for the others
-    np_rng = np.random.default_rng(seed) if kind == "spectral" else None
+    make_stream, coarse_to_fine = _STREAMS[kind]
+    # spectral is numpy's only reader; numpy.random is not loaded for the others
+    rng = np.random.default_rng(seed) if kind == "spectral" else random.Random(seed)
     traces: list[ComponentTrace] = []
     all_blocks = []
     comps = _local_components(g)
     for i, comp in enumerate(comps):
-        # louvain may stop early only on the last component: stopping sooner
-        # would change the random draws every later component sees
-        bounded = not full and (kind != "louvain" or i == len(comps) - 1)
-        states = _component_states(_rank_nbrs(g, comp), kind, m_max, rng, np_rng, bounded)
-        # the same scan as backtrack_to_size, on block sizes alone; the
-        # finest state always fits, so the scan always stops
-        step = len(states) - 1
-        while _largest_block(states[step]) > m_max:
-            step -= 1
+        # louvain stops early only on the last component: the components draw
+        # from one generator, so cutting an earlier one short moves later draws
+        stop = not full and (kind != "louvain" or i == len(comps) - 1)
+        if len(comp) == 1 or m_max == 1:
+            # singletons are the only feasible state; skip the algorithm
+            stream = [_of_blocks([v] for v in range(len(comp)))]
+        else:
+            stream = make_stream(_rank_nbrs(g, comp), m_max, rng)
+        states, step = _read(stream, m_max, coarse_to_fine, stop)
+        del stream  # a stream stopped early holds its working state until freed
         # the component's rank -> label map
         labels = g.labels if len(comp) == len(g) else list(map(g.labels.__getitem__, comp))
-        blocks = _label_blocks(states[step], labels)
-        all_blocks.extend(blocks)
+        all_blocks.extend(states[step].label_blocks(labels))
         if full:
-            # disjoint blocks differ in their first label, so the sort reads only that
-            blocks.sort()
-            chosen = Partition.of_blocks(tuple(blocks), g)
-            traces.append(ComponentTrace(tuple(labels), chosen, states, step, g))
+            traces.append(ComponentTrace(tuple(labels), states, step, g))
 
     all_blocks.sort()
     partition = Partition.of_blocks(tuple(all_blocks), g)
     validate_partition(partition, g.nodes)
     return DetectionOutcome(partition, traces)
+
+
+def _read(stream, m_max: int, coarse_to_fine: bool, stop: bool) -> tuple[list, int]:
+    """Pull ``stream``'s states, with ``stop`` none past the stream's stop (see
+    the module docstring), and pick one by the rule of
+    :func:`backtrack_to_size`. Returns the pulled states fine to coarse and
+    the chosen one's index."""
+    states = []
+    for state in stream:
+        states.append(state)
+        if stop and (
+            state.max_size <= m_max if coarse_to_fine else state.settled and state.max_size > m_max
+        ):
+            break
+    if coarse_to_fine:
+        states.reverse()
+    return states, _last_fitting(states, m_max, lambda state: state.max_size)
 
 
 def _rank_nbrs(g: Subgraph, comp: list[int]) -> list[list[int]]:
@@ -202,93 +205,67 @@ def _rank_nbrs(g: Subgraph, comp: list[int]) -> list[list[int]]:
     return [[rank[u] for u in g.nbrs[v]] for v in comp]
 
 
-def _largest_block(state) -> int:
-    # louvain labellings track their largest block; other states are block lists
-    return state.max_size if isinstance(state, _Labelling) else max(map(len, state))
+@dataclass(slots=True)
+class _State:
+    """One detector state: the first ``n_moves`` moves made on a level, and
+    its largest block's size.
+
+    A level's nodes stand for disjoint blocks of ranks: ``members`` maps each
+    node to its block, and ``moves`` logs each accepted ``(node, block)`` move
+    in order; :meth:`label_blocks` replays the moves. Louvain's states are its
+    moves on each aggregation level; a level's states share its members and
+    its move log, and a level node is named by the rank of its smallest
+    original member, so integer order is label order. The other detectors'
+    states are levels of their blocks, with no move made.
+
+    ``settled`` is read in fine-to-coarse streams only: no later state splits
+    a block of a settled state. Every state is settled but louvain's within a
+    level, each level's last excepted.
+    """
+
+    members: dict[int, list[int]]
+    moves: list[tuple[int, int]]
+    n_moves: int
+    max_size: int
+    settled: bool = True
+
+    def label_blocks(self, labels) -> list[tuple[EntityId, ...]]:
+        """The blocks as tuples of labels in label order; ``labels`` maps the
+        state's ranks to labels. Ranks follow label order, so sorted ranks
+        give sorted labels."""
+        members = self.members
+        # level nodes are small integers, so a list up to the largest holds them
+        comm = list(range(max(members) + 1))
+        for u, c in self.moves[: self.n_moves]:
+            comm[u] = c
+        grouped: dict[int, list[int]] = {}
+        for u in members:
+            grouped.setdefault(comm[u], []).extend(members[u])
+        for block in grouped.values():
+            block.sort()
+        return [tuple(map(labels.__getitem__, block)) for block in grouped.values()]
 
 
-def _label_blocks(state, labels) -> list[tuple[EntityId, ...]]:
-    """The blocks of a state as tuples of labels in label order; ``labels``
-    maps the state's ranks to labels. Ranks follow label order, so sorted
-    ranks give sorted labels."""
-    blocks = state.rank_blocks() if isinstance(state, _Labelling) else map(sorted, state)
-    return [tuple(map(labels.__getitem__, block)) for block in blocks]
-
-
-def _component_states(nbrs, kind, m_max, rng, np_rng, bounded):
-    """States of the component whose neighbour lists over ranks are ``nbrs``."""
-    if len(nbrs) == 1 or m_max == 1:
-        # singletons are the only feasible state; skip the algorithms
-        return [[{v} for v in range(len(nbrs))]]
-    if kind == "louvain":
-        return _louvain_states(nbrs, rng, m_max if bounded else None)
-    if kind == "girvan_newman":
-        return _girvan_newman_states(nbrs, m_max if bounded else None)
-    if kind == "hierarchical":
-        return _hierarchical_states(nbrs, m_max if bounded else None)
-    if kind == "spectral":
-        return _spectral_states(nbrs, m_max, np_rng)
-    return _random_states(len(nbrs), m_max, rng)
+def _of_blocks(blocks) -> _State:
+    """The state whose blocks of ranks are ``blocks``."""
+    members = dict(enumerate(blocks))
+    return _State(members, [], 0, max(map(len, members.values())))
 
 
 # -- louvain ----------------------------------------------------------------
 
 
-@dataclass(slots=True)
-class _Level:
-    """One louvain aggregation level and the moves made on it.
-
-    Nodes are numbered by their rank in the component's ascending local
-    indices, which is label order; a level node is named by the rank of its
-    smallest original member, so integer order is label order. ``members``
-    maps each level node to the ranks it stands for; ``moves`` logs each
-    accepted ``(node, community)`` move in order.
-    """
-
-    members: dict[int, list[int]]
-    moves: list[tuple[int, int]] = field(default_factory=list)
-
-
-@dataclass(slots=True)
-class _Labelling:
-    """One louvain state: the first ``n_moves`` moves of its level.
-
-    :meth:`rank_blocks` replays those moves from the level's singletons and
-    gives the blocks over original nodes as ascending rank lists.
-    """
-
-    level: _Level
-    n_moves: int
-    max_size: int
-
-    def rank_blocks(self) -> list[list[int]]:
-        members = self.level.members
-        # level nodes are named by ranks, so a list up to the largest holds them
-        comm = list(range(max(members) + 1))
-        for u, c in self.level.moves[: self.n_moves]:
-            comm[u] = c
-        # a level node is named by its smallest member, so grouping in
-        # ascending node order puts the blocks in order of their smallest
-        # member
-        grouped: dict[int, list[int]] = {}
-        for u in sorted(members):
-            grouped.setdefault(comm[u], []).extend(members[u])
-        blocks = list(grouped.values())
-        for block in blocks:
-            block.sort()
-        return blocks
-
-
-def _louvain_states(nbrs: list[list[int]], rng: random.Random, m_max: int | None = None):
+def _louvain_states(nbrs: list[list[int]], m_max: int, rng: random.Random):
     """Louvain states of the component whose neighbour lists over ranks are
-    ``nbrs``, from singletons on; with ``m_max``, stop once a level converges
-    with a block bigger than ``m_max``."""
+    ``nbrs``, fine to coarse from singletons on. A move's state is held until
+    the next move or the level's end, so a level's last state comes out
+    settled without a draw of the next level."""
     n = len(nbrs)
-    level = _Level({i: [i] for i in range(n)})
-    states = [_Labelling(level, 0, 1)]
+    members = {i: [i] for i in range(n)}
+    yield _State(members, [], 0, 1)
     two_m = float(sum(map(len, nbrs)))
     if two_m == 0.0:
-        return states
+        return
     getrandbits = rng.getrandbits
 
     # the working (possibly aggregated) weighted graph: each level node's
@@ -304,13 +281,12 @@ def _louvain_states(nbrs: list[list[int]], rng: random.Random, m_max: int | None
     size = [1] * n
     max_size = 1
     while True:
-        members = level.members
         count_of_size = [0] * (n + 1)  # communities per block size
         for u in level_nodes:
             count_of_size[size[u]] += 1
         comm_of = list(range(n))
         comm_tot = list(k_w)
-        moves = level.moves
+        moves = []
 
         while True:
             moved_in_pass = False
@@ -374,22 +350,24 @@ def _louvain_states(nbrs: list[list[int]], rng: random.Random, m_max: int | None
                     # optimum violates the size bound. The move joins u to a
                     # block holding a neighbour, so each state differs from
                     # the one before.
+                    if moves:
+                        yield held
                     moves.append((u, best_comm))
-                    states.append(_Labelling(level, len(moves), max_size))
+                    held = _State(members, moves, len(moves), max_size, False)
             if not moved_in_pass:
                 break
 
-        # super-nodes never split, so once a level ends with a block over
-        # the bound, no later state fits
-        if not moves or (m_max is not None and max_size > m_max):
-            return states
+        if not moves:
+            return
+        held.settled = True
+        yield held
 
         # aggregate communities into super-nodes named by their smallest member
         groups: dict[int, list[int]] = {}
         for u in level_nodes:
             groups.setdefault(comm_of[u], []).append(u)
         if len(groups) == 1:
-            return states
+            return
         rename = {c: min(us) for c, us in groups.items()}
         new_members: dict[int, list[int]] = {}
         new_self = [0.0] * n
@@ -418,7 +396,7 @@ def _louvain_states(nbrs: list[list[int]], rng: random.Random, m_max: int | None
             k_w[u] = new_self[u] + sum(weights_of[u])
             size[u] = len(new_members[u])
         self_w = new_self
-        level = _Level(new_members)
+        members = new_members
 
 
 def _shuffle(x: list, getrandbits) -> None:
@@ -440,25 +418,22 @@ def _shuffle(x: list, getrandbits) -> None:
 # -- girvan-newman -----------------------------------------------------------
 
 
-def _girvan_newman_states(nbrs: list[list[int]], m_max: int | None = None):
-    """Edge-removal states from the whole component on; with ``m_max``, stop
-    at the first state whose blocks all fit."""
+def _girvan_newman_states(nbrs: list[list[int]], m_max: int, rng):
+    """Edge-removal states, coarse to fine, from the whole component on."""
     adj = [list(nb) for nb in nbrs]  # ascending; a removal keeps them so
     nodes = range(len(adj))
     comps = _components_of(adj, nodes)
-    chronological = [comps]
-    while any(adj) and (m_max is None or max(map(len, comps)) > m_max):
+    yield _of_blocks(comps)
+    while any(adj):
         betweenness = _edge_betweenness(adj)
         top = max(betweenness.values())
         edge = min(e for e, b in betweenness.items() if b >= top - 1e-9)
         adj[edge[0]].remove(edge[1])
         adj[edge[1]].remove(edge[0])
-        comps = _components_of(adj, nodes)
-        if len(comps) > len(chronological[-1]):
-            chronological.append(comps)
-    # removal order runs coarse to fine; reverse so backtracking from the
-    # list's end yields the coarsest feasible state rather than singletons
-    return list(reversed(chronological))
+        split = _components_of(adj, nodes)
+        if len(split) > len(comps):
+            comps = split
+            yield _of_blocks(comps)
 
 
 def _components_of(adj, nodes):
@@ -489,15 +464,13 @@ def _edge_betweenness(adj: list[list[int]]):
         sigma = [0.0] * n
         sigma[s] = 1.0
         preds: list[list[int]] = [[] for _ in range(n)]
-        order = []
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            order.append(v)
+        # the visit order is the queue: the loop reads what it appends
+        order = [s]
+        for v in order:
             for w in adj[v]:
                 if w not in dist:
                     dist[w] = dist[v] + 1
-                    queue.append(w)
+                    order.append(w)
                 if dist[w] == dist[v] + 1:
                     sigma[w] += sigma[v]
                     preds[w].append(v)
@@ -522,9 +495,8 @@ def _dense_adjacency(nbrs: list[list[int]]) -> np.ndarray:
     return A
 
 
-def _hierarchical_states(nbrs: list[list[int]], m_max: int | None = None):
-    """Merge states from singletons on; with ``m_max``, stop after the first
-    merge that makes a block bigger than ``m_max``."""
+def _hierarchical_states(nbrs: list[list[int]], m_max: int, rng):
+    """Merge states, fine to coarse, from singletons on."""
     A = _dense_adjacency(nbrs)
     # a float product runs on BLAS; the shared-neighbour counts are far below
     # 2**53, so they are exact
@@ -550,7 +522,7 @@ def _hierarchical_states(nbrs: list[list[int]], m_max: int | None = None):
     # pairs, and the strict-tuple minimum picks the same pair as a full scan
     touch = {(u,): {(v,) for v in nb} for u, nb in enumerate(nbrs)}
     scores = {(a, b): score(a, b) for a in touch for b in touch[a] if a < b}
-    states = [list(clusters)]
+    yield _of_blocks(clusters)
     while scores:
         _, a, b = min((-s, x, y) for (x, y), s in scores.items())
         merged_key = tuple(sorted(a + b))
@@ -563,16 +535,16 @@ def _hierarchical_states(nbrs: list[list[int]], m_max: int | None = None):
             scores.pop(pair(b, c), None)
             scores[pair(merged_key, c)] = score(*pair(merged_key, c))
         del scores[(a, b)]
-        states.append(list(clusters))
-        if m_max is not None and len(merged_key) > m_max:
-            break
-    return states
+        yield _of_blocks(clusters)
 
 
 # -- spectral -----------------------------------------------------------------
 
 
 def _spectral_states(nbrs: list[list[int]], m_max: int, np_rng):
+    """k-means states, coarse to fine by ascending k, up to the first k whose
+    clusters all fit ``m_max``: the sweep's natural end, so a later
+    component's draws do not depend on whether the stream is drained."""
     n = len(nbrs)
     A = _dense_adjacency(nbrs)
     deg = A.sum(axis=1)
@@ -580,7 +552,6 @@ def _spectral_states(nbrs: list[list[int]], m_max: int, np_rng):
     lap = np.eye(n) - (A * d_inv_sqrt[:, None]) * d_inv_sqrt[None, :]
     _, vecs = np.linalg.eigh(lap)
 
-    ascending = []
     for k in range(1, n + 1):
         emb = vecs[:, :k]
         norms = np.linalg.norm(emb, axis=1, keepdims=True)
@@ -589,11 +560,10 @@ def _spectral_states(nbrs: list[list[int]], m_max: int, np_rng):
         blocks: dict[int, list[int]] = {}
         for v, lab in enumerate(labels.tolist()):
             blocks.setdefault(lab, []).append(v)
-        state = list(blocks.values())
-        ascending.append(state)
-        if max(len(b) for b in state) <= m_max:
-            break
-    return list(reversed(ascending))
+        state = _of_blocks(blocks.values())
+        yield state
+        if state.max_size <= m_max:
+            return
 
 
 def _kmeans(points, k, np_rng, restarts=10, max_iter=100):
@@ -630,13 +600,27 @@ def _kmeans(points, k, np_rng, restarts=10, max_iter=100):
 # -- random baseline ----------------------------------------------------------
 
 
-def _random_states(n: int, m_max: int, rng: random.Random):
-    order = list(range(n))
+def _random_states(nbrs: list[list[int]], m_max: int, rng: random.Random):
+    order = list(range(len(nbrs)))
+    yield _of_blocks([v] for v in order)
     rng.shuffle(order)
     blocks = []
     i = 0
-    while i < n:
+    while i < len(order):
         size = rng.randint(1, m_max)
         blocks.append(order[i : i + size])
         i += size
-    return [[[v] for v in range(n)], blocks]
+    yield _of_blocks(blocks)
+
+
+# each detector's stream of a component's states, built from its neighbour
+# lists over ranks, the size bound and the generator, and whether the stream
+# runs coarse to fine
+_STREAMS = {
+    "louvain": (_louvain_states, False),
+    "girvan_newman": (_girvan_newman_states, True),
+    "hierarchical": (_hierarchical_states, False),
+    "spectral": (_spectral_states, True),
+    "random": (_random_states, False),
+}
+DETECTOR_KINDS = tuple(_STREAMS)

@@ -65,12 +65,17 @@ class EvalReport:
         return "\n".join(lines)
 
 
+def check_count(name: str, value: int | None) -> None:
+    """Reject a count below 1, naming it; ``None`` means unset."""
+    if value is not None and value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+
+
 def load_dataset(
     path: str | Path, sample_n: int | None = None, seed: int = 0
 ) -> list[QARecord]:
     """Parse a JSONL dataset, optionally subsampling with a fixed seed."""
-    if sample_n is not None and sample_n < 1:
-        raise ValueError(f"sample_n must be >= 1, got {sample_n}")
+    check_count("sample_n", sample_n)
     records: list[QARecord] = []
     with open(path, encoding="utf-8") as fh:
         for idx, line in enumerate(fh):
@@ -160,8 +165,7 @@ def evaluate(
     record that raised included (it ends in an ``aborted`` event); two records
     whose ids name the same trace file raise DataError before any record runs.
     """
-    if parallelism < 1:
-        raise ValueError(f"parallelism must be >= 1, got {parallelism}")
+    check_count("parallelism", parallelism)
     records = list(records)
     if trace_dir is not None:
         first: dict[str, int] = {}

@@ -526,13 +526,19 @@ def test_bad_template_override_is_a_data_error_naming_the_file(tmp_path, capsys,
         ("--sample-n", "-1", "sample_n must be >= 1, got -1"),
     ],
 )
-def test_bad_eval_counts_are_data_errors_on_one_line(tmp_path, capsys, flag, value, named):
+def test_bad_eval_counts_are_data_errors_on_one_line(
+    tmp_path, capsys, monkeypatch, flag, value, named
+):
+    # with no script, the counts are checked before the unconfigured endpoint
+    monkeypatch.delenv("FASTTOG_ENDPOINT", raising=False)
+    monkeypatch.delenv("FASTTOG_MODEL", raising=False)
     graph, start, target = path_fixture(tmp_path)
     data = tmp_path / "data.jsonl"
     row = {"id": "q1", "question": "q?", "answers": [target], "start_entities": [start]}
     data.write_text(json.dumps(row) + "\n", encoding="utf-8")
     script = script_file(tmp_path, ["A", f"Answer: {target}"])
-    argv = ["eval", "--graph", str(graph), "--data", str(data), "--mock-script", str(script)]
-    assert main(argv + [flag, value]) == 2
-    out, err = capsys.readouterr()
-    assert out == "" and err == f"error: {named}\n"
+    argv = ["eval", "--graph", str(graph), "--data", str(data), flag, value]
+    for backend in (["--mock-script", str(script)], []):
+        assert main(argv + backend) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {named}\n"

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -8,6 +9,10 @@ import pytest
 REPO = Path(__file__).resolve().parents[1]
 DEMO_DIR = REPO / "demos"
 DEMOS = sorted(DEMO_DIR.glob("0*.py"))
+
+# SHA-1 of a demo's stdout, where it is pinned: demo 02 prints detect_full's
+# louvain trajectory and marks the chosen state
+STDOUT_SHA1 = {"02_community_detection.py": "f0d65b1ed4bd26840ef861d5d61550487545b6ef"}
 
 
 def _child_env():
@@ -34,3 +39,6 @@ def test_demo_runs_clean(script, tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip()
+    if script.name in STDOUT_SHA1:
+        digest = hashlib.sha1(result.stdout.encode()).hexdigest()
+        assert digest == STDOUT_SHA1[script.name], result.stdout

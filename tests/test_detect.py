@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import random
 
 import pytest
@@ -16,11 +17,13 @@ from fasttog import (
 from fasttog.community import PartitionSnapshot, partition_dump
 from fasttog.detect import (
     DETECTOR_KINDS,
+    _State,
     _girvan_newman_states,
     _hierarchical_states,
     _local_components,
     _louvain_states,
     _rank_nbrs,
+    _read,
     _shuffle,
     connected_components,
 )
@@ -386,14 +389,27 @@ def test_detect_matches_detect_full_on_multi_component_extractions(kind):
     assert cases >= 5
 
 
+def _pulled(stream, m_max, coarse_to_fine):
+    """The states a bounded read pulls from ``stream``, in the stream's order."""
+    states, _step = _read(stream, m_max, coarse_to_fine, True)
+    return states[::-1] if coarse_to_fine else states
+
+
+def _replayed(states, n):
+    """Each state's largest block and its blocks over the ranks ``range(n)``."""
+    return [(state.max_size, sorted(state.label_blocks(range(n)))) for state in states]
+
+
 def test_bounded_hierarchical_states_stop_at_the_first_oversized_block():
     for g, m_max in _hierarchical_sweep_graphs():
         for comp in _local_components(g):
             nbrs = _rank_nbrs(g, comp)
-            full = _hierarchical_states(nbrs)
-            bounded = _hierarchical_states(nbrs, m_max)
+            full = _replayed(_hierarchical_states(nbrs, m_max, None), len(nbrs))
+            bounded = _pulled(_hierarchical_states(nbrs, m_max, None), m_max, False)
+            bounded = _replayed(bounded, len(nbrs))
             assert bounded == full[: len(bounded)]
-            over = [i for i, state in enumerate(full) if max(map(len, state)) > m_max]
+            assert all(size == max(map(len, blocks)) for size, blocks in full)
+            over = [i for i, (size, _blocks) in enumerate(full) if size > m_max]
             assert len(bounded) == (over[0] + 1 if over else len(full))
 
 
@@ -407,32 +423,33 @@ def test_bounded_girvan_newman_states_stop_at_the_first_state_that_fits():
         m_max = rng.randint(2, 6)
         for comp in _local_components(g):
             nbrs = _rank_nbrs(g, comp)
-            full = _girvan_newman_states(nbrs)  # fine to coarse
-            bounded = _girvan_newman_states(nbrs, m_max)
-            assert bounded == full[len(full) - len(bounded) :]
-            sizes = [max(map(len, state)) for state in bounded]
-            assert sizes[0] <= m_max and all(size > m_max for size in sizes[1:])
+            full = _replayed(_girvan_newman_states(nbrs, m_max, None), len(nbrs))  # coarse to fine
+            bounded = _pulled(_girvan_newman_states(nbrs, m_max, None), m_max, True)
+            bounded = _replayed(bounded, len(nbrs))
+            assert bounded == full[: len(bounded)]
+            assert all(size == max(map(len, blocks)) for size, blocks in full)
+            sizes = [size for size, _blocks in bounded]
+            assert sizes[-1] <= m_max and all(size > m_max for size in sizes[:-1])
             stopped += len(bounded) < len(full)
     assert stopped > 10
-
-
-def _replayed(states):
-    return [(state.max_size, sorted(state.rank_blocks())) for state in states]
 
 
 def test_bounded_louvain_states_stop_at_the_first_oversized_level():
     for trial, (g, m_max) in enumerate(_louvain_sweep_graphs()):
         for comp in _local_components(g):
             nbrs = _rank_nbrs(g, comp)
-            full = _louvain_states(nbrs, random.Random(trial))
-            bounded = _louvain_states(nbrs, random.Random(trial), m_max)
-            assert _replayed(bounded) == _replayed(full[: len(bounded)])
+            full = list(_louvain_states(nbrs, m_max, random.Random(trial)))
+            bounded = _pulled(_louvain_states(nbrs, m_max, random.Random(trial)), m_max, False)
+            assert _replayed(bounded, len(nbrs)) == _replayed(full[: len(bounded)], len(nbrs))
             assert all(state.max_size > m_max for state in full[len(bounded) :])
-            # the stop falls at the end of the first level that ends oversized
+            # the singletons and each level's last state are settled, and no
+            # other: the next state, if any, is on another level's move log
             level_ends = [
                 i for i, state in enumerate(full)
-                if i + 1 == len(full) or full[i + 1].level is not state.level
+                if i + 1 == len(full) or full[i + 1].moves is not state.moves
             ]
+            assert [i for i, state in enumerate(full) if state.settled] == level_ends
+            # the stop falls at the end of the first level that ends oversized
             over = [i for i in level_ends if full[i].max_size > m_max]
             assert len(bounded) == (over[0] + 1 if over else len(full))
 
@@ -452,19 +469,108 @@ def test_louvain_stops_early_only_on_the_last_component():
         g = _ring_and_random_graph(seed)
         first, second = (_rank_nbrs(g, comp) for comp in _local_components(g))
         rng = random.Random(seed)
-        _louvain_states(first, rng)
-        unbounded = _replayed(_louvain_states(second, rng))
+        drained = list(_louvain_states(first, m_max, rng))
+        unbounded = _replayed(_louvain_states(second, m_max, rng), len(second))
         rng = random.Random(seed)
-        cut = _louvain_states(first, rng, m_max)
-        assert len(cut) < len(_louvain_states(first, random.Random(seed)))
+        cut = _pulled(_louvain_states(first, m_max, rng), m_max, False)
+        assert len(cut) < len(drained)
         # stopping the first component early would change the second's draws
-        assert _replayed(_louvain_states(second, rng)) != unbounded
+        assert _replayed(_louvain_states(second, m_max, rng), len(second)) != unbounded
         bounded = detect(g, "louvain", m_max, seed=seed)
         full = detect_full(g, "louvain", m_max, seed=seed)
         assert partition_dump(bounded) == partition_dump(full.partition)
         assert member_sets(full.components[1].chosen) == [
             s for s in member_sets(bounded) if s[0].startswith("q")
         ]
+
+
+def _hand_built(sizes, settled=None):
+    """States with these largest blocks; those at the indices in ``settled``
+    are settled, all of them when it is None."""
+    return [
+        _State({}, [], 0, size, settled is None or i in settled) for i, size in enumerate(sizes)
+    ]
+
+
+def test_the_pick_is_the_last_state_that_fits_read_fine_to_coarse():
+    # one louvain level whose largest block goes 1, 3, 5, 4, 6: a move brings
+    # it back to 4, so the pick is that state, not the 3 before the first
+    # oversized one; only the level's last state is settled
+    level = _hand_built([1, 3, 5, 4, 6], settled={0, 4})
+    for stop in (False, True):
+        assert _read(iter(level), 4, False, stop) == (level, 3)
+    # a settled oversized state ends a bounded read; drained, the pick is the same
+    levels = _hand_built([1, 3, 5, 6, 7], settled={0, 2, 4})
+    assert _read(iter(levels), 4, False, True) == (levels[:3], 1)
+    assert _read(iter(levels), 4, False, False) == (levels, 1)
+    merges = _hand_built([1, 2, 5, 6])  # hierarchical: every state is settled
+    assert _read(iter(merges), 4, False, True) == (merges[:3], 1)
+    # a coarse-to-fine stream picks its first state that fits, bounded or drained
+    splits = _hand_built([6, 5, 3, 2, 1])
+    assert _read(iter(splits), 4, True, True) == (splits[2::-1], 0)
+    assert _read(iter(splits), 4, True, False) == (splits[::-1], 2)
+    # only the finest state fits
+    assert _read(iter(_hand_built([1, 5])), 2, False, True)[1] == 0
+    finest = _hand_built([6, 5, 1])
+    assert _read(iter(finest), 2, True, True) == (finest[::-1], 0)
+
+
+def test_louvain_picks_past_its_first_oversized_state_on_the_sweeps():
+    later = components = 0
+    for trial, (g, m_max) in enumerate(_louvain_sweep_graphs() + _hierarchical_sweep_graphs()):
+        for comp in detect_full(g, "louvain", m_max, seed=trial).components:
+            components += 1
+            over = [i for i, state in enumerate(comp._states) if state.max_size > m_max]
+            later += bool(over) and comp._chosen_step > over[0]
+    assert (later, components) == (19, 889)
+
+
+# States that detect pulls per detector, over each sweep: louvain and
+# hierarchical over their own sweeps, then every detector over
+# _detector_sweep_cases (Girvan-Newman and spectral on graphs of <= 30 nodes).
+# Pinned from the bounded state lists the detectors returned before they
+# became streams, so a stream pulled past its stop, or cut short, fails here.
+PULLED_STATES = {
+    "louvain sweep": 9616,
+    "hierarchical sweep": 3848,
+    "louvain": 1115,
+    "girvan_newman": 510,
+    "hierarchical": 592,
+    "spectral": 418,
+    "random": 288,
+}
+
+
+def test_detect_pulls_each_stream_up_to_its_stop(monkeypatch):
+    detect_module = importlib.import_module("fasttog.detect")
+    read = detect_module._read
+    pulled = [0]
+
+    def counting_read(stream, *args):
+        def counted():
+            for state in stream:
+                pulled[0] += 1
+                yield state
+
+        return read(counted(), *args)
+
+    monkeypatch.setattr(detect_module, "_read", counting_read)
+
+    def pulls(kind, cases, max_nodes=None):
+        pulled[0] = 0
+        for trial, (g, m_max) in enumerate(cases):
+            if max_nodes is None or len(g) <= max_nodes:
+                detect(g, kind, m_max, seed=trial)
+        return pulled[0]
+
+    sweep = _detector_sweep_cases()
+    got = {
+        "louvain sweep": pulls("louvain", _louvain_sweep_graphs()),
+        "hierarchical sweep": pulls("hierarchical", _hierarchical_sweep_graphs()),
+    }
+    for kind in DETECTOR_KINDS:
+        got[kind] = pulls(kind, sweep, 30 if kind in ("girvan_newman", "spectral") else None)
+    assert got == PULLED_STATES
 
 
 def test_lazy_community_sums_match_the_eager_reference():
@@ -493,13 +599,14 @@ def test_louvain_states_track_size_and_move_one_level_node():
             if len(comp.nodes) < 2:
                 continue
             states = comp._states
-            blocks = [[frozenset(b) for b in state.rank_blocks()] for state in states]
+            ranks = range(len(comp.nodes))
+            blocks = [[frozenset(b) for b in state.label_blocks(ranks)] for state in states]
             for state, replayed in zip(states, blocks):
                 assert state.max_size == max(map(len, replayed))
             for state, before, after in zip(states[1:], blocks, blocks[1:]):
                 # the moved level node's members leave one block for another
-                u, _c = state.level.moves[state.n_moves - 1]
-                moved = frozenset(state.level.members[u])
+                u, _c = state.moves[state.n_moves - 1]
+                moved = frozenset(state.members[u])
                 source = next(b for b in before if moved <= b)
                 target = next(b for b in after if moved <= b)
                 assert source != target
