@@ -12,15 +12,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from .detect import DETECTOR_KINDS, detect
-from .engine import Engine, EngineConfig, check_trace_event, trace_to_dot
+from .engine import PRUNE_MODES, Engine, EngineConfig, check_trace_event, trace_to_dot
 from .errors import DataError, FastToGError, GatewayError
 from .evaluate import check_count, evaluate, load_dataset, run_record
 from .community import partition_dump
-from .gateway import ChatEndpoint, ScriptedGateway
+from .gateway import BASELINE_MODES, ChatEndpoint, ScriptedGateway
 from .kg import KnowledgeGraph, Subgraph
+from .verbalize import MODES
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -36,10 +38,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_detect = sub.add_parser("detect", help="partition a graph into bounded communities")
     p_detect.add_argument("--graph", required=True, help="TSV triple file")
-    p_detect.add_argument("--detector", default="louvain", choices=DETECTOR_KINDS)
-    p_detect.add_argument("--max-community-size", type=int, default=4)
-    p_detect.add_argument("--seed", type=int, default=0)
+    p_detect.add_argument("--detector", choices=DETECTOR_KINDS)
+    p_detect.add_argument("--max-community-size", type=int)
+    p_detect.add_argument("--seed", type=int)
     p_detect.add_argument("--out", help="write the partition dump here instead of stdout")
+    p_detect.set_defaults(**asdict(EngineConfig()))  # it reads detector, max_community_size, seed
 
     p_run = sub.add_parser("run", help="answer a single question")
     p_run.add_argument("--graph", required=True)
@@ -65,18 +68,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _add_engine_args(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--width", type=int, default=3)
-    sp.add_argument("--max-depth", type=int, default=5)
-    sp.add_argument("--max-community-size", type=int, default=4)
-    sp.add_argument("--r-max", type=int, default=2)
-    sp.add_argument("--rho", type=float, default=1.0)
-    sp.add_argument("--mode", default="t2t", choices=("t2t", "g2t"))
-    sp.add_argument("--detector", default="louvain", choices=DETECTOR_KINDS)
+    """Engine flags, each read into the EngineConfig field its dest names."""
+    sp.add_argument("--width", type=int)
+    sp.add_argument("--max-depth", type=int)
+    sp.add_argument("--max-community-size", type=int)
+    sp.add_argument("--r-max", type=int)
+    sp.add_argument("--rho", type=float)
+    sp.add_argument("--mode", choices=MODES)
+    sp.add_argument("--detector", choices=DETECTOR_KINDS)
     sp.add_argument("--coarse-top-k", type=int)
-    sp.add_argument("--prune-mode", default="modularity", choices=("modularity", "random"))
-    sp.add_argument("--degrade", default="io", choices=("io", "cot", "cot_sc"))
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--templates", help="directory of prompt template overrides")
+    sp.add_argument("--prune-mode", choices=PRUNE_MODES)
+    sp.add_argument("--degrade", dest="degrade_mode", choices=BASELINE_MODES)
+    sp.add_argument("--seed", type=int)
+    sp.add_argument("--templates", dest="templates_dir", help="directory of prompt template overrides")
+    sp.set_defaults(**asdict(EngineConfig()))
     sp.add_argument("--mock-script", help="scripted gateway reply file")
     sp.add_argument("--g2t-script", help="scripted rewrite-backend reply file")
     sp.add_argument("--endpoint", help="chat-completion endpoint URL")
@@ -85,20 +90,7 @@ def _add_engine_args(sp: argparse.ArgumentParser) -> None:
 
 
 def _engine_config(args) -> EngineConfig:
-    return EngineConfig(
-        width=args.width,
-        max_depth=args.max_depth,
-        r_max=args.r_max,
-        max_community_size=args.max_community_size,
-        rho=args.rho,
-        mode=args.mode,
-        detector=args.detector,
-        coarse_top_k=args.coarse_top_k,
-        prune_mode=args.prune_mode,
-        degrade_mode=args.degrade,
-        seed=args.seed,
-        templates_dir=args.templates,
-    )
+    return EngineConfig(**{f.name: getattr(args, f.name) for f in fields(EngineConfig)})
 
 
 def _write_or_print(text: str, out: str | None) -> None:
@@ -142,8 +134,8 @@ def _backends(args):
 
 
 def _cmd_run(args) -> int:
-    graph = KnowledgeGraph.ingest(args.graph)
     config = _engine_config(args)
+    graph = KnowledgeGraph.ingest(args.graph)
     make_gateway, make_g2t_backend = _backends(args)
     engine = Engine(graph, make_gateway(), config, g2t_backend=make_g2t_backend())
     verdict, trace, error = run_record(engine, args.question, args.start_entity)
@@ -166,8 +158,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    graph = KnowledgeGraph.ingest(args.graph)
     config = _engine_config(args)
+    graph = KnowledgeGraph.ingest(args.graph)
     records = load_dataset(args.data, sample_n=args.sample_n, seed=args.seed)
     # before an endpoint is built, which fails when none is configured
     check_count("parallelism", args.parallelism)

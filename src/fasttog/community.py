@@ -136,7 +136,7 @@ class Partition:
     builds only the communities next to its frontier.
     """
 
-    __slots__ = ("blocks", "subgraph_m", "_g", "_communities")
+    __slots__ = ("blocks", "_g", "_communities")
 
     @classmethod
     def of_blocks(cls, blocks: tuple[tuple[EntityId, ...], ...], g: Subgraph) -> "Partition":
@@ -144,7 +144,6 @@ class Partition:
         are taken as they are."""
         p = cls.__new__(cls)
         p.blocks = blocks
-        p.subgraph_m = g.m
         p._g = g
         p._communities = [None] * len(blocks)
         return p
@@ -184,13 +183,13 @@ class Partition:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.blocks, self.subgraph_m) == (other.blocks, other.subgraph_m)
+        return (self.blocks, self._g.m) == (other.blocks, other._g.m)
 
     def __hash__(self) -> int:
-        return hash((self.blocks, self.subgraph_m))
+        return hash((self.blocks, self._g.m))
 
     def __repr__(self) -> str:
-        return f"Partition(blocks={self.blocks!r}, subgraph_m={self.subgraph_m!r})"
+        return f"Partition(blocks={self.blocks!r}, subgraph_m={self._g.m!r})"
 
 
 @dataclass(frozen=True)
@@ -215,11 +214,10 @@ def validate_partition(p: Partition, expected_nodes: frozenset[EntityId]) -> Non
 
 def modularity_community(c: Community, g: Subgraph) -> float:
     """Per-community score: sigma_in - sigma_tot^2 / (2m), recomputed on g."""
-    if not c.members:
-        raise InvalidCommunityError("community must have at least one member")
+    fresh = Community.from_members(c.members, g)  # checks the members first
     if g.m < 1:
         raise ModularityUndefinedError("subgraph has no structural edges")
-    return Community.from_members(c.members, g).modularity
+    return fresh.modularity
 
 
 def modularity_global(p: Partition, g: Subgraph) -> float:
@@ -227,7 +225,7 @@ def modularity_global(p: Partition, g: Subgraph) -> float:
     if g.m < 1:
         raise ModularityUndefinedError("subgraph has no structural edges")
     validate_partition(p, g.nodes)
-    return sum(modularity_community(c, g) for c in p.communities) / (2.0 * g.m)
+    return sum(Community.from_members(block, g).modularity for block in p.blocks) / (2.0 * g.m)
 
 
 def partition_dump(p: Partition, label_sep: str = ",") -> str:

@@ -32,6 +32,7 @@ from .community import Community, canonical_community_id
 from .detect import DETECTOR_KINDS, detect
 from .errors import FastToGError, ResolutionError
 from .gateway import (
+    BASELINE_MODES,
     PRUNING_TEMPERATURE,
     CallLedger,
     GenerationRequest,
@@ -50,7 +51,11 @@ from .pruning import (
     fine_prune,
     random_prune,
 )
-from .verbalize import MODES, CommunityText, build_reasoning_prompt, graph2text, triple2text
+from .verbalize import (
+    MODES, OPTION_LETTERS, CommunityText, build_reasoning_prompt, graph2text, triple2text
+)
+
+PRUNE_MODES = ("modularity", "random")  # random: the structure-blind ablation
 
 
 @dataclass
@@ -63,27 +68,28 @@ class EngineConfig:
     mode: str = "t2t"
     detector: str = "louvain"
     coarse_top_k: int | None = None  # defaults to 2 * width
-    prune_mode: str = "modularity"  # or "random" (ablation baseline)
+    prune_mode: str = "modularity"
     degrade_mode: str = "io"
     seed: int = 0
     templates_dir: str | None = None
 
     def __post_init__(self):
-        if self.width < 1:
-            raise ValueError("width must be >= 1")
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
-        if self.max_community_size < 1:
-            raise ValueError("max_community_size must be >= 1")
+        for name in ("width", "max_depth", "max_community_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        SamplerConfig(self.rho, self.r_max)  # each walk's sampler checks rho and r_max
         if self.coarse_top_k is not None and self.coarse_top_k < 1:
             raise ValueError("coarse_top_k must be >= 1")
+        top_k, letters = self.resolved_coarse_top_k, len(OPTION_LETTERS)
+        if top_k > letters:  # one option letter per kept candidate
+            raise ValueError(f"coarse_top_k (default 2 * width) must be <= {letters}, got {top_k}")
         if self.mode not in MODES:
             raise ValueError(f"unknown verbalize mode: {self.mode!r}")
         if self.detector not in DETECTOR_KINDS:
             raise ValueError(f"unknown detector: {self.detector!r}")
-        if self.prune_mode not in ("modularity", "random"):
+        if self.prune_mode not in PRUNE_MODES:
             raise ValueError(f"unknown prune mode: {self.prune_mode!r}")
-        if self.degrade_mode not in ("io", "cot", "cot_sc"):
+        if self.degrade_mode not in BASELINE_MODES:
             raise ValueError(f"unknown degrade mode: {self.degrade_mode!r}")
 
     @property

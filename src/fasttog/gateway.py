@@ -378,6 +378,8 @@ def normalize_answer(text: str) -> str:
 
 # -- inner-knowledge baselines -------------------------------------------------
 
+BASELINE_MODES = ("io", "cot", "cot_sc")
+
 
 def baseline_answer(
     question: str,
@@ -391,7 +393,7 @@ def baseline_answer(
     ``cot_sc`` issues ``samples`` step-by-step calls and majority-votes the
     normalized answers; ties resolve to the earliest sampled answer.
     """
-    if mode not in ("io", "cot", "cot_sc"):
+    if mode not in BASELINE_MODES:
         raise ValueError(f"unknown baseline mode: {mode!r}")
     template = "baseline_io" if mode == "io" else "baseline_cot"
     preamble, body_tpl = load_template(template, templates_dir)

@@ -403,6 +403,17 @@ def lane_in_background(
     return KnowledgeGraph(triples), cliques[0][0], cliques[-1][-1]
 
 
+def star(n_leaves: int = 40) -> tuple[KnowledgeGraph, str, str]:
+    """A hub joined to ``n_leaves`` leaves and nothing else.
+
+    Returns (graph, hub, target leaf). Under a small size bound every leaf is
+    a candidate of the hub, more than the 26 option letters when there are
+    more than 26 leaves.
+    """
+    leaves = [f"leaf{i:02d}" for i in range(n_leaves)]
+    return KnowledgeGraph([Triple("hub", "links", leaf) for leaf in leaves]), "hub", leaves[-1]
+
+
 # -- deterministic test gateways ------------------------------------------------
 
 

@@ -4,10 +4,11 @@ from pathlib import Path
 
 import pytest
 
-from fasttog.cli import main
+from fasttog.cli import _engine_config, build_parser, main
 from fasttog.detect import DETECTOR_KINDS
+from fasttog.engine import EngineConfig
 
-from helpers import bridged_triangles, clique_path, never_answer_script
+from helpers import bridged_triangles, clique_path, never_answer_script, star
 
 US_GEO = Path(__file__).resolve().parents[1] / "demos" / "data" / "us_geo.tsv"
 
@@ -524,6 +525,11 @@ def test_bad_template_override_is_a_data_error_naming_the_file(tmp_path, capsys,
         ("--parallelism", "-2", "parallelism must be >= 1, got -2"),
         ("--sample-n", "0", "sample_n must be >= 1, got 0"),
         ("--sample-n", "-1", "sample_n must be >= 1, got -1"),
+        ("--r-max", "0", "r_max must be >= 1, got 0"),
+        ("--rho", "0", "rho must be in (0, 1], got 0.0"),
+        ("--rho", "1.5", "rho must be in (0, 1], got 1.5"),
+        ("--coarse-top-k", "27", "coarse_top_k (default 2 * width) must be <= 26, got 27"),
+        ("--width", "14", "coarse_top_k (default 2 * width) must be <= 26, got 28"),
     ],
 )
 def test_bad_eval_counts_are_data_errors_on_one_line(
@@ -542,3 +548,65 @@ def test_bad_eval_counts_are_data_errors_on_one_line(
         assert main(argv + backend) == 2
         out, err = capsys.readouterr()
         assert out == "" and err == f"error: {named}\n"
+
+
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--width", "14"], "coarse_top_k (default 2 * width) must be <= 26, got 28"),
+        (["--coarse-top-k", "27"], "coarse_top_k (default 2 * width) must be <= 26, got 27"),
+        (["--r-max", "0"], "r_max must be >= 1, got 0"),
+    ],
+)
+def test_run_rejects_bad_engine_values_before_any_call_or_file(tmp_path, capsys, flags, named):
+    # on a 40-leaf star read from the hub, every leaf is a candidate under
+    # bound 1: 28 or 27 kept options would need more than 26 letters. With no
+    # --start-entity, a bad r_max is caught before the extraction call, which
+    # would read "A" and fail to resolve it
+    kg, hub, target = star(40)
+    graph = tmp_path / "star.tsv"
+    graph.write_text(kg.dump(), encoding="utf-8")
+    script = script_file(tmp_path, ["A", f"Answer: {target}"])
+    out_dir = tmp_path / "out"
+    argv = ["run", "--graph", str(graph), "--question", "q?", "--max-community-size", "1"]
+    argv += ["--mock-script", str(script), "--out-dir", str(out_dir)]
+    if flags[0] != "--r-max":
+        argv += ["--start-entity", hub]
+    assert main(argv + flags) == 2
+    assert capsys.readouterr() == ("", f"error: {named}\n")
+    assert not out_dir.exists()
+
+
+# a value other than the default for every EngineConfig field, by its flag
+ENGINE_FLAGS = {
+    "width": ("--width", 2),
+    "max_depth": ("--max-depth", 4),
+    "r_max": ("--r-max", 1),
+    "max_community_size": ("--max-community-size", 6),
+    "rho": ("--rho", 0.5),
+    "mode": ("--mode", "g2t"),
+    "detector": ("--detector", "hierarchical"),
+    "coarse_top_k": ("--coarse-top-k", 3),
+    "prune_mode": ("--prune-mode", "random"),
+    "degrade_mode": ("--degrade", "cot"),
+    "seed": ("--seed", 9),
+    "templates_dir": ("--templates", "tpl"),
+}
+
+
+def test_run_and_eval_read_every_engine_flag_into_its_config_field():
+    parser = build_parser()
+    default = EngineConfig()
+    changed = EngineConfig(**{name: value for name, (_, value) in ENGINE_FLAGS.items()})
+    assert set(ENGINE_FLAGS) == set(vars(default))
+    assert [name for name in ENGINE_FLAGS if getattr(changed, name) == getattr(default, name)] == []
+    flags = [str(arg) for flag, value in ENGINE_FLAGS.values() for arg in (flag, value)]
+    for argv in (["run", "--graph", "g", "--question", "q"], ["eval", "--graph", "g", "--data", "d"]):
+        assert _engine_config(parser.parse_args(argv)) == default
+        assert _engine_config(parser.parse_args(argv + flags)) == changed
+    args = parser.parse_args(["detect", "--graph", "g"])
+    assert (args.detector, args.max_community_size, args.seed) == (
+        default.detector,
+        default.max_community_size,
+        default.seed,
+    )

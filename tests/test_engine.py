@@ -1,9 +1,12 @@
 import hashlib
+import importlib.resources
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict, fields
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from fasttog import (
     Engine,
@@ -12,7 +15,11 @@ from fasttog import (
     ScriptedGateway,
     trace_to_dot,
 )
-from fasttog.errors import ResolutionError
+from fasttog.detect import DETECTOR_KINDS
+from fasttog.engine import PRUNE_MODES
+from fasttog.errors import FastToGError, ResolutionError
+from fasttog.gateway import BASELINE_MODES
+from fasttog.verbalize import MODES
 
 from helpers import (
     Counting,
@@ -22,6 +29,7 @@ from helpers import (
     clique_spider,
     lane_in_background,
     never_answer_script,
+    star,
 )
 
 
@@ -54,6 +62,75 @@ def test_engine_config_rejects_bad_values(bad):
 def test_engine_config_accepts_unset_or_positive_coarse_top_k():
     assert EngineConfig().resolved_coarse_top_k == 6
     assert EngineConfig(coarse_top_k=1).resolved_coarse_top_k == 1
+
+
+# in range for each EngineConfig field; 27-30 kept options are in range for
+# every check but the config's one that each option needs a letter
+FIELD_VALUES = {
+    "width": st.integers(1, 16),
+    "max_depth": st.integers(1, 3),
+    "r_max": st.integers(1, 2),
+    "max_community_size": st.integers(1, 8),
+    "rho": st.floats(0.05, 1.0),
+    "mode": st.sampled_from(MODES),
+    "detector": st.sampled_from(DETECTOR_KINDS),
+    "coarse_top_k": st.none() | st.integers(1, 30),
+    "prune_mode": st.sampled_from(PRUNE_MODES),
+    "degrade_mode": st.sampled_from(BASELINE_MODES),
+    "seed": st.integers(-(2**40), 2**40),
+    "templates_dir": st.sampled_from(
+        [None, str(importlib.resources.files("fasttog").joinpath("templates"))]
+    ),
+}
+# out of range or unknown: each makes the config raise ValueError when built.
+# Any seed is valid, and a missing templates_dir is an OSError of the run
+BAD_VALUES = {
+    "width": st.integers(-3, 0),
+    "max_depth": st.integers(-3, 0),
+    "r_max": st.integers(-3, 0),
+    "max_community_size": st.integers(-3, 0),
+    "rho": st.sampled_from([0.0, -0.5, 1.5, float("nan"), float("inf")]),
+    "mode": st.just("prose"),
+    "detector": st.just("leiden"),
+    "coarse_top_k": st.integers(-3, 0) | st.integers(27, 60),
+    "prune_mode": st.just("greedy"),
+    "degrade_mode": st.just("guess"),
+}
+NET_GRAPHS = {"lane": lane_in_background(n_background=60), "star": star(30)}
+
+
+def test_the_config_net_draws_every_field():
+    assert set(FIELD_VALUES) == {f.name for f in fields(EngineConfig)}
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(
+    graph=st.sampled_from(sorted(NET_GRAPHS)),
+    values=st.fixed_dictionaries(FIELD_VALUES),
+    # one field in three out of range or unknown
+    bad=st.sampled_from([None] * 20 + sorted(BAD_VALUES)).flatmap(
+        lambda name: st.tuples(st.just(name), BAD_VALUES[name]) if name else st.none()
+    ),
+)
+@example(graph="star", values={**asdict(EngineConfig()), "max_community_size": 1, "width": 14}, bad=None)
+def test_every_drawn_config_is_rejected_or_runs_to_a_verdict_or_typed_error(graph, values, bad):
+    if bad is not None:
+        values = {**values, bad[0]: bad[1]}
+        with pytest.raises(ValueError):
+            EngineConfig(**values)
+        return
+    try:
+        cfg = EngineConfig(**values)
+    except ValueError:  # the only in-range rejection: more kept options than letters
+        top_k = values["coarse_top_k"] or 2 * values["width"]
+        assert top_k > 26
+        return
+    kg, start, target = NET_GRAPHS[graph]
+    try:
+        verdict, trace = Engine(kg, OracleGateway(kg, target), cfg).run("Which entity?", [start])
+    except FastToGError:
+        return
+    assert verdict.kind in ("answer", "unknown") and trace.events[-1]["event"] == "final"
 
 
 def test_initial_phase_multi_choice_headers():
