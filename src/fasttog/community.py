@@ -14,17 +14,17 @@ Structure is undirected and unweighted: parallel predicates between the same
 node pair count as one edge, and self-loops carry no structural weight.
 
 A :class:`Partition` is its blocks, tuples of member labels; it builds the
-:class:`Community` of a block on the block's first read. A community keeps
-its members' local indices and neighbour lists and the subgraph's edge count
-until its sums are first read, then computes all three at once. Detection
-builds no community, and candidate search builds and scores only those next
-to the frontier.
+:class:`Community` of a block on the block's first read and caches it. A
+community is a frozen value: ``Community.from_members`` computes its sums and
+hashes its canonical id when it is built, and it keeps nothing of the
+subgraph. Detection builds no community, and candidate search builds only
+those next to the frontier.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import InvalidCommunityError, InvalidPartitionError, ModularityUndefinedError
 from .kg import EntityId, Subgraph
@@ -43,82 +43,36 @@ def _check_members(member_set: frozenset[EntityId], g: Subgraph) -> None:
         raise InvalidCommunityError(f"members not in subgraph: {missing}")
 
 
+@dataclass(frozen=True, slots=True)
 class Community:
     """A node group of one subgraph, with its structural sums.
 
-    The members are sorted once, when built, because every trace lists them.
-    ``sigma_in``, ``sigma_tot`` and ``modularity`` are computed from the
-    subgraph together on the first read of any of them, and the canonical id
-    is hashed on first read, so a community costs only what is read of it.
-    Equality, hashing and ``repr`` use the members and the three sums, as a
-    frozen dataclass of those four fields would; nothing assigns to a
-    community once it is built.
+    Built only by :meth:`from_members`. Equality, hashing and ``repr`` use
+    the members and the three sums; the sorted members, which every trace
+    lists, and the canonical id are kept alongside.
     """
 
-    __slots__ = ("members", "sorted_members", "_local", "_adj", "_m", "_sums", "_id")
-
-    def __init__(self, members: frozenset[EntityId], g: Subgraph):
-        self.members = members
-        self.sorted_members = tuple(sorted(members))
-        # only what the sums read, so that a kept community does not keep the
-        # whole subgraph alive: the members' local indices and neighbour
-        # lists. Lists, not tuples: CPython keeps freed small tuples on free
-        # lists, and one more tuple per community raised the walk
-        # benchmark's peak memory by about 0.2 MB
-        self._local = list(map(g.index.__getitem__, self.sorted_members))
-        self._adj = list(map(g.nbrs.__getitem__, self._local))
-        self._m = g.m
-        self._sums = None
-        self._id = None
+    members: frozenset[EntityId]
+    sigma_in: int
+    sigma_tot: int
+    modularity: float
+    sorted_members: tuple[EntityId, ...] = field(compare=False, repr=False)
+    canonical_id: str = field(compare=False, repr=False)
 
     @classmethod
     def from_members(cls, members, g: Subgraph) -> "Community":
         member_set = frozenset(members)
         _check_members(member_set, g)
-        return cls(member_set, g)
-
-    def _scores(self) -> tuple[int, int, float]:
-        if self._sums is None:
-            inside, adj, m = set(self._local), self._adj, self._m
-            # the ordered double-count of internal edges
-            sigma_in = sum(map(len, map(inside.intersection, adj)))
-            sigma_tot = sum(map(len, adj))
-            q = float(sigma_in) - (sigma_tot**2) / (2.0 * m) if m else 0.0
-            self._sums = (sigma_in, sigma_tot, q)
-            self._local = self._adj = None
-        return self._sums
-
-    @property
-    def sigma_in(self) -> int:
-        return self._scores()[0]
-
-    @property
-    def sigma_tot(self) -> int:
-        return self._scores()[1]
-
-    @property
-    def modularity(self) -> float:
-        return self._scores()[2]
-
-    @property
-    def canonical_id(self) -> str:
-        if self._id is None:
-            self._id = canonical_community_id(self.members)
-        return self._id
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.members, *self._scores()) == (other.members, *other._scores())
-
-    def __hash__(self) -> int:
-        return hash((self.members, *self._scores()))
-
-    def __repr__(self) -> str:
-        sigma_in, sigma_tot, q = self._scores()
-        return (
-            f"Community(members={self.members!r}, sigma_in={sigma_in!r}, "
-            f"sigma_tot={sigma_tot!r}, modularity={q!r})"
+        sorted_members = tuple(sorted(member_set))
+        local = list(map(g.index.__getitem__, sorted_members))
+        adj = list(map(g.nbrs.__getitem__, local))
+        inside, m = set(local), g.m
+        # the ordered double-count of internal edges
+        sigma_in = sum(map(len, map(inside.intersection, adj)))
+        sigma_tot = sum(map(len, adj))
+        q = float(sigma_in) - (sigma_tot**2) / (2.0 * m) if m else 0.0
+        return cls(
+            member_set, sigma_in, sigma_tot, q, sorted_members, canonical_community_id(member_set)
         )
 
     def __len__(self) -> int:
@@ -138,15 +92,12 @@ class Partition:
 
     __slots__ = ("blocks", "_g", "_communities")
 
-    @classmethod
-    def of_blocks(cls, blocks: tuple[tuple[EntityId, ...], ...], g: Subgraph) -> "Partition":
+    def __init__(self, blocks: tuple[tuple[EntityId, ...], ...], g: Subgraph):
         """A partition of ``g`` whose blocks, sorted tuples in partition order,
         are taken as they are."""
-        p = cls.__new__(cls)
-        p.blocks = blocks
-        p._g = g
-        p._communities = [None] * len(blocks)
-        return p
+        self.blocks = blocks
+        self._g = g
+        self._communities = [None] * len(blocks)
 
     @classmethod
     def from_member_sets(cls, member_sets, g: Subgraph) -> "Partition":
@@ -156,7 +107,7 @@ class Partition:
             _check_members(member_set, g)
             blocks.append(tuple(sorted(member_set)))
         blocks.sort()
-        return cls.of_blocks(tuple(blocks), g)
+        return cls(tuple(blocks), g)
 
     def community(self, i: int) -> Community:
         c = self._communities[i]

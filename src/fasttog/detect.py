@@ -73,7 +73,7 @@ class ComponentTrace:
     def snapshots(self) -> list[PartitionSnapshot]:
         return [
             PartitionSnapshot(
-                i, Partition.of_blocks(tuple(sorted(state.label_blocks(self.nodes))), self._g)
+                i, Partition(tuple(sorted(state.label_blocks(self.nodes))), self._g)
             )
             for i, state in enumerate(self._states)
         ]
@@ -173,7 +173,7 @@ def _detect(g, kind, m_max, seed, full) -> DetectionOutcome:
             traces.append(ComponentTrace(tuple(labels), states, step, g))
 
     all_blocks.sort()
-    partition = Partition.of_blocks(tuple(all_blocks), g)
+    partition = Partition(tuple(all_blocks), g)
     validate_partition(partition, g.nodes)
     return DetectionOutcome(partition, traces)
 

@@ -32,6 +32,7 @@ from .community import Community, canonical_community_id
 from .detect import DETECTOR_KINDS, detect
 from .errors import FastToGError, ResolutionError
 from .gateway import (
+    _TEMPLATE_FIELDS,
     BASELINE_MODES,
     PRUNING_TEMPERATURE,
     CallLedger,
@@ -91,6 +92,14 @@ class EngineConfig:
             raise ValueError(f"unknown prune mode: {self.prune_mode!r}")
         if self.degrade_mode not in BASELINE_MODES:
             raise ValueError(f"unknown degrade mode: {self.degrade_mode!r}")
+        for name in _TEMPLATE_FIELDS:  # a run reads them only once it has a subgraph
+            try:
+                load_template(name, self.templates_dir)
+            except OSError as exc:
+                reason = exc.strerror or exc
+                raise ValueError(
+                    f"templates_dir {self.templates_dir}: cannot read {name}.txt ({reason})"
+                ) from None
 
     @property
     def resolved_coarse_top_k(self) -> int:

@@ -2,7 +2,7 @@
 
 Two conversion modes: rule-based triple serialization (t2t) and a fluent
 rewrite through a generation backend (g2t) that falls back to t2t when the
-backend is absent or failing.
+backend is absent or failing, or its rewrite is blank.
 
 Triples are serialized in narrative order: triples whose subject never
 appears as an object inside the same group come first, then alphabetically,
@@ -76,7 +76,8 @@ def graph2text(
     g: Subgraph,
     templates_dir=None,
 ) -> CommunityText:
-    """Fluent conversion via the rewrite backend; t2t when it is absent or failing."""
+    """Fluent conversion via the rewrite backend; t2t when it is absent,
+    failing or blank."""
     base = triple2text(c, bridge, g)
     if backend is None:
         return dataclasses.replace(base, fallback=True)
@@ -87,12 +88,14 @@ def graph2text(
         temperature=REASONING_TEMPERATURE,
     )
     try:
-        resp = backend.generate(GenerationRequest(bundle, "g2t"))
+        text = backend.generate(GenerationRequest(bundle, "g2t")).text.strip()
     except GatewayError:
+        text = ""
+    if not text:  # a blank rewrite would leave its option bare
         return dataclasses.replace(base, fallback=True)
     return CommunityText(
         community_id=c.canonical_id,
-        text=resp.text.strip(),
+        text=text,
         mode_used="g2t",
         includes_bridge=base.includes_bridge,
     )

@@ -1,4 +1,5 @@
 import hashlib
+import importlib.resources
 import json
 from pathlib import Path
 
@@ -517,6 +518,9 @@ def test_bad_template_override_is_a_data_error_naming_the_file(tmp_path, capsys,
     assert f"template {templates / 'pruning.txt'}: " in err and named in err
 
 
+NO_TEMPLATES = "templates_dir /nonexistent: cannot read pruning.txt (No such file or directory)"
+
+
 @pytest.mark.parametrize(
     "flag, value, named",
     [
@@ -530,6 +534,7 @@ def test_bad_template_override_is_a_data_error_naming_the_file(tmp_path, capsys,
         ("--rho", "1.5", "rho must be in (0, 1], got 1.5"),
         ("--coarse-top-k", "27", "coarse_top_k (default 2 * width) must be <= 26, got 27"),
         ("--width", "14", "coarse_top_k (default 2 * width) must be <= 26, got 28"),
+        ("--templates", "/nonexistent", NO_TEMPLATES),
     ],
 )
 def test_bad_eval_counts_are_data_errors_on_one_line(
@@ -543,11 +548,13 @@ def test_bad_eval_counts_are_data_errors_on_one_line(
     row = {"id": "q1", "question": "q?", "answers": [target], "start_entities": [start]}
     data.write_text(json.dumps(row) + "\n", encoding="utf-8")
     script = script_file(tmp_path, ["A", f"Answer: {target}"])
-    argv = ["eval", "--graph", str(graph), "--data", str(data), flag, value]
+    traces = tmp_path / "traces"
+    argv = ["eval", "--graph", str(graph), "--data", str(data), "--trace-dir", str(traces)]
     for backend in (["--mock-script", str(script)], []):
-        assert main(argv + backend) == 2
+        assert main(argv + [flag, value] + backend) == 2
         out, err = capsys.readouterr()
         assert out == "" and err == f"error: {named}\n"
+        assert not traces.exists()
 
 
 @pytest.mark.parametrize(
@@ -556,6 +563,7 @@ def test_bad_eval_counts_are_data_errors_on_one_line(
         (["--width", "14"], "coarse_top_k (default 2 * width) must be <= 26, got 28"),
         (["--coarse-top-k", "27"], "coarse_top_k (default 2 * width) must be <= 26, got 27"),
         (["--r-max", "0"], "r_max must be >= 1, got 0"),
+        (["--templates", "/nonexistent"], NO_TEMPLATES),
     ],
 )
 def test_run_rejects_bad_engine_values_before_any_call_or_file(tmp_path, capsys, flags, named):
@@ -590,7 +598,7 @@ ENGINE_FLAGS = {
     "prune_mode": ("--prune-mode", "random"),
     "degrade_mode": ("--degrade", "cot"),
     "seed": ("--seed", 9),
-    "templates_dir": ("--templates", "tpl"),
+    "templates_dir": ("--templates", str(importlib.resources.files("fasttog") / "templates")),
 }
 
 

@@ -137,14 +137,14 @@ def test_sigma_in_even_everywhere():
 def test_validate_partition_detects_overlap(triangles_g):
     a = Community.from_members({"a", "b", "c"}, triangles_g)
     b = Community.from_members({"c", "d", "e", "f"}, triangles_g)
-    p = Partition.of_blocks((a.sorted_members, b.sorted_members), triangles_g)
+    p = Partition((a.sorted_members, b.sorted_members), triangles_g)
     with pytest.raises(InvalidPartitionError):
         validate_partition(p, triangles_g.nodes)
 
 
 def test_validate_partition_detects_gap(triangles_g):
     a = Community.from_members({"a", "b", "c"}, triangles_g)
-    p = Partition.of_blocks((a.sorted_members,), triangles_g)
+    p = Partition((a.sorted_members,), triangles_g)
     with pytest.raises(InvalidPartitionError):
         validate_partition(p, triangles_g.nodes)
 
@@ -174,10 +174,10 @@ def test_detect_hashes_no_canonical_id(monkeypatch):
     for kind in DETECTOR_KINDS:
         p = detect(g, kind, 3, seed=1)
         assert hashed == []
-        first = p.communities[0]
+        first = p.community(0)  # builds block 0 alone
+        assert hashed == [first.members]  # hashed once, when built
         assert first.canonical_id == real(first.members)
-        assert first.canonical_id == real(first.members)
-        assert hashed == [first.members]  # hashed on first read, then cached
+        assert p.community(0) is first and hashed == [first.members]
         hashed.clear()
 
 
@@ -185,20 +185,20 @@ def test_detect_scores_no_community(monkeypatch):
     from fasttog import detect
     from fasttog.detect import DETECTOR_KINDS
 
-    scored = []
-    real = Community._scores
+    built = []
+    real = Community.from_members.__func__
 
-    def counting(self):
-        scored.append(self.members)
-        return real(self)
+    def counting(cls, members, g):
+        built.append(members)
+        return real(cls, members, g)
 
-    monkeypatch.setattr(Community, "_scores", counting)
+    monkeypatch.setattr(Community, "from_members", classmethod(counting))
     g = full_subgraph(random_graph(14, 0.3, random.Random(61)))
     for kind in DETECTOR_KINDS:
         p = detect(g, kind, 3, seed=1)
-        assert scored == []
+        assert built == []
         first = p.communities[0]
         assert (first.sigma_in, first.sigma_tot, first.modularity) == eager_community_sums(
             first.members, g
         )
-        scored.clear()
+        built.clear()

@@ -573,7 +573,7 @@ def test_detect_pulls_each_stream_up_to_its_stop(monkeypatch):
     assert got == PULLED_STATES
 
 
-def test_lazy_community_sums_match_the_eager_reference():
+def test_community_sums_match_the_eager_reference():
     for trial, (g, m_max) in enumerate(_louvain_sweep_graphs()):
         p = detect(g, "louvain", m_max, seed=trial)
         for i, c in enumerate(p.communities):

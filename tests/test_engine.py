@@ -1,5 +1,7 @@
 import hashlib
 import importlib.resources
+import itertools
+import string
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -29,6 +31,7 @@ from helpers import (
     clique_spider,
     lane_in_background,
     never_answer_script,
+    pruning_options,
     star,
 )
 
@@ -83,7 +86,7 @@ FIELD_VALUES = {
     ),
 }
 # out of range or unknown: each makes the config raise ValueError when built.
-# Any seed is valid, and a missing templates_dir is an OSError of the run
+# Any seed is valid
 BAD_VALUES = {
     "width": st.integers(-3, 0),
     "max_depth": st.integers(-3, 0),
@@ -95,6 +98,7 @@ BAD_VALUES = {
     "coarse_top_k": st.integers(-3, 0) | st.integers(27, 60),
     "prune_mode": st.just("greedy"),
     "degrade_mode": st.just("guess"),
+    "templates_dir": st.just("/nonexistent"),
 }
 NET_GRAPHS = {"lane": lane_in_background(n_background=60), "star": star(30)}
 
@@ -131,6 +135,64 @@ def test_every_drawn_config_is_rejected_or_runs_to_a_verdict_or_typed_error(grap
     except FastToGError:
         return
     assert verdict.kind in ("answer", "unknown") and trace.events[-1]["event"] == "final"
+
+
+# replies a parser could misread: blank, out-of-range or lower-case letters,
+# "none", punctuation, a bare "Answer:", very long text, and some it reads
+ODD_REPLIES = st.one_of(
+    st.sampled_from(
+        ["", " ", "  \n", "\t\n ", "Z", "Y, Z", "A, Q", "none", "None", "a", "b, c", "Answer:"]
+        + ["Answer:  ", "A", "A, B", "B", "Unknown", "Answer: c5m3"]
+    ),
+    st.text(string.punctuation + " \n", max_size=12),
+    st.integers(200, 2000).map(lambda n: "long " * n),
+)
+
+
+# what a drawn ``None`` stands for, so that runs also get past their first call
+PLAIN_REPLIES = {"pruning": "A", "g2t": "A plain rewrite."}
+
+
+class DrawnReplies:
+    """Gives the drawn replies in turn, whatever the call; keeps each pruning prompt."""
+
+    def __init__(self, replies):
+        self._replies = itertools.cycle(replies)
+        self.pruning_bodies = []
+
+    def generate(self, req):
+        if req.tag == "pruning":
+            self.pruning_bodies.append(req.prompt.body)
+        reply = next(self._replies)
+        if reply is None:
+            reply = PLAIN_REPLIES.get(req.tag, "Unknown")
+        return GenerationResponse(reply, 0, "drawn", 0)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    graph=st.sampled_from(sorted(NET_GRAPHS)),
+    replies=st.lists(st.none() | ODD_REPLIES, min_size=1, max_size=8),
+    rewrites=st.lists(st.none() | ODD_REPLIES, min_size=1, max_size=4),
+    width=st.integers(1, 3),
+    bound=st.integers(1, 4),
+)
+@example(graph="star", replies=[None], rewrites=["  \n"], width=1, bound=1)
+def test_every_drawn_reply_ends_in_a_verdict_or_typed_error_with_no_blank_option(
+    graph, replies, rewrites, width, bound
+):
+    kg, start, _ = NET_GRAPHS[graph]
+    gateway = DrawnReplies(replies)
+    cfg = EngineConfig(width=width, max_depth=2, max_community_size=bound, mode="g2t")
+    engine = Engine(kg, gateway, cfg, g2t_backend=DrawnReplies(rewrites))
+    try:
+        verdict, trace = engine.run("Which entity?", [start])
+    except FastToGError:
+        pass
+    else:
+        assert verdict.kind in ("answer", "unknown") and trace.events[-1]["event"] == "final"
+    for body in gateway.pruning_bodies:
+        assert all(text.strip() for text in pruning_options(body))
 
 
 def test_initial_phase_multi_choice_headers():

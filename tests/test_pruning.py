@@ -223,7 +223,7 @@ def test_candidates_build_only_the_blocks_holding_a_frontier_node(monkeypatch):
     rng = random.Random(71)
     seen = 0
     for p, current, h, g in _candidate_cases(rng):
-        fresh = Partition.of_blocks(p.blocks, g)  # no block read yet
+        fresh = Partition(p.blocks, g)  # no block read yet
         adj = label_adj(g)
         frontier = set().union(*(adj[v] for v in current.members)) - current.members
         near = {block for block in p.blocks if not frontier.isdisjoint(block)}

@@ -112,6 +112,13 @@ def test_g2t_falls_back_on_backend_failure():
     assert out.fallback
 
 
+@pytest.mark.parametrize("reply", ["", "   \n"])
+def test_g2t_falls_back_on_a_blank_rewrite(reply):
+    c, g = community_over([Triple("a", "r", "b")])
+    out = graph2text(c, [], ScriptedGateway([reply]), g)
+    assert out == CommunityText(c.canonical_id, "a r b", "t2t", False, fallback=True)
+
+
 def ct(i, text):
     return CommunityText(f"id{i}", text, "t2t", False)
 
