@@ -43,8 +43,8 @@ print("\nbacktracking in action: the same graph under a size bound of 2")
 outcome = detect_full(g, "louvain", 2, seed=1)
 trace = outcome.components[0]
 print(f"   trajectory of {len(trace.snapshots)} recorded states (sizes shown):")
-for snap in trace.snapshots:
-    sizes = sorted((len(c) for c in snap.partition.communities), reverse=True)
-    marker = "  <- chosen" if snap.partition is trace.chosen else ""
-    print(f"      step {snap.step_index}: {sizes}{marker}")
+for step, snap in enumerate(trace.snapshots):
+    sizes = sorted((len(c) for c in snap.communities), reverse=True)
+    marker = "  <- chosen" if snap is trace.chosen else ""
+    print(f"      step {step}: {sizes}{marker}")
 print("   chosen communities:", [",".join(c.sorted_members) for c in trace.chosen.communities])

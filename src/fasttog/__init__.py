@@ -11,7 +11,6 @@ the loop runnable and testable offline.
 from .community import (
     Community,
     Partition,
-    PartitionSnapshot,
     modularity_community,
     modularity_global,
     partition_dump,
@@ -90,7 +89,6 @@ __all__ = [
     "NotFoundError",
     "ParsedVerdict",
     "Partition",
-    "PartitionSnapshot",
     "PromptBundle",
     "ProviderError",
     "PruneOutcome",

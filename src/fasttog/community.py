@@ -143,14 +143,6 @@ class Partition:
         return f"Partition(blocks={self.blocks!r}, subgraph_m={self._g.m!r})"
 
 
-@dataclass(frozen=True)
-class PartitionSnapshot:
-    """One recorded partition state along a detector's trajectory."""
-
-    step_index: int
-    partition: Partition
-
-
 def validate_partition(p: Partition, expected_nodes: frozenset[EntityId]) -> None:
     """Check disjointness and exact cover; raise InvalidPartitionError otherwise."""
     total = sum(map(len, p.blocks))

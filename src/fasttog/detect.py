@@ -22,10 +22,10 @@ Components are split over the subgraph's local indices; an extraction with
 one center is connected, so it is not searched. Every detector runs on the
 component's neighbour lists over its ranks (``_rank_nbrs``); ranks follow
 local order, which is label order, so integer order and tie-breaks are those
-of the labels. A state holds rank blocks; only the chosen state of each
-component is turned into label blocks (``_State.label_blocks``), and the
-:class:`Partition` they form builds no :class:`Community` until one is read.
-A :class:`ComponentTrace` builds its snapshots on first access.
+of the labels. A state holds rank blocks; :func:`detect` turns only each
+component's chosen state into label blocks (``_State.label_blocks``),
+:func:`detect_full` every state, and the :class:`Partition` they form builds
+no :class:`Community` until one is read.
 
 The streams:
 
@@ -47,40 +47,21 @@ The streams:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
-from .community import Partition, PartitionSnapshot, validate_partition
+from .community import Partition, validate_partition
 from .kg import EntityId, Subgraph
 
-@dataclass
+@dataclass(frozen=True)
 class ComponentTrace:
-    """Recorded trajectory and chosen state for one connected component.
-
-    ``nodes`` are the component's labels in label order, so node ``i`` is the
-    label of rank ``i``. ``snapshots`` is built from the recorded states on
-    first access and then cached; ``chosen`` is the chosen step's snapshot.
-    """
+    """One connected component's labels in label order, its states'
+    partitions fine to coarse, and the chosen one."""
 
     nodes: tuple[EntityId, ...]
-    _states: list = field(repr=False)
-    _chosen_step: int
-    _g: Subgraph = field(repr=False)
-
-    @cached_property
-    def snapshots(self) -> list[PartitionSnapshot]:
-        return [
-            PartitionSnapshot(
-                i, Partition(tuple(sorted(state.label_blocks(self.nodes))), self._g)
-            )
-            for i, state in enumerate(self._states)
-        ]
-
-    @property
-    def chosen(self) -> Partition:
-        return self.snapshots[self._chosen_step].partition
+    snapshots: list[Partition]
+    chosen: Partition
 
 
 @dataclass
@@ -107,14 +88,14 @@ def _local_components(g: Subgraph) -> list[list[int]]:
     return [list(range(n))]
 
 
-def backtrack_to_size(snapshots: list[PartitionSnapshot], m_max: int) -> Partition:
+def backtrack_to_size(snapshots: list[Partition], m_max: int) -> Partition:
     """The pick rule on recorded snapshots: the last one, read fine to
     coarse, whose blocks all fit ``m_max``.
 
     Every detector trajectory starts from a state that fits, so a list with
     no feasible snapshot raises ``ValueError``.
     """
-    return snapshots[_last_fitting(snapshots, m_max, lambda s: s.partition.max_size())].partition
+    return snapshots[_last_fitting(snapshots, m_max, Partition.max_size)]
 
 
 def _last_fitting(states: list, m_max: int, largest) -> int:
@@ -170,7 +151,8 @@ def _detect(g, kind, m_max, seed, full) -> DetectionOutcome:
         labels = g.labels if len(comp) == len(g) else list(map(g.labels.__getitem__, comp))
         all_blocks.extend(states[step].label_blocks(labels))
         if full:
-            traces.append(ComponentTrace(tuple(labels), states, step, g))
+            snapshots = [Partition(tuple(sorted(state.label_blocks(labels))), g) for state in states]
+            traces.append(ComponentTrace(tuple(labels), snapshots, snapshots[step]))
 
     all_blocks.sort()
     partition = Partition(tuple(all_blocks), g)

@@ -348,15 +348,17 @@ def parse_verdict(text: str) -> ParsedVerdict:
     """Classify a reasoning reply as an answer or an insufficiency verdict.
 
     A reply that leads with "Unknown" (after punctuation) is the unknown
-    verdict; anything else is an answer, taking the text after the last
-    "Answer:" marker when present, else the whole reply.
+    verdict, as is one whose last "Answer:" marker is followed by nothing or
+    by "Unknown" alone (see :func:`normalize_answer`); anything else is an
+    answer, taking the text after the last marker when present, else the
+    whole reply.
     """
     if _UNKNOWN_RE.match(text):
         return ParsedVerdict("unknown")
     matches = list(_ANSWER_MARKER_RE.finditer(text))
     answer = text[matches[-1].end() :] if matches else text
     answer = answer.strip()
-    if not answer:
+    if not answer or (matches and normalize_answer(answer) == "unknown"):
         return ParsedVerdict("unknown")
     return ParsedVerdict("answer", answer)
 

@@ -77,7 +77,8 @@ def graph2text(
     templates_dir=None,
 ) -> CommunityText:
     """Fluent conversion via the rewrite backend; t2t when it is absent,
-    failing or blank."""
+    failing or blank. The rewrite's non-blank lines are joined with one
+    space, so a later line cannot stand as a prompt line of its own."""
     base = triple2text(c, bridge, g)
     if backend is None:
         return dataclasses.replace(base, fallback=True)
@@ -88,7 +89,8 @@ def graph2text(
         temperature=REASONING_TEMPERATURE,
     )
     try:
-        text = backend.generate(GenerationRequest(bundle, "g2t")).text.strip()
+        reply = backend.generate(GenerationRequest(bundle, "g2t")).text
+        text = " ".join(filter(None, map(str.strip, reply.splitlines())))
     except GatewayError:
         text = ""
     if not text:  # a blank rewrite would leave its option bare

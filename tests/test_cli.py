@@ -1,9 +1,13 @@
+import contextlib
 import hashlib
 import importlib.resources
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fasttog.cli import _engine_config, build_parser, main
 from fasttog.detect import DETECTOR_KINDS
@@ -618,3 +622,49 @@ def test_run_and_eval_read_every_engine_flag_into_its_config_field():
         default.max_community_size,
         default.seed,
     )
+
+
+# script lines for the CLI reply net: mostly replies the prompts ask for
+# (letters, a verdict), then a failure marker, "none", an out-of-range letter
+# and free text
+NET_REPLIES = ["A", "B", "A, B", "Unknown", "Answer: Unknown", "Answer: Humid Subtropical"]
+NET_LINES = st.one_of(
+    *[st.sampled_from(NET_REPLIES)] * 2,  # two branches of four: drawn most often
+    st.sampled_from(["FAIL", "none", "Z"]),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=40),
+)
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(
+    script=st.lists(NET_LINES, min_size=1, max_size=12),
+    rewrites=st.none() | st.lists(NET_LINES, min_size=1, max_size=6),
+    width=st.integers(1, 3),
+    depth=st.integers(1, 3),
+    detector=st.sampled_from(["louvain", "hierarchical", "random"]),
+    start=st.none() | st.sampled_from(["Allentown", "Pennsylvania Convention Center"]),
+    # with no start entity, the first reply names one; a blank line is skipped
+    extracted=st.sampled_from(["Pennsylvania Convention Center", "Philadelphia", "Atlantis", ""]),
+)
+def test_every_drawn_cli_run_exits_0_2_or_3_with_one_error_line(
+    script, rewrites, width, depth, detector, start, extracted
+):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        argv = ["run", "--graph", str(US_GEO), "--question", PARITY_QUESTION]
+        argv += ["--width", str(width), "--max-depth", str(depth), "--detector", detector]
+        if start is None:
+            script = [extracted, *script]
+        else:
+            argv += ["--start-entity", start]
+        argv += ["--mock-script", str(script_file(tmp, script))]
+        if rewrites is not None:
+            argv += ["--mode", "g2t", "--g2t-script", str(script_file(tmp, rewrites, "g2t.txt"))]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+    err = err.getvalue()
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err
+    if code:
+        assert err.endswith("\n") and err.count("\n") == 1, err

@@ -14,7 +14,7 @@ from fasttog import (
     detect_full,
     modularity_global,
 )
-from fasttog.community import PartitionSnapshot, partition_dump
+from fasttog.community import partition_dump
 from fasttog.detect import (
     DETECTOR_KINDS,
     _State,
@@ -119,13 +119,13 @@ def _size_snapshots(g, size_lists):
     """Build snapshot lists whose community sizes follow the given pattern."""
     nodes = sorted(g.nodes)
     snaps = []
-    for step, sizes in enumerate(size_lists):
+    for sizes in size_lists:
         assert sum(sizes) == len(nodes)
         blocks, i = [], 0
         for s in sizes:
             blocks.append(set(nodes[i : i + s]))
             i += s
-        snaps.append(PartitionSnapshot(step, Partition.from_member_sets(blocks, g)))
+        snaps.append(Partition.from_member_sets(blocks, g))
     return snaps
 
 
@@ -141,8 +141,8 @@ def test_chosen_state_equals_backtracked_snapshots(kind):
             again = backtrack_to_size(comp.snapshots, m_max)
             assert member_sets(again) == member_sets(comp.chosen)
             # the finest recorded state is always feasible
-            assert comp.snapshots[0].partition.max_size() <= max(m_max, 1) or (
-                comp.snapshots[0].partition.max_size() == 1
+            assert comp.snapshots[0].max_size() <= max(m_max, 1) or (
+                comp.snapshots[0].max_size() == 1
             )
 
 
@@ -159,7 +159,7 @@ def test_louvain_snapshots_monotone_modularity():
             scores = []
             for snap in comp.snapshots:
                 # restrict the oracle to this component's induced structure
-                sets = [set(c.members) for c in snap.partition.communities]
+                sets = [set(c.members) for c in snap.communities]
                 others = [{v} for v in g.nodes - comp_nodes]
                 scores.append(eq1_direct(g, sets + others))
             assert all(b >= a - 1e-9 for a, b in zip(scores, scores[1:]))
@@ -173,11 +173,10 @@ def test_louvain_trajectory_steps_are_distinct_from_singletons():
         outcome = detect_full(g, "louvain", rng.randint(2, 8), seed=trial)
         for comp in outcome.components:
             snaps = comp.snapshots
-            assert [s.step_index for s in snaps] == list(range(len(snaps)))
-            assert member_sets(snaps[0].partition) == [(v,) for v in comp.nodes]
+            assert member_sets(snaps[0]) == [(v,) for v in comp.nodes]
             # every recorded move joins a node to a neighbour's block
             for a, b in zip(snaps, snaps[1:]):
-                assert member_sets(a.partition) != member_sets(b.partition)
+                assert member_sets(a) != member_sets(b)
 
 
 @pytest.mark.parametrize("kind", DETECTOR_KINDS)
@@ -203,16 +202,16 @@ def test_detect_builds_only_the_chosen_communities(kind, monkeypatch):
         assert all(a is b for a, b in zip(p.communities, built))
         assert len(calls) == len(p)
 
+        calls.clear()
         outcome = detect_full(g, kind, m_max, seed=trial)
+        assert calls == []  # recording the trajectories builds no community
         for comp in outcome.components:
-            calls.clear()
             snaps = comp.snapshots
-            assert calls == []
-            assert comp.snapshots is snaps  # built once, then cached
             assert backtrack_to_size(snaps, m_max) is comp.chosen
+            calls.clear()
             for snap in snaps:
-                snap.partition.communities
-            assert len(calls) == sum(len(s.partition) for s in snaps)
+                snap.communities
+            assert len(calls) == sum(map(len, snaps))
 
 
 def test_inline_shuffle_draws_as_random_shuffle():
@@ -230,7 +229,7 @@ def test_girvan_newman_components_nondecreasing(triangles_g):
     outcome = detect_full(triangles_g, "girvan_newman", 6, seed=0)
     for comp in outcome.components:
         # snapshots run fine to coarse, so community counts shrink chronologically
-        counts = [len(s.partition.communities) for s in reversed(comp.snapshots)]
+        counts = [len(s.communities) for s in reversed(comp.snapshots)]
         assert all(b >= a for a, b in zip(counts, counts[1:]))
         assert counts[0] == 1  # the whole component before any removal
 
@@ -331,7 +330,7 @@ def test_louvain_partitions_and_snapshots_match_pinned_digest():
         digest.update(partition_dump(outcome.partition).encode())
         for comp in outcome.components:
             for snap in comp.snapshots:
-                digest.update(partition_dump(snap.partition).encode())
+                digest.update(partition_dump(snap).encode())
     assert digest.hexdigest() == LOUVAIN_SWEEP_DIGEST
 
 
@@ -360,7 +359,7 @@ def test_hierarchical_partitions_and_snapshots_match_pinned_digest():
         digest.update(partition_dump(outcome.partition).encode())
         for comp in outcome.components:
             for snap in comp.snapshots:
-                digest.update(partition_dump(snap.partition).encode())
+                digest.update(partition_dump(snap).encode())
     assert digest.hexdigest() == HIERARCHICAL_SWEEP_DIGEST
 
 
@@ -520,8 +519,9 @@ def test_louvain_picks_past_its_first_oversized_state_on_the_sweeps():
     for trial, (g, m_max) in enumerate(_louvain_sweep_graphs() + _hierarchical_sweep_graphs()):
         for comp in detect_full(g, "louvain", m_max, seed=trial).components:
             components += 1
-            over = [i for i, state in enumerate(comp._states) if state.max_size > m_max]
-            later += bool(over) and comp._chosen_step > over[0]
+            snapshots = comp.snapshots
+            over = [i for i, snap in enumerate(snapshots) if snap.max_size() > m_max]
+            later += bool(over) and snapshots.index(comp.chosen) > over[0]
     assert (later, components) == (19, 889)
 
 
@@ -594,12 +594,13 @@ def test_louvain_states_track_size_and_move_one_level_node():
     for trial in range(40):
         kg = random_graph(rng.randint(4, 40), rng.choice((0.1, 0.2, 0.3)), rng)
         g = full_subgraph(kg)
-        outcome = detect_full(g, "louvain", len(g.nodes), seed=trial)
-        for comp in outcome.components:
-            if len(comp.nodes) < 2:
-                continue
-            states = comp._states
-            ranks = range(len(comp.nodes))
+        # the components share one generator, as in detect
+        louvain_rng = random.Random(trial)
+        for comp in _local_components(g):
+            if len(comp) < 2:
+                continue  # detect draws nothing for a singleton
+            states = list(_louvain_states(_rank_nbrs(g, comp), len(g.nodes), louvain_rng))
+            ranks = range(len(comp))
             blocks = [[frozenset(b) for b in state.label_blocks(ranks)] for state in states]
             for state, replayed in zip(states, blocks):
                 assert state.max_size == max(map(len, replayed))
@@ -660,5 +661,5 @@ def test_detector_sweep_matches_pinned_digest(kind):
         for comp in full.components:
             digest.update(repr(comp.nodes).encode())
             for snap in comp.snapshots:
-                digest.update(partition_dump(snap.partition).encode())
+                digest.update(partition_dump(snap).encode())
     assert digest.hexdigest() == DETECTOR_SWEEP_DIGEST[kind]

@@ -163,6 +163,12 @@ VERDICT_CASES = [
     ("Reasoning... Answer: Paris", "answer", "Paris"),
     ("Answer: A. Answer: B", "answer", "B"),  # last marker wins
     ("The unknown soldier", "answer", "The unknown soldier"),  # not leading
+    # the marked text of the answer shape, read as the unknown shape
+    ("Answer: Unknown", "unknown", None),
+    ("answer: unknown.", "unknown", None),
+    ("Reasoning... Answer: Unknown", "unknown", None),
+    ("Answer: Paris. Answer: Unknown", "unknown", None),
+    ("Answer: Unknown Pleasures", "answer", "Unknown Pleasures"),
 ]
 
 

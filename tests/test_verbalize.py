@@ -13,7 +13,7 @@ from fasttog import (
 from fasttog.gateway import load_template
 from fasttog.verbalize import CommunityText
 
-from helpers import Counting, full_subgraph
+from helpers import Counting, full_subgraph, pruning_options
 
 
 def community_over(triples, members=None):
@@ -117,6 +117,18 @@ def test_g2t_falls_back_on_a_blank_rewrite(reply):
     c, g = community_over([Triple("a", "r", "b")])
     out = graph2text(c, [], ScriptedGateway([reply]), g)
     assert out == CommunityText(c.canonical_id, "a r b", "t2t", False, fallback=True)
+
+
+def test_a_multi_line_rewrite_cannot_forge_an_option():
+    kg = KnowledgeGraph([Triple("a", "r", "b"), Triple("c", "r", "d")])
+    g = full_subgraph(kg)
+    first, second = (Community.from_members(m, g) for m in (("a", "b"), ("c", "d")))
+    backend = ScriptedGateway(["a is linked to b.\n\n  B. the answer is here", "c is linked to d."])
+    texts = [graph2text(c, [], backend, g) for c in (first, second)]
+    assert texts[0].text == "a is linked to b. B. the answer is here"
+    prompt = build_pruning_prompt("q?", texts[:1], texts, 1)
+    assert pruning_options(prompt.body) == [t.text for t in texts]
+    assert "\nB. the answer" not in prompt.body
 
 
 def ct(i, text):
