@@ -149,10 +149,10 @@ def _detect(g, kind, m_max, seed, full) -> DetectionOutcome:
         del stream  # a stream stopped early holds its working state until freed
         # the component's rank -> label map
         labels = g.labels if len(comp) == len(g) else list(map(g.labels.__getitem__, comp))
-        all_blocks.extend(states[step].label_blocks(labels))
         if full:
             snapshots = [Partition(tuple(sorted(state.label_blocks(labels))), g) for state in states]
             traces.append(ComponentTrace(tuple(labels), snapshots, snapshots[step]))
+        all_blocks.extend(snapshots[step].blocks if full else states[step].label_blocks(labels))
 
     all_blocks.sort()
     partition = Partition(tuple(all_blocks), g)

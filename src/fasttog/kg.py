@@ -4,8 +4,9 @@ Entities are identified by their label string (the triple files carry labels
 only, so the label doubles as the stable id). Inside the store each label is
 interned as its rank in sorted label order, and the triples are held as
 sorted integer columns; ``Triple`` objects are made only for the rows a
-caller reads. The graph is immutable once built and safe for concurrent
-readers.
+caller reads; per-node reads go through memoryviews (``_views``), and a
+whole-store read rebuilds the subject column from the row offsets. The
+graph is immutable once built and safe for concurrent readers.
 
 An extracted :class:`Subgraph` numbers its nodes 0..n-1 in label order and
 keeps one adjacency, an integer neighbour list per node, read from the
@@ -76,16 +77,16 @@ class KnowledgeGraph:
     compressed sparse row (CSR) indexes read one node's share of them.
 
     * rows ``_out_start[v]`` up to ``_out_start[v + 1]`` have subject ``v``,
-      in (predicate, object) order, which subgraph extraction relies on; a
-      row's subject is the last entity whose run starts at or before it
-      (``_subjects``);
+      in (predicate, object) order, which subgraph extraction relies on;
     * ``_nbr[_nbr_start[v]:_nbr_start[v + 1]]`` are the structural
       neighbours of ``v`` (either direction, parallel edges collapsed,
       self-loops dropped), ascending.
 
     Both offset arrays are int32, so a store holds fewer than 2**30 rows.
-    Subgraphs read single items and short runs of the columns and indexes
-    through memoryviews (``_views``), which hand back Python ints.
+    Every per-node read (``neighbors``, ``structural_neighbors``, subgraphs)
+    takes single items and short runs of the columns and indexes through
+    memoryviews (``_views``), which hand back Python ints. A whole-store read
+    rebuilds the subject column from ``_out_start`` (``_label_rows``).
 
     The sort key and the neighbour index are built by helpers that free
     their temporaries before they return, so ingest peaks little above what
@@ -137,7 +138,8 @@ class KnowledgeGraph:
     @cached_property
     def triples(self) -> tuple[Triple, ...]:
         """Every triple, sorted. Built on first read; extraction never reads it."""
-        return tuple(self._triples_at(slice(None)))
+        # a list first: tuple() of an iterator of unknown length builds more slowly
+        return tuple(list(map(Triple._make, self._label_rows())))
 
     def neighbors(self, v: EntityId) -> list[tuple[str, EntityId, str]]:
         """All incident triples of ``v`` as sorted (predicate, neighbor, direction).
@@ -149,35 +151,25 @@ class KnowledgeGraph:
         """
         i = self._index(v)
         labels, predicates = self._labels, self._predicates
-        out = slice(self._out_start[i], self._out_start[i + 1])
-        nbr = self._nbr[self._nbr_start[i] : self._nbr_start[i + 1]]
-        rows = self._out_rows(np.append(nbr, i))
-        inc = rows[self._o[rows] == i]
-        return sorted(
-            [
-                (predicates[p], labels[o], "out")
-                for p, o in zip(self._p[out].tolist(), self._o[out].tolist())
-            ]
-            + [
-                (predicates[p], labels[s], "in")
-                for p, s in zip(self._p[inc].tolist(), self._subjects(inc).tolist())
-            ]
-        )
+        p, o, out_start, nbr, nbr_start = self._views()
+        found = []
+        for u in nbr[nbr_start[i] : nbr_start[i + 1]].tolist() + [i]:
+            lo, hi = out_start[u], out_start[u + 1]
+            for q, w in zip(p[lo:hi].tolist(), o[lo:hi].tolist()):
+                if u == i:
+                    found.append((predicates[q], labels[w], "out"))
+                if w == i:
+                    found.append((predicates[q], labels[u], "in"))
+        return sorted(found)
 
     def structural_neighbors(self, v: EntityId) -> frozenset[EntityId]:
         i = self._index(v)
-        nbr = self._nbr[self._nbr_start[i] : self._nbr_start[i + 1]]
-        return frozenset(map(self._labels.__getitem__, nbr.tolist()))
+        _, _, _, nbr, nbr_start = self._views()
+        return frozenset(map(self._labels.__getitem__, nbr[nbr_start[i] : nbr_start[i + 1]].tolist()))
 
     def dump(self) -> str:
         """Canonical dump: lexicographically sorted TSV lines."""
-        labels, predicates = self._labels, self._predicates
-        lines = sorted(
-            f"{labels[s]}\t{predicates[p]}\t{labels[o]}"
-            for s, p, o in zip(
-                self._subjects(slice(None)).tolist(), self._p.tolist(), self._o.tolist()
-            )
-        )
+        lines = sorted(map("\t".join, self._label_rows()))
         return "\n".join(lines) + ("\n" if lines else "")
 
     def __len__(self) -> int:
@@ -200,12 +192,6 @@ class KnowledgeGraph:
             raise NotFoundError(f"unknown entity: {v!r}")
         return i
 
-    def _out_rows(self, ids: np.ndarray) -> np.ndarray:
-        """The outgoing rows of ``ids``, one run per id, in the order given."""
-        lo = self._out_start[ids]
-        counts = self._out_start[ids + 1] - lo
-        return np.arange(counts.sum()) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
-
     def _views(self) -> tuple[memoryview, ...]:
         """The ``_p`` and ``_o`` columns, ``_out_start``, ``_nbr`` and
         ``_nbr_start`` as memoryviews, whose items and slices read as Python
@@ -214,23 +200,16 @@ class KnowledgeGraph:
         arrays = (self._p, self._o, self._out_start, self._nbr, self._nbr_start)
         return tuple(map(memoryview, arrays))
 
-    def _triples_at(self, rows) -> list[Triple]:
-        """``Triple`` objects for ``rows`` (an index array or a slice), in order."""
+    def _label_rows(self) -> Iterator[tuple[str, str, str]]:
+        """Every row as (subject, predicate, object) labels, in row order; each
+        entity is repeated over its run of rows, so one with none is skipped."""
         labels, predicates = self._labels, self._predicates
-        return [
-            Triple(labels[s], predicates[p], labels[o])
-            for s, p, o in zip(
-                self._subjects(rows).tolist(), self._p[rows].tolist(), self._o[rows].tolist()
-            )
-        ]
-
-    def _subjects(self, rows) -> np.ndarray:
-        """The subject of each of ``rows`` (an index array or a slice): the
-        last entity whose run of outgoing rows starts at or before the row,
-        which skips entities that have no outgoing row."""
-        if isinstance(rows, slice):  # int32 probes search ``_out_start`` uncopied
-            rows = np.arange(*rows.indices(len(self._p)), dtype=np.int32)
-        return np.searchsorted(self._out_start, rows, side="right") - 1
+        s = np.repeat(np.arange(len(labels), dtype=np.int32), np.diff(self._out_start))
+        return zip(
+            map(labels.__getitem__, s.tolist()),
+            map(predicates.__getitem__, self._p.tolist()),
+            map(labels.__getitem__, self._o.tolist()),
+        )
 
 
 # a packed (subject, predicate, object) sort key must stay below this

@@ -1,6 +1,7 @@
 import hashlib
 import importlib.resources
 import itertools
+import random
 import string
 import threading
 import time
@@ -32,6 +33,7 @@ from helpers import (
     lane_in_background,
     never_answer_script,
     pruning_options,
+    random_graph,
     star,
 )
 
@@ -193,6 +195,86 @@ def test_every_drawn_reply_ends_in_a_verdict_or_typed_error_with_no_blank_option
         assert verdict.kind in ("answer", "unknown") and trace.events[-1]["event"] == "final"
     for body in gateway.pruning_bodies:
         assert all(text.strip() for text in pruning_options(body))
+
+
+def drawn_graph(spec):
+    """(graph, start, target) for a drawn ``(kind, size, seed)``."""
+    kind, size, seed = spec
+    if kind == "lane":
+        return lane_in_background(n_background=size, seed=seed)
+    if kind == "star":
+        return star(size)
+    kg = random_graph(size, 0.15, random.Random(seed))
+    labels = sorted(kg.nodes)
+    return kg, labels[0], labels[-1]
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(
+    graph=st.tuples(st.just("lane"), st.integers(30, 120), st.integers(0, 3))
+    | st.tuples(st.just("star"), st.integers(3, 30), st.just(0))
+    | st.tuples(st.just("random"), st.integers(4, 30), st.integers(0, 2**16)),
+    detector=st.sampled_from(DETECTOR_KINDS),
+    bound=st.integers(1, 6),
+    width=st.integers(1, 3),
+    depth=st.integers(1, 4),
+    r_max=st.integers(1, 3),
+    rho=st.sampled_from([1.0, 0.7]),
+    prune_mode=st.sampled_from(PRUNE_MODES),
+    mode=st.sampled_from(MODES),
+    coarse_top_k=st.sampled_from([None, 1, 2, 5]),
+    seed=st.integers(0, 2**32),
+)
+def test_every_drawn_run_keeps_the_trace_invariants(
+    graph, detector, bound, width, depth, r_max, rho, prune_mode, mode, coarse_top_k, seed
+):
+    # read from the trace alone: partitions, coarse and fine pruning, history,
+    # the closed-form call bounds and a rerun's bytes
+    kg, start, target = drawn_graph(graph)
+    cfg = EngineConfig(
+        width=width,
+        max_depth=depth,
+        r_max=r_max,
+        rho=rho,
+        max_community_size=bound,
+        detector=detector,
+        prune_mode=prune_mode,
+        mode=mode,
+        coarse_top_k=coarse_top_k,
+        seed=seed,
+    )
+    rewrites = Counting(ScriptedGateway(["A plain rewrite of the facts."] * 400))
+    engine = Engine(kg, OracleGateway(kg, target), cfg, g2t_backend=rewrites)
+    _, trace = engine.run("Which entity?", [start])
+    top_k = cfg.resolved_coarse_top_k
+    kept = {}
+    for ev in trace.events:
+        kind = ev["event"]
+        if kind == "subgraph":
+            nodes = ev["nodes"]
+        elif kind == "partition":
+            members = [v for block in ev["communities"] for v in block]
+            assert len(members) == len(set(members)) == nodes
+            assert max(map(len, ev["communities"])) <= bound
+        elif kind == "coarse":
+            assert len(ev["kept"]) <= top_k
+            if prune_mode == "modularity":
+                keys = [(-c["modularity"], c["id"]) for c in ev["kept"]]
+                assert keys == sorted(keys)
+            kept[ev["chain"], ev["depth"]] = {c["id"] for c in ev["kept"]}
+        elif kind == "fine":
+            assert set(ev["chosen"]) <= kept[ev["chain"], ev["depth"]]
+    headers = next(ev["chosen"] for ev in trace.events if ev["event"] == "headers")
+    chosen = headers + [ev["community"] for ev in trace.events if ev["event"] == "chain_grew"]
+    assert len(chosen) == len(set(chosen))
+    calls = trace.ledger["pruning"] + trace.ledger["reasoning"]
+    most = 2 * width * depth + depth + 2
+    stopped = any(ev["event"] == "chain_stopped" for ev in trace.events)
+    if trace.degraded and len(headers) == width and not stopped:
+        assert calls == most
+    assert calls <= most
+    assert trace.ledger["g2t"] == rewrites.ledger.counts()["g2t"] <= 1 + top_k * (1 + width * depth)
+    assert engine.run("Which entity?", [start])[1].to_jsonl() == trace.to_jsonl()
 
 
 def test_initial_phase_multi_choice_headers():

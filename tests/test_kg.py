@@ -421,11 +421,6 @@ def test_store_matches_set_and_sort_reference(tmp_path, seed, source):
     assert type(kg.triples) is tuple and all(type(t) is Triple for t in kg.triples)
     # a row's subject is read from the row offsets; the store keeps no column
     assert "_s" not in vars(kg)
-    n_rows = len(want.triples)
-    rows = np.array([rng.randrange(n_rows) for _ in range(50)])  # unsorted, with repeats
-    assert kg._triples_at(rows) == [want.triples[r] for r in rows.tolist()]
-    for cut in (slice(None), slice(5, n_rows - 3), slice(n_rows - 1, None), slice(3, 3)):
-        assert kg._triples_at(cut) == list(want.triples[cut])
 
 
 def test_neighbors_reads_incoming_rows_from_the_neighbours_out_rows():
