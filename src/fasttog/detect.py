@@ -3,36 +3,40 @@
 One contract serves the five detectors. Each is a stream: a generator of a
 connected component's states in its natural order, fine to coarse (louvain,
 hierarchical, random) or coarse to fine (Girvan-Newman; spectral by ascending
-k), and every state reports its largest block as ``max_size``. One rule picks
-the state: the last that fits the size bound, read fine to coarse
-(:func:`backtrack_to_size`). The finest state is all singletons, or a state
-that fits, so some state fits any bound >= 1. :func:`detect_full` drains each
-stream; :func:`detect` pulls no state past its stop, which never passes over
-the state the rule picks:
+k). A stream yields its states in records (``_Level``): a run of states that
+share one level's members and move log, with each state's largest block in
+``sizes``. One rule picks the state: the last that fits the size bound, read
+fine to coarse (:func:`backtrack_to_size`). The finest state is all
+singletons, or a state that fits, so some state fits any bound >= 1.
+:func:`detect_full` drains each stream; :func:`detect` pulls no record past
+its stop, which never passes over the state the rule picks:
 
 * a coarse-to-fine stream stops at its first state that fits;
 * hierarchical stops at its first state that does not fit: blocks only grow;
-* louvain stops at the end of a level whose blocks do not all fit: super-nodes
-  never split, but within a level a move can bring the largest block back
-  under the bound, so only a level's last state is ``settled``. It stops so
-  on the subgraph's last component only: the components draw from one
-  generator, so cutting an earlier one short would move a later one's draws.
+* louvain stops at the end of a level whose last state does not fit:
+  super-nodes never split, but within a level a move can bring the largest
+  block back under the bound, so only a record's end can stop a read. It
+  stops so on the subgraph's last component only: the components draw from
+  one generator, so cutting an earlier one short would move a later one's
+  draws.
 
-Components are split over the subgraph's local indices; an extraction with
-one center is connected, so it is not searched. Every detector runs on the
-component's neighbour lists over its ranks (``_rank_nbrs``); ranks follow
-local order, which is label order, so integer order and tie-breaks are those
-of the labels. A state holds rank blocks; :func:`detect` turns only each
-component's chosen state into label blocks (``_State.label_blocks``),
+Components are split over the subgraph's local indices. Every node an
+extraction keeps is linked to a center through kept nodes, so when the
+centers are linked among themselves the subgraph is one component and is not
+searched. Every detector runs on the component's neighbour lists over its
+ranks (``_rank_nbrs``); ranks follow local order, which is label order, so
+integer order and tie-breaks are those of the labels. A state holds rank
+blocks; :func:`detect` builds a :class:`_State` for each component's chosen
+state only and turns it into label blocks (``_State.label_blocks``),
 :func:`detect_full` every state, and the :class:`Partition` they form builds
 no :class:`Community` until one is read.
 
 The streams:
 
-* louvain      -- singletons, then one state per accepted local move across
-                  aggregation levels. A state is a move count on its level's
-                  move log plus its largest block size, replayed into blocks
-                  only when chosen or inspected.
+* louvain      -- singletons, then one record per aggregation level, with
+                  one state per accepted local move. A state is a move count
+                  on its level's move log, replayed into blocks only when
+                  chosen or inspected.
 * girvan_newman -- the whole component, then one state per change of the
                   component structure as edges of highest betweenness go.
 * hierarchical -- singletons, then one state per merge (average linkage over
@@ -78,14 +82,23 @@ def connected_components(g: Subgraph) -> list[frozenset[EntityId]]:
 
 def _local_components(g: Subgraph) -> list[list[int]]:
     """Structural components as ascending local-index lists, ordered by
-    smallest member. An extraction with one center is connected: every kept
-    node was reached from a kept node."""
+    smallest member. Every kept node of an extraction was reached from a
+    center through kept nodes, so centers linked among themselves make one
+    component; the whole subgraph is searched only when they are not, or
+    when every node is a center (a whole graph)."""
     n = len(g)
-    if g.n_centres > 1:
+    if g.n_centres > 1 and (g.n_centres == n or not _centres_linked(g)):
         comps = _components_of(g.nbrs, range(n))
         if len(comps) > 1:
             return [sorted(block) for block in comps]
     return [list(range(n))]
+
+
+def _centres_linked(g: Subgraph) -> bool:
+    """Whether the centers are connected through edges among themselves."""
+    centres = set(g.centres)
+    among = {v: centres.intersection(g.nbrs[v]) for v in centres}
+    return len(_components_of(among, centres)) == 1
 
 
 def backtrack_to_size(snapshots: list[Partition], m_max: int) -> Partition:
@@ -95,14 +108,14 @@ def backtrack_to_size(snapshots: list[Partition], m_max: int) -> Partition:
     Every detector trajectory starts from a state that fits, so a list with
     no feasible snapshot raises ``ValueError``.
     """
-    return snapshots[_last_fitting(snapshots, m_max, Partition.max_size)]
+    return snapshots[_last_fitting([snap.max_size() for snap in snapshots], m_max)]
 
 
-def _last_fitting(states: list, m_max: int, largest) -> int:
-    """The pick rule: the index of the last of ``states``, read fine to
-    coarse, whose largest block, ``largest(state)``, is at most ``m_max``."""
-    for i in range(len(states) - 1, -1, -1):
-        if largest(states[i]) <= m_max:
+def _last_fitting(sizes: list[int], m_max: int) -> int:
+    """The pick rule: the index of the last state, read fine to coarse,
+    whose largest block, ``sizes[i]``, is at most ``m_max``."""
+    for i in range(len(sizes) - 1, -1, -1):
+        if sizes[i] <= m_max:
             return i
     raise ValueError(f"no snapshot fits the size bound {m_max}")
 
@@ -111,7 +124,7 @@ def detect(g: Subgraph, kind: str, m_max: int, seed: int = 0) -> Partition:
     """Partition ``g`` with every community size <= ``m_max``.
 
     Each component's stream is pulled only up to its stop, which never cuts
-    off the state :func:`detect_full` picks.
+    off the state :func:`detect_full` picks, and only that state is built.
     """
     return _detect(g, kind, m_max, seed, full=False).partition
 
@@ -145,14 +158,21 @@ def _detect(g, kind, m_max, seed, full) -> DetectionOutcome:
             stream = [_of_blocks([v] for v in range(len(comp)))]
         else:
             stream = make_stream(_rank_nbrs(g, comp), m_max, rng)
-        states, step = _read(stream, m_max, coarse_to_fine, stop)
+        levels, step = _read(stream, m_max, coarse_to_fine, stop)
         del stream  # a stream stopped early holds its working state until freed
         # the component's rank -> label map
         labels = g.labels if len(comp) == len(g) else list(map(g.labels.__getitem__, comp))
         if full:
+            states = [level.state(j) for level in levels for j in range(len(level.sizes))]
             snapshots = [Partition(tuple(sorted(state.label_blocks(labels))), g) for state in states]
             traces.append(ComponentTrace(tuple(labels), snapshots, snapshots[step]))
-        all_blocks.extend(snapshots[step].blocks if full else states[step].label_blocks(labels))
+            all_blocks.extend(snapshots[step].blocks)
+        else:
+            for level in levels:
+                if step < len(level.sizes):
+                    all_blocks.extend(level.state(step).label_blocks(labels))
+                    break
+                step -= len(level.sizes)
 
     all_blocks.sort()
     partition = Partition(tuple(all_blocks), g)
@@ -160,21 +180,20 @@ def _detect(g, kind, m_max, seed, full) -> DetectionOutcome:
     return DetectionOutcome(partition, traces)
 
 
-def _read(stream, m_max: int, coarse_to_fine: bool, stop: bool) -> tuple[list, int]:
-    """Pull ``stream``'s states, with ``stop`` none past the stream's stop (see
-    the module docstring), and pick one by the rule of
-    :func:`backtrack_to_size`. Returns the pulled states fine to coarse and
-    the chosen one's index."""
-    states = []
-    for state in stream:
-        states.append(state)
-        if stop and (
-            state.max_size <= m_max if coarse_to_fine else state.settled and state.max_size > m_max
-        ):
+def _read(stream, m_max: int, coarse_to_fine: bool, stop: bool) -> tuple[list[_Level], int]:
+    """Pull ``stream``'s records, with ``stop`` none past the stream's stop
+    (see the module docstring), and pick a state by the rule of
+    :func:`backtrack_to_size`. Returns the pulled records fine to coarse and
+    the chosen state's index among their states, in order."""
+    levels = []
+    for level in stream:
+        levels.append(level)
+        last = level.sizes[-1]
+        if stop and (last <= m_max if coarse_to_fine else last > m_max):
             break
     if coarse_to_fine:
-        states.reverse()
-    return states, _last_fitting(states, m_max, lambda state: state.max_size)
+        levels.reverse()
+    return levels, _last_fitting([size for level in levels for size in level.sizes], m_max)
 
 
 def _rank_nbrs(g: Subgraph, comp: list[int]) -> list[list[int]]:
@@ -188,28 +207,37 @@ def _rank_nbrs(g: Subgraph, comp: list[int]) -> list[list[int]]:
 
 
 @dataclass(slots=True)
-class _State:
-    """One detector state: the first ``n_moves`` moves made on a level, and
-    its largest block's size.
+class _Level:
+    """A record of a stream: a run of states on one level.
 
     A level's nodes stand for disjoint blocks of ranks: ``members`` maps each
     node to its block, and ``moves`` logs each accepted ``(node, block)`` move
-    in order; :meth:`label_blocks` replays the moves. Louvain's states are its
-    moves on each aggregation level; a level's states share its members and
-    its move log, and a level node is named by the rank of its smallest
-    original member, so integer order is label order. The other detectors'
-    states are levels of their blocks, with no move made.
-
-    ``settled`` is read in fine-to-coarse streams only: no later state splits
-    a block of a settled state. Every state is settled but louvain's within a
-    level, each level's last excepted.
+    in order. The record's states are the last ``len(sizes)`` move counts on
+    the log, and ``sizes`` holds each one's largest block. A louvain level
+    holds one state per accepted move, and its level nodes are named by the
+    rank of their smallest original member, so integer order is label order.
+    Every other record holds one state, its blocks with no move made.
     """
+
+    members: dict[int, list[int]]
+    moves: list[tuple[int, int]]
+    sizes: list[int]
+
+    def state(self, i: int) -> _State:
+        """The record's ``i``-th state."""
+        n_moves = len(self.moves) + 1 - len(self.sizes) + i
+        return _State(self.members, self.moves, n_moves, self.sizes[i])
+
+
+@dataclass(slots=True)
+class _State:
+    """One detector state: the first ``n_moves`` moves of a level's log, and
+    its largest block's size; :meth:`label_blocks` replays the moves."""
 
     members: dict[int, list[int]]
     moves: list[tuple[int, int]]
     n_moves: int
     max_size: int
-    settled: bool = True
 
     def label_blocks(self, labels) -> list[tuple[EntityId, ...]]:
         """The blocks as tuples of labels in label order; ``labels`` maps the
@@ -228,23 +256,22 @@ class _State:
         return [tuple(map(labels.__getitem__, block)) for block in grouped.values()]
 
 
-def _of_blocks(blocks) -> _State:
-    """The state whose blocks of ranks are ``blocks``."""
+def _of_blocks(blocks) -> _Level:
+    """The one-state record whose blocks of ranks are ``blocks``."""
     members = dict(enumerate(blocks))
-    return _State(members, [], 0, max(map(len, members.values())))
+    return _Level(members, [], [max(map(len, members.values()))])
 
 
 # -- louvain ----------------------------------------------------------------
 
 
 def _louvain_states(nbrs: list[list[int]], m_max: int, rng: random.Random):
-    """Louvain states of the component whose neighbour lists over ranks are
-    ``nbrs``, fine to coarse from singletons on. A move's state is held until
-    the next move or the level's end, so a level's last state comes out
-    settled without a draw of the next level."""
+    """Louvain records of the component whose neighbour lists over ranks are
+    ``nbrs``, fine to coarse: the singletons, then one record per level,
+    yielded at the level's end before any draw of the next level."""
     n = len(nbrs)
     members = {i: [i] for i in range(n)}
-    yield _State(members, [], 0, 1)
+    yield _Level(members, [], [1])
     two_m = float(sum(map(len, nbrs)))
     if two_m == 0.0:
         return
@@ -269,6 +296,7 @@ def _louvain_states(nbrs: list[list[int]], m_max: int, rng: random.Random):
         comm_of = list(range(n))
         comm_tot = list(k_w)
         moves = []
+        sizes = []
 
         while True:
             moved_in_pass = False
@@ -332,17 +360,14 @@ def _louvain_states(nbrs: list[list[int]], m_max: int, rng: random.Random):
                     # optimum violates the size bound. The move joins u to a
                     # block holding a neighbour, so each state differs from
                     # the one before.
-                    if moves:
-                        yield held
                     moves.append((u, best_comm))
-                    held = _State(members, moves, len(moves), max_size, False)
+                    sizes.append(max_size)
             if not moved_in_pass:
                 break
 
         if not moves:
             return
-        held.settled = True
-        yield held
+        yield _Level(members, moves, sizes)
 
         # aggregate communities into super-nodes named by their smallest member
         groups: dict[int, list[int]] = {}
@@ -542,9 +567,9 @@ def _spectral_states(nbrs: list[list[int]], m_max: int, np_rng):
         blocks: dict[int, list[int]] = {}
         for v, lab in enumerate(labels.tolist()):
             blocks.setdefault(lab, []).append(v)
-        state = _of_blocks(blocks.values())
-        yield state
-        if state.max_size <= m_max:
+        level = _of_blocks(blocks.values())
+        yield level
+        if level.sizes[0] <= m_max:
             return
 
 
@@ -595,7 +620,7 @@ def _random_states(nbrs: list[list[int]], m_max: int, rng: random.Random):
     yield _of_blocks(blocks)
 
 
-# each detector's stream of a component's states, built from its neighbour
+# each detector's stream of a component's records, built from its neighbour
 # lists over ranks, the size bound and the generator, and whether the stream
 # runs coarse to fine
 _STREAMS = {

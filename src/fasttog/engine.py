@@ -27,6 +27,7 @@ import itertools
 import json
 import random
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 
 from .community import Community, canonical_community_id
 from .detect import DETECTOR_KINDS, detect
@@ -182,7 +183,6 @@ class _Run:
         self.omega = engine.omega
         self.question = question
         self.seeds = ((cfg.seed * 1_000_003 + i) & 0x7FFFFFFF for i in itertools.count(1))
-        self.rng = random.Random(cfg.seed ^ 0x9E3779B9)
         self.ledger = CallLedger()
         self.gateway = _Counted(engine.gateway, self.ledger)
         self.g2t = None
@@ -194,6 +194,11 @@ class _Run:
         self.start_text: CommunityText | None = None
         self.texts: list[list[CommunityText]] = []
         self.ends: list[frozenset | None] = []
+
+    @cached_property
+    def rng(self) -> random.Random:
+        """The random-prune generator, seeded on first use."""
+        return random.Random(self.config.seed ^ 0x9E3779B9)
 
     def answer(self, start_entities) -> tuple[ParsedVerdict, RunTrace]:
         cfg, trace = self.config, self.trace

@@ -28,7 +28,7 @@ from bisect import bisect_left
 from collections import defaultdict, deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import count, repeat
+from itertools import count, islice, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, TextIO
 
@@ -407,6 +407,11 @@ class Subgraph:
         labels = self._omega._labels
         return {labels[v]: h for v, h in self._hop.items()}
 
+    @property
+    def centres(self) -> list[int]:
+        """The hop-0 nodes' local indices, in center-set order."""
+        return list(map(self._local.__getitem__, islice(self._hop, self.n_centres)))
+
     @cached_property
     def triples(self) -> tuple[Triple, ...]:
         every = range(len(self.ids))
@@ -511,8 +516,9 @@ def extract_subgraph(
         hop[i] = 0
 
     # the walk runs over ids; ascending id order is sorted label order, so
-    # neighbours are visited, and random draws made, in label order
-    rng = random.Random(cfg.seed)
+    # neighbours are visited, and random draws made, in label order. The
+    # generator is seeded on the first draw: at rho == 1 nothing is drawn
+    rng = None
     r_max = cfg.r_max
     keep_p = [cfg.rho**h for h in range(r_max)]  # for a node found from hop h
     _, _, _, nbr, nbr_start = omega._views()
@@ -527,8 +533,12 @@ def extract_subgraph(
             if v in decided:
                 continue
             decided.add(v)
-            if p >= 1.0 or rng.random() < p:
-                hop[v] = h + 1
-                if h + 1 < r_max:
-                    queue.append(v)
+            if p < 1.0:
+                if rng is None:
+                    rng = random.Random(cfg.seed)
+                if rng.random() >= p:
+                    continue
+            hop[v] = h + 1
+            if h + 1 < r_max:
+                queue.append(v)
     return Subgraph(omega, hop, len(center_set))

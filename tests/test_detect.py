@@ -1,6 +1,7 @@
 import hashlib
 import importlib
 import random
+from itertools import accumulate
 
 import pytest
 
@@ -17,9 +18,10 @@ from fasttog import (
 from fasttog.community import partition_dump
 from fasttog.detect import (
     DETECTOR_KINDS,
-    _State,
+    _centres_linked,
     _girvan_newman_states,
     _hierarchical_states,
+    _Level,
     _local_components,
     _louvain_states,
     _rank_nbrs,
@@ -27,12 +29,14 @@ from fasttog.detect import (
     _shuffle,
     connected_components,
 )
+from fasttog.kg import SamplerConfig, extract_subgraph
 
 from helpers import (
     eager_community_sums,
     eq1_direct,
     full_subgraph,
     label_adj,
+    lane_in_background,
     mixed_extractions,
     multigraph,
     random_graph,
@@ -388,10 +392,67 @@ def test_detect_matches_detect_full_on_multi_component_extractions(kind):
     assert cases >= 5
 
 
+def _lane_extractions():
+    """Extractions on lane graphs around several centers: a whole clique (its
+    centers linked), a clique node with background nodes, or a few background
+    nodes (their centers seldom linked)."""
+    for seed in range(12):
+        kg, _start, _target = lane_in_background(n_background=80, seed=seed)
+        rng = random.Random(seed)
+        back = sorted(v for v in kg.nodes if v.startswith("bg"))
+        clique = [f"c{seed % 6}m{i}" for i in range(4)]
+        for trial, center in enumerate((
+            clique,
+            [clique[0]] + rng.sample(back, 2),
+            rng.sample(back, rng.randint(2, 4)),
+        )):
+            cfg = SamplerConfig(rho=(1.0, 0.6)[trial % 2], r_max=rng.randint(1, 2), seed=seed)
+            yield extract_subgraph(kg, center, cfg)
+
+
+def test_components_are_searched_only_when_the_centres_are_not_linked():
+    linked = searched = 0
+    graphs = [g for _kg, _center, _cfg, g in mixed_extractions(37, 60)]
+    for g in graphs + list(_lane_extractions()):
+        labels = g.labels
+        got = [frozenset(map(labels.__getitem__, comp)) for comp in _local_components(g)]
+        assert got == reference_components(label_adj(g))
+        if g.n_centres > 1:
+            centres_linked = _centres_linked(g)
+            linked += centres_linked
+            searched += not centres_linked
+            assert len(got) == 1 or not centres_linked
+    assert linked >= 10 and searched >= 10, (linked, searched)
+
+
+def test_detect_builds_a_state_only_for_each_component_pick(monkeypatch):
+    detect_module = importlib.import_module("fasttog.detect")
+    real = detect_module._State
+    built = [0]
+
+    def counting(*args):
+        built[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(detect_module, "_State", counting)
+    for trial, (g, m_max) in enumerate(_louvain_sweep_graphs()):
+        built[0] = 0
+        detect(g, "louvain", m_max, seed=trial)
+        assert built[0] == len(_local_components(g))
+        built[0] = 0
+        outcome = detect_full(g, "louvain", m_max, seed=trial)
+        assert built[0] == sum(len(comp.snapshots) for comp in outcome.components)
+
+
+def _states(levels):
+    """Every state of the records ``levels``, in order."""
+    return [level.state(i) for level in levels for i in range(len(level.sizes))]
+
+
 def _pulled(stream, m_max, coarse_to_fine):
     """The states a bounded read pulls from ``stream``, in the stream's order."""
-    states, _step = _read(stream, m_max, coarse_to_fine, True)
-    return states[::-1] if coarse_to_fine else states
+    levels, _step = _read(stream, m_max, coarse_to_fine, True)
+    return _states(levels[::-1] if coarse_to_fine else levels)
 
 
 def _replayed(states, n):
@@ -403,7 +464,7 @@ def test_bounded_hierarchical_states_stop_at_the_first_oversized_block():
     for g, m_max in _hierarchical_sweep_graphs():
         for comp in _local_components(g):
             nbrs = _rank_nbrs(g, comp)
-            full = _replayed(_hierarchical_states(nbrs, m_max, None), len(nbrs))
+            full = _replayed(_states(_hierarchical_states(nbrs, m_max, None)), len(nbrs))
             bounded = _pulled(_hierarchical_states(nbrs, m_max, None), m_max, False)
             bounded = _replayed(bounded, len(nbrs))
             assert bounded == full[: len(bounded)]
@@ -422,7 +483,8 @@ def test_bounded_girvan_newman_states_stop_at_the_first_state_that_fits():
         m_max = rng.randint(2, 6)
         for comp in _local_components(g):
             nbrs = _rank_nbrs(g, comp)
-            full = _replayed(_girvan_newman_states(nbrs, m_max, None), len(nbrs))  # coarse to fine
+            # coarse to fine
+            full = _replayed(_states(_girvan_newman_states(nbrs, m_max, None)), len(nbrs))
             bounded = _pulled(_girvan_newman_states(nbrs, m_max, None), m_max, True)
             bounded = _replayed(bounded, len(nbrs))
             assert bounded == full[: len(bounded)]
@@ -437,17 +499,19 @@ def test_bounded_louvain_states_stop_at_the_first_oversized_level():
     for trial, (g, m_max) in enumerate(_louvain_sweep_graphs()):
         for comp in _local_components(g):
             nbrs = _rank_nbrs(g, comp)
-            full = list(_louvain_states(nbrs, m_max, random.Random(trial)))
+            levels = list(_louvain_states(nbrs, m_max, random.Random(trial)))
+            full = _states(levels)
             bounded = _pulled(_louvain_states(nbrs, m_max, random.Random(trial)), m_max, False)
             assert _replayed(bounded, len(nbrs)) == _replayed(full[: len(bounded)], len(nbrs))
             assert all(state.max_size > m_max for state in full[len(bounded) :])
-            # the singletons and each level's last state are settled, and no
+            # the singletons and each level's last state end a record, and no
             # other: the next state, if any, is on another level's move log
             level_ends = [
                 i for i, state in enumerate(full)
                 if i + 1 == len(full) or full[i + 1].moves is not state.moves
             ]
-            assert [i for i, state in enumerate(full) if state.settled] == level_ends
+            ends = [end - 1 for end in accumulate(len(level.sizes) for level in levels)]
+            assert ends == level_ends
             # the stop falls at the end of the first level that ends oversized
             over = [i for i in level_ends if full[i].max_size > m_max]
             assert len(bounded) == (over[0] + 1 if over else len(full))
@@ -468,13 +532,13 @@ def test_louvain_stops_early_only_on_the_last_component():
         g = _ring_and_random_graph(seed)
         first, second = (_rank_nbrs(g, comp) for comp in _local_components(g))
         rng = random.Random(seed)
-        drained = list(_louvain_states(first, m_max, rng))
-        unbounded = _replayed(_louvain_states(second, m_max, rng), len(second))
+        drained = _states(_louvain_states(first, m_max, rng))
+        unbounded = _replayed(_states(_louvain_states(second, m_max, rng)), len(second))
         rng = random.Random(seed)
         cut = _pulled(_louvain_states(first, m_max, rng), m_max, False)
         assert len(cut) < len(drained)
         # stopping the first component early would change the second's draws
-        assert _replayed(_louvain_states(second, m_max, rng), len(second)) != unbounded
+        assert _replayed(_states(_louvain_states(second, m_max, rng)), len(second)) != unbounded
         bounded = detect(g, "louvain", m_max, seed=seed)
         full = detect_full(g, "louvain", m_max, seed=seed)
         assert partition_dump(bounded) == partition_dump(full.partition)
@@ -483,26 +547,30 @@ def test_louvain_stops_early_only_on_the_last_component():
         ]
 
 
-def _hand_built(sizes, settled=None):
-    """States with these largest blocks; those at the indices in ``settled``
-    are settled, all of them when it is None."""
-    return [
-        _State({}, [], 0, size, settled is None or i in settled) for i, size in enumerate(sizes)
-    ]
+def _hand_built(sizes, ends=None):
+    """Records of states with these largest blocks, each record ending at an
+    index in ``ends``; one record per state when it is None."""
+    levels, start = [], 0
+    for end in range(len(sizes)) if ends is None else sorted(ends):
+        levels.append(_Level({}, [], sizes[start : end + 1]))
+        start = end + 1
+    return levels
 
 
 def test_the_pick_is_the_last_state_that_fits_read_fine_to_coarse():
     # one louvain level whose largest block goes 1, 3, 5, 4, 6: a move brings
     # it back to 4, so the pick is that state, not the 3 before the first
-    # oversized one; only the level's last state is settled
-    level = _hand_built([1, 3, 5, 4, 6], settled={0, 4})
+    # oversized one; only the level's last state ends a record
+    level = _hand_built([1, 3, 5, 4, 6], ends={0, 4})
     for stop in (False, True):
         assert _read(iter(level), 4, False, stop) == (level, 3)
-    # a settled oversized state ends a bounded read; drained, the pick is the same
-    levels = _hand_built([1, 3, 5, 6, 7], settled={0, 2, 4})
-    assert _read(iter(levels), 4, False, True) == (levels[:3], 1)
+    # an oversized record end stops a bounded read after the first 3 states;
+    # drained, the pick is the same
+    levels = _hand_built([1, 3, 5, 6, 7], ends={0, 2, 4})
+    assert _read(iter(levels), 4, False, True) == (levels[:2], 1)
+    assert len(_states(levels[:2])) == 3
     assert _read(iter(levels), 4, False, False) == (levels, 1)
-    merges = _hand_built([1, 2, 5, 6])  # hierarchical: every state is settled
+    merges = _hand_built([1, 2, 5, 6])  # hierarchical: one state per record
     assert _read(iter(merges), 4, False, True) == (merges[:3], 1)
     # a coarse-to-fine stream picks its first state that fits, bounded or drained
     splits = _hand_built([6, 5, 3, 2, 1])
@@ -548,9 +616,9 @@ def test_detect_pulls_each_stream_up_to_its_stop(monkeypatch):
 
     def counting_read(stream, *args):
         def counted():
-            for state in stream:
-                pulled[0] += 1
-                yield state
+            for level in stream:
+                pulled[0] += len(level.sizes)
+                yield level
 
         return read(counted(), *args)
 
@@ -599,7 +667,7 @@ def test_louvain_states_track_size_and_move_one_level_node():
         for comp in _local_components(g):
             if len(comp) < 2:
                 continue  # detect draws nothing for a singleton
-            states = list(_louvain_states(_rank_nbrs(g, comp), len(g.nodes), louvain_rng))
+            states = _states(_louvain_states(_rank_nbrs(g, comp), len(g.nodes), louvain_rng))
             ranks = range(len(comp))
             blocks = [[frozenset(b) for b in state.label_blocks(ranks)] for state in states]
             for state, replayed in zip(states, blocks):

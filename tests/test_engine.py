@@ -7,6 +7,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, fields
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -30,6 +31,7 @@ from helpers import (
     bridged_triangles,
     clique_path,
     clique_spider,
+    gold_star,
     lane_in_background,
     never_answer_script,
     pruning_options,
@@ -275,6 +277,33 @@ def test_every_drawn_run_keeps_the_trace_invariants(
     assert calls <= most
     assert trace.ledger["g2t"] == rewrites.ledger.counts()["g2t"] <= 1 + top_k * (1 + width * depth)
     assert engine.run("Which entity?", [start])[1].to_jsonl() == trace.to_jsonl()
+
+
+def test_a_run_seeds_only_the_generators_it_draws_from(monkeypatch):
+    seeded = []
+
+    class Seeded(random.Random):
+        def __init__(self, seed):
+            seeded.append(seed)
+            super().__init__(seed)
+
+    for module in ("fasttog.engine", "fasttog.kg"):
+        monkeypatch.setattr(importlib.import_module(module), "random", SimpleNamespace(Random=Seeded))
+    kg, start, target = gold_star(n_decoys=7, seed=0)
+    for prune_mode in ("modularity", "random"):
+        for rho in (1.0, 0.5):
+            cfg = EngineConfig(
+                width=1, max_depth=4, r_max=2, rho=rho, coarse_top_k=2, prune_mode=prune_mode, seed=3
+            )
+            seeded.clear()
+            _, trace = Engine(kg, OracleGateway(kg, target), cfg).run("q?", [start])
+            # at rho == 1 extraction keeps every node it finds and draws nothing
+            extractions = sum(ev["event"] == "subgraph" for ev in trace.events)
+            assert len([s for s in seeded if s != cfg.seed ^ 0x9E3779B9]) == (
+                0 if rho == 1.0 else extractions
+            )
+            # only random pruning draws from the run's generator, seeded once
+            assert seeded.count(cfg.seed ^ 0x9E3779B9) == (prune_mode == "random")
 
 
 def test_initial_phase_multi_choice_headers():

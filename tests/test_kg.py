@@ -294,6 +294,7 @@ def test_label_views_match_full_scan_references():
         lookups = [(g.intra_triples(left), g.triples_between(left, right)) for left, right in probes]
         want_adj = reference_adj(hops, want)
         assert list(g.hop_of.items()) == list(hops.items())
+        assert sorted(map(g.labels.__getitem__, g.centres)) == sorted(set(center))
         assert g.labels == members and g.nodes == frozenset(members) and len(g) == len(members)
         assert g.ids == sorted(g.ids) and len(set(g.ids)) == len(g.ids)
         assert g.index == {v: i for i, v in enumerate(members)}
