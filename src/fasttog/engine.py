@@ -13,12 +13,13 @@ exhausted without an answer, the run degrades to an inner-knowledge baseline.
 An engine keeps no per-run state: each ``Engine.run`` call builds its own
 run state, so threads may share one engine.
 
-Call accounting: each run counts its own calls, g2t rewrites included, in a
-fresh ledger that ``RunTrace.ledger`` reports; retries inside a gateway count
-once. With no stalled chains the retrieval calls total exactly
-``2 * width * max_depth + max_depth + 2`` before any degrade call (one
-pruning and one reasoning call in the initial phase, two pruning calls per
-chain plus one reasoning call per iteration).
+Call accounting: each run counts its own calls, g2t rewrites included, in
+its trace's ``RunTrace.ledger``; retries inside a gateway count once. A call
+is counted before it is forwarded, so the call that aborts a run counts once
+in its partial trace. With no stalled chains the retrieval calls total
+exactly ``2 * width * max_depth + max_depth + 2`` before any degrade call
+(one pruning and one reasoning call in the initial phase, two pruning calls
+per chain plus one reasoning call per iteration).
 """
 
 from __future__ import annotations
@@ -33,17 +34,16 @@ from .community import Community, canonical_community_id
 from .detect import DETECTOR_KINDS, detect
 from .errors import FastToGError, ResolutionError
 from .gateway import (
-    _TEMPLATE_FIELDS,
     BASELINE_MODES,
-    PRUNING_TEMPERATURE,
-    CallLedger,
+    TAGS,
+    TEMPLATES,
     GenerationRequest,
     GenerationResponse,
     ParsedVerdict,
     baseline_answer,
     load_template,
     parse_verdict,
-    PromptBundle,
+    render,
 )
 from .kg import KnowledgeGraph, SamplerConfig, Subgraph, extract_subgraph
 from .pruning import (
@@ -93,7 +93,7 @@ class EngineConfig:
             raise ValueError(f"unknown prune mode: {self.prune_mode!r}")
         if self.degrade_mode not in BASELINE_MODES:
             raise ValueError(f"unknown degrade mode: {self.degrade_mode!r}")
-        for name in _TEMPLATE_FIELDS:  # a run reads them only once it has a subgraph
+        for name in TEMPLATES:  # a run reads them only once it has a subgraph
             try:
                 load_template(name, self.templates_dir)
             except OSError as exc:
@@ -132,12 +132,12 @@ class RunTrace:
 class _Counted:
     """Forwards each generation call after counting it in a run's ledger."""
 
-    def __init__(self, gateway, ledger: CallLedger):
+    def __init__(self, gateway, ledger: dict[str, int]):
         self._gateway = gateway
         self._ledger = ledger
 
     def generate(self, req: GenerationRequest) -> GenerationResponse:
-        self._ledger.increment(req.tag)
+        self._ledger[req.tag] += 1
         return self._gateway.generate(req)
 
 
@@ -164,7 +164,6 @@ class Engine:
             return state.answer(start_entities)
         except FastToGError as exc:
             # fatal aborts still expose what happened up to the failure
-            state.trace.ledger = state.ledger.counts()
             state.trace.add("aborted", error=str(exc))
             exc.partial_trace = state.trace
             raise
@@ -183,12 +182,11 @@ class _Run:
         self.omega = engine.omega
         self.question = question
         self.seeds = ((cfg.seed * 1_000_003 + i) & 0x7FFFFFFF for i in itertools.count(1))
-        self.ledger = CallLedger()
-        self.gateway = _Counted(engine.gateway, self.ledger)
+        self.trace = RunTrace(ledger=dict.fromkeys(TAGS, 0))
+        self.gateway = _Counted(engine.gateway, self.trace.ledger)
         self.g2t = None
         if engine.g2t_backend is not None:
-            self.g2t = _Counted(engine.g2t_backend, self.ledger)
-        self.trace = RunTrace()
+            self.g2t = _Counted(engine.g2t_backend, self.trace.ledger)
         self.trace.add("start", question=question, config=cfg.public_dict())
         self.history: set[str] = set()
         self.start_text: CommunityText | None = None
@@ -221,7 +219,6 @@ class _Run:
                 self.question, cfg.degrade_mode, self.gateway, templates_dir=cfg.templates_dir
             )
 
-        trace.ledger = self.ledger.counts()
         trace.add(
             "final",
             answer={"kind": verdict.kind, "text": verdict.text},
@@ -242,12 +239,7 @@ class _Run:
             raise ResolutionError(
                 f"no provided start entity found in graph: {start_entities!r}"
             )
-        preamble, body_tpl = load_template("extract", self.config.templates_dir)
-        bundle = PromptBundle(
-            system_preamble=preamble,
-            body=body_tpl.format(question=self.question),
-            temperature=PRUNING_TEMPERATURE,
-        )
+        bundle = render("extract", self.config.templates_dir, question=self.question)
         resp = self.gateway.generate(GenerationRequest(bundle, "pruning"))
         label = resp.text.strip().strip('"')
         if label not in self.omega:

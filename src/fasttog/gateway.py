@@ -1,9 +1,9 @@
 """Uniform text-generation interface.
 
-Provides the remote chat-completion adapter, a deterministic scripted mock
-for tests and offline runs, reply parsers, the per-tag call ledger a run
-counts into, and the inner-knowledge answer baselines (direct, step-by-step,
-and self-consistency voting).
+Provides the prompt renderer, the remote chat-completion adapter, a
+deterministic scripted mock for tests and offline runs, reply parsers, a
+thread-safe per-tag call ledger, and the inner-knowledge answer baselines
+(direct, step-by-step, and self-consistency voting).
 
 A gateway is any object with ``generate(req) -> GenerationResponse``. It
 retries transient failures itself and counts nothing: each run counts its
@@ -12,6 +12,7 @@ own calls, once per logical call.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import importlib.resources
 import json
@@ -21,6 +22,7 @@ import string
 import threading
 import time
 import urllib.parse
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -94,14 +96,15 @@ class CallLedger:
             return dict(self._counts)
 
 
-# the names each template's builder passes to ``str.format``
-_TEMPLATE_FIELDS = {
-    "pruning": ("question", "premise", "selection"),
-    "reasoning": ("question", "context"),
-    "extract": ("question",),
-    "baseline_io": ("question",),
-    "baseline_cot": ("question",),
-    "g2t": ("triples",),
+# each template's format fields, which its caller passes to ``render``, and
+# the temperature its call runs at
+TEMPLATES = {
+    "pruning": (("question", "premise", "selection"), PRUNING_TEMPERATURE),
+    "reasoning": (("question", "context"), REASONING_TEMPERATURE),
+    "extract": (("question",), PRUNING_TEMPERATURE),
+    "baseline_io": (("question",), REASONING_TEMPERATURE),
+    "baseline_cot": (("question",), REASONING_TEMPERATURE),
+    "g2t": (("triples",), REASONING_TEMPERATURE),
 }
 
 
@@ -112,7 +115,7 @@ def load_template(name: str, templates_dir: str | Path | None = None) -> tuple[s
     Body templates carry named placeholders such as ``{question}``,
     ``{premise}``, ``{selection}``, ``{context}``. A directory override lets
     callers swap the wording without touching code. A body that names a
-    field its builder does not pass, or that does not parse as a format
+    field its caller does not pass, or that does not parse as a format
     string, raises ``ValueError`` naming the file.
 
     Each ``(name, templates_dir)`` is read from disk once per process; a
@@ -123,7 +126,7 @@ def load_template(name: str, templates_dir: str | Path | None = None) -> tuple[s
     else:
         path = importlib.resources.files("fasttog").joinpath("templates", f"{name}.txt")
     preamble, _, body = path.read_text(encoding="utf-8").partition("\n")
-    allowed = _TEMPLATE_FIELDS[name]
+    allowed, _ = TEMPLATES[name]
     try:
         fields = list(_format_fields(body))
     except ValueError as exc:
@@ -135,6 +138,13 @@ def load_template(name: str, templates_dir: str | Path | None = None) -> tuple[s
                 + ", ".join(f"{{{f}}}" for f in allowed)
             )
     return preamble.strip(), body.strip("\n")
+
+
+def render(name: str, templates_dir: str | Path | None = None, **fields) -> PromptBundle:
+    """The prompt of template ``name`` with ``fields`` filled in, at the
+    temperature its call runs at."""
+    preamble, body = load_template(name, templates_dir)
+    return PromptBundle(preamble, body.format(**fields), TEMPLATES[name][1])
 
 
 def _format_fields(text: str):
@@ -398,25 +408,14 @@ def baseline_answer(
     if mode not in BASELINE_MODES:
         raise ValueError(f"unknown baseline mode: {mode!r}")
     template = "baseline_io" if mode == "io" else "baseline_cot"
-    preamble, body_tpl = load_template(template, templates_dir)
-    bundle = PromptBundle(
-        system_preamble=preamble,
-        body=body_tpl.format(question=question),
-        temperature=REASONING_TEMPERATURE if mode != "cot_sc" else 0.7,
-    )
+    bundle = render(template, templates_dir, question=question)
     if mode in ("io", "cot"):
         resp = gateway.generate(GenerationRequest(bundle, "baseline"))
         return parse_verdict(resp.text)
 
-    verdicts = []
-    for _ in range(samples):
-        resp = gateway.generate(GenerationRequest(bundle, "baseline"))
-        verdicts.append(parse_verdict(resp.text))
-    counts: dict[str, int] = {}
-    first_seen: dict[str, int] = {}
-    for i, v in enumerate(verdicts):
-        key = normalize_answer(v.text) if v.kind == "answer" else "\x00unknown"
-        counts[key] = counts.get(key, 0) + 1
-        first_seen.setdefault(key, i)
-    winner = min(counts, key=lambda key: (-counts[key], first_seen[key]))
-    return verdicts[first_seen[winner]]
+    req = GenerationRequest(dataclasses.replace(bundle, temperature=0.7), "baseline")
+    verdicts = [parse_verdict(gateway.generate(req).text) for _ in range(samples)]
+    keys = [normalize_answer(v.text) if v.kind == "answer" else "\x00unknown" for v in verdicts]
+    # most_common keeps first-seen order among equal counts
+    ((winner, _),) = Counter(keys).most_common(1)
+    return verdicts[keys.index(winner)]

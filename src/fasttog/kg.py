@@ -28,7 +28,7 @@ from bisect import bisect_left
 from collections import defaultdict, deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import count, islice, repeat
+from itertools import count, islice
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, TextIO
 
@@ -414,14 +414,11 @@ class Subgraph:
 
     @cached_property
     def triples(self) -> tuple[Triple, ...]:
-        every = range(len(self.ids))
-        return tuple(t for _, _, t in self._select(every, repeat(every)))
+        every = set(range(len(self.ids)))
+        return tuple(t for _, _, t in self.rows_between(every, every))
 
-    # the lookups walk subjects in ascending order, so they return triples in
-    # the same order as ``triples``
     def intra_triples(self, members: frozenset[EntityId]) -> list[Triple]:
-        inside = self.local_set(members)
-        return [t for _, _, t in self._select(sorted(inside), repeat(inside))]
+        return self.triples_between(members, members)
 
     def triples_between(
         self, left: frozenset[EntityId], right: frozenset[EntityId]
@@ -432,56 +429,45 @@ class Subgraph:
     def rows_between(self, left: set[int], right: set[int]) -> list[tuple[int, int, Triple]]:
         """The triples with one endpoint in ``left`` and the other in
         ``right`` (sets of local indices), in triple order, each as
-        ``(subject, object, triple)`` with local endpoints."""
-        nbrs = self.nbrs
-        ends, targets_of = [], []
-        for i in sorted(left | right):
+        ``(subject, object, triple)`` with local endpoints.
+
+        Subjects are walked in ascending order, so every lookup returns
+        triples in the order of ``triples``. A node's rows with a retained
+        object, as ``(predicate id, local object)`` in (predicate, object)
+        order, are read from the store on its first lookup."""
+        nbrs, rows, local = self.nbrs, self._rows, self._local
+        labels, predicates = self.labels, self._omega._predicates
+        p, o, out_start, _, _ = self._views
+        either = left | right
+        out = []
+        for i in sorted(either):
             if i in left:
-                targets = left | right if i in right else right
+                targets = either if i in right else right
             else:
                 targets = left
             # a row joins i to a structural neighbour, or is a self-loop
-            if i in targets or not targets.isdisjoint(nbrs[i]):
-                ends.append(i)
-                targets_of.append(targets)
-        return self._select(ends, targets_of)
-
-    def local_set(self, labels) -> set[int]:
-        """The local indices of ``labels``; labels outside the subgraph have none."""
-        local = set(map(self.index.get, labels))
-        local.discard(None)
-        return local
-
-    def _select(self, subjects, targets_of) -> list[tuple[int, int, Triple]]:
-        """For each node ``i`` of ``subjects`` and the matching set of
-        ``targets_of``, the triples from ``i`` to a node of that set, as
-        ``(subject, object, triple)`` with local endpoints."""
-        labels, predicates = self.labels, self._omega._predicates
-        return [
-            (i, j, Triple(labels[i], predicates[q], labels[j]))
-            for i, targets, rows in zip(subjects, targets_of, self._rows_of(subjects))
-            for q, j in rows
-            if j in targets
-        ]
-
-    def _rows_of(self, nodes) -> list[list[tuple[int, int]]]:
-        """Each node's rows with a retained object as ``(predicate id, local
-        object)``, in (predicate, object) order. A node's rows are read from
-        the store on its first lookup."""
-        rows = self._rows
-        missing = [i for i in nodes if rows[i] is None]
-        if missing:
-            ids, local = self.ids, self._local
-            p, o, out_start, _, _ = self._views
-            for i in missing:
-                v = ids[i]
+            if i not in targets and targets.isdisjoint(nbrs[i]):
+                continue
+            if rows[i] is None:
+                v = self.ids[i]
                 lo, hi = out_start[v], out_start[v + 1]
                 rows[i] = [
                     (q, local[u])
                     for q, u in zip(p[lo:hi].tolist(), o[lo:hi].tolist())
                     if u in local
                 ]
-        return [rows[i] for i in nodes]
+            out += [
+                (i, j, Triple(labels[i], predicates[q], labels[j]))
+                for q, j in rows[i]
+                if j in targets
+            ]
+        return out
+
+    def local_set(self, labels) -> set[int]:
+        """The local indices of ``labels``; labels outside the subgraph have none."""
+        local = set(map(self.index.get, labels))
+        local.discard(None)
+        return local
 
     @classmethod
     def from_full_graph(cls, omega: KnowledgeGraph) -> "Subgraph":

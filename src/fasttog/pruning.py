@@ -33,6 +33,11 @@ class PruneOutcome:
     raw_reply: str | None = None
 
 
+def _rank(cand: CandidateCommunity) -> tuple[float, str]:
+    """The candidate order: score descending, then canonical id ascending."""
+    return -cand.community.modularity, cand.community.canonical_id
+
+
 def candidate_communities(
     p: Partition, current: Community, h: set[str], g: Subgraph
 ) -> list[CandidateCommunity]:
@@ -65,7 +70,7 @@ def candidate_communities(
         if c.canonical_id in h:
             continue
         out.append(CandidateCommunity(c, tuple(bridges)))
-    out.sort(key=lambda cand: (-cand.community.modularity, cand.community.canonical_id))
+    out.sort(key=_rank)
     return out
 
 
@@ -73,8 +78,7 @@ def coarse_prune(cands: Sequence[CandidateCommunity], k: int) -> list[CandidateC
     """Top-k candidates by score, ties broken by canonical id ascending."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    ranked = sorted(cands, key=lambda c: (-c.community.modularity, c.community.canonical_id))
-    return ranked[:k]
+    return sorted(cands, key=_rank)[:k]
 
 
 def random_prune(

@@ -17,13 +17,9 @@ from typing import Sequence
 
 from .community import Community
 from .errors import GatewayError
-from .gateway import (
-    PRUNING_TEMPERATURE,
-    REASONING_TEMPERATURE,
-    GenerationRequest,
-    PromptBundle,
-    load_template,
-)
+from .gateway import GenerationRequest, PromptBundle, render
+# kept importable: bench/run.py hooks it, and tests/test_bench_hooks.py needs every hook
+from .gateway import load_template  # noqa: F401
 from .kg import Subgraph, Triple
 
 MODES = ("t2t", "g2t")
@@ -82,12 +78,7 @@ def graph2text(
     base = triple2text(c, bridge, g)
     if backend is None:
         return dataclasses.replace(base, fallback=True)
-    preamble, body_tpl = load_template("g2t", templates_dir)
-    bundle = PromptBundle(
-        system_preamble=preamble,
-        body=body_tpl.format(triples=base.text),
-        temperature=REASONING_TEMPERATURE,
-    )
+    bundle = render("g2t", templates_dir, triples=base.text)
     try:
         reply = backend.generate(GenerationRequest(bundle, "g2t")).text
         text = " ".join(filter(None, map(str.strip, reply.splitlines())))
@@ -130,12 +121,7 @@ def build_pruning_prompt(
     else:
         instruction = f'Reply with exactly {k} letters separated by commas, or "None".'
     selection = "\n".join(option_lines) + "\n\n" + instruction
-    preamble, body_tpl = load_template("pruning", templates_dir)
-    return PromptBundle(
-        system_preamble=preamble,
-        body=body_tpl.format(question=question, premise=premise, selection=selection),
-        temperature=PRUNING_TEMPERATURE,
-    )
+    return render("pruning", templates_dir, question=question, premise=premise, selection=selection)
 
 
 def build_reasoning_prompt(
@@ -156,10 +142,4 @@ def build_reasoning_prompt(
         if not chain:
             continue
         lines.append(f"Chain {i}: " + " -> ".join(ct.text for ct in chain))
-    context = "\n".join(lines)
-    preamble, body_tpl = load_template("reasoning", templates_dir)
-    return PromptBundle(
-        system_preamble=preamble,
-        body=body_tpl.format(question=question, context=context),
-        temperature=REASONING_TEMPERATURE,
-    )
+    return render("reasoning", templates_dir, question=question, context="\n".join(lines))

@@ -436,7 +436,8 @@ def test_fatal_error_carries_partial_trace():
     partial = getattr(err.value, "partial_trace", None)
     assert partial is not None
     assert partial.events[-1]["event"] == "aborted"
-    assert partial.ledger["pruning"] >= 1
+    # header pick, reasoning, depth-1 selection, and the confirmation that raised
+    assert partial.ledger == {"pruning": 3, "reasoning": 1, "baseline": 0, "g2t": 0}
 
 
 def test_run_total_never_exceeds_worst_case_bound():

@@ -1,7 +1,11 @@
+import hashlib
+
 import pytest
 
 from fasttog import (
     Community,
+    Engine,
+    GenerationResponse,
     KnowledgeGraph,
     ScriptedGateway,
     Triple,
@@ -10,7 +14,8 @@ from fasttog import (
     graph2text,
     triple2text,
 )
-from fasttog.gateway import load_template
+from fasttog.errors import ResolutionError
+from fasttog.gateway import baseline_answer, load_template
 from fasttog.verbalize import CommunityText
 
 from helpers import Counting, full_subgraph, pruning_options
@@ -262,3 +267,63 @@ def test_packaged_templates_pass_their_own_check():
     for name in TEMPLATE_FIELDS:
         preamble, body = load_template(name)
         assert preamble and body
+
+
+class _Recording:
+    """Replies ``reply`` to every call and keeps each request."""
+
+    def __init__(self, reply):
+        self.reply = reply
+        self.requests = []
+
+    def generate(self, req):
+        self.requests.append(req)
+        return GenerationResponse(self.reply, 0, "recording", 0)
+
+
+def _rendered_prompts():
+    """One request of each kind of model call, built on fixed inputs."""
+    chain = [ct(0, "Philadelphia isCityOf Pennsylvania"), ct(1, "Pennsylvania climate Humid")]
+    options = [ct(2, "Allentown isCityOf Pennsylvania"), ct(3, "Erie near Lake Erie")]
+    yield "pruning k=1", build_pruning_prompt("Which city?", chain, options, 1), "pruning"
+    yield "pruning k=2", build_pruning_prompt("Which city?", chain, options, 2), "pruning"
+    start = ct(4, "Philadelphia")
+    reasoning = build_reasoning_prompt("Which city?", [chain, []], start)
+    yield "reasoning", reasoning, "reasoning"
+    c, g = community_over([Triple("a", "r", "b"), Triple("b", "link", "x")], {"a", "b"})
+    backend = _Recording("fluent")
+    graph2text(c, [Triple("b", "link", "x")], backend, g)
+    (req,) = backend.requests
+    yield "g2t", req.prompt, req.tag
+    gateway = _Recording("no such entity")
+    with pytest.raises(ResolutionError):
+        Engine(KnowledgeGraph([Triple("a", "r", "b")]), gateway).run("Where is a?")
+    (req,) = gateway.requests
+    yield "extract", req.prompt, req.tag
+    for mode in ("io", "cot", "cot_sc"):
+        gateway = _Recording("Answer: Paris")
+        baseline_answer("What is the capital?", mode, gateway, samples=2)
+        req = gateway.requests[0]
+        assert all(other == req for other in gateway.requests)
+        yield f"baseline {mode}", req.prompt, req.tag
+
+
+# SHA-1 of each prompt's preamble, body, temperature and tag
+PROMPT_SHA1 = {
+    "pruning k=1": "b65d8341c97d6ff9665161c2c2a562ba5f75c2d6",
+    "pruning k=2": "047b24abc7b2fbaf8d3ce4c9966c24b2bcd7048c",
+    "reasoning": "4c2a1eb3ed02a796572aa9976f3949c775ba0ff2",
+    "g2t": "84569bd22105b3ead8cb983dcc267b4b904b29e5",
+    "extract": "01e847fe72b00bb3b5b4412e61dd6b6172ca388b",
+    "baseline io": "daf02d7c4da4f52dbfa222ffd9301235487115b1",
+    "baseline cot": "81d50af16b2f1ebddcc31998ab5225305ac08544",
+    "baseline cot_sc": "86bec8f2d56c96451823ff8ca389d72ddb5d7246",
+}
+
+
+def test_every_prompt_is_pinned():
+    seen = {}
+    for kind, bundle, tag in _rendered_prompts():
+        parts = (bundle.system_preamble, bundle.body, repr(bundle.temperature), tag)
+        seen[kind] = hashlib.sha1("\x00".join(parts).encode("utf-8")).hexdigest()
+    assert seen == PROMPT_SHA1
