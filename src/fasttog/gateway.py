@@ -143,8 +143,9 @@ def load_template(name: str, templates_dir: str | Path | None = None) -> tuple[s
 def render(name: str, templates_dir: str | Path | None = None, **fields) -> PromptBundle:
     """The prompt of template ``name`` with ``fields`` filled in, at the
     temperature its call runs at."""
+    _, temperature = TEMPLATES[name]
     preamble, body = load_template(name, templates_dir)
-    return PromptBundle(preamble, body.format(**fields), TEMPLATES[name][1])
+    return PromptBundle(preamble, body.format(**fields), temperature)
 
 
 def _format_fields(text: str):
