@@ -103,8 +103,6 @@ def _write_or_print(text: str, out: str | None) -> None:
 def _cmd_ingest(args) -> int:
     graph = KnowledgeGraph.ingest(args.triples)
     _write_or_print(graph.dump(), args.out)
-    if graph.duplicate_count:
-        print(f"collapsed {graph.duplicate_count} duplicate triple(s)", file=sys.stderr)
     return 0
 
 

@@ -125,9 +125,6 @@ class Partition:
     def max_size(self) -> int:
         return max(map(len, self.blocks))
 
-    def __iter__(self):
-        return iter(self.communities)
-
     def __len__(self) -> int:
         return len(self.blocks)
 
@@ -135,9 +132,6 @@ class Partition:
         if other.__class__ is not self.__class__:
             return NotImplemented
         return (self.blocks, self._g.m) == (other.blocks, other._g.m)
-
-    def __hash__(self) -> int:
-        return hash((self.blocks, self._g.m))
 
     def __repr__(self) -> str:
         return f"Partition(blocks={self.blocks!r}, subgraph_m={self._g.m!r})"
@@ -171,9 +165,9 @@ def modularity_global(p: Partition, g: Subgraph) -> float:
     return sum(Community.from_members(block, g).modularity for block in p.blocks) / (2.0 * g.m)
 
 
-def partition_dump(p: Partition, label_sep: str = ",") -> str:
+def partition_dump(p: Partition) -> str:
     """Text dump: one ``index<TAB>members<TAB>score`` line per community."""
     lines = []
     for i, c in enumerate(p.communities):
-        lines.append(f"{i}\t{label_sep.join(c.sorted_members)}\t{c.modularity:.6f}")
+        lines.append(f"{i}\t{','.join(c.sorted_members)}\t{c.modularity:.6f}")
     return "\n".join(lines) + ("\n" if lines else "")

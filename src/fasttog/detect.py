@@ -25,11 +25,11 @@ extraction keeps is linked to a center through kept nodes, so when the
 centers are linked among themselves the subgraph is one component and is not
 searched. Every detector runs on the component's neighbour lists over its
 ranks (``_rank_nbrs``); ranks follow local order, which is label order, so
-integer order and tie-breaks are those of the labels. A state holds rank
-blocks; :func:`detect` builds a :class:`_State` for each component's chosen
-state only and turns it into label blocks (``_State.label_blocks``),
-:func:`detect_full` every state, and the :class:`Partition` they form builds
-no :class:`Community` until one is read.
+integer order and tie-breaks are those of the labels. A state is a record
+and an index in it; :func:`detect` replays only each component's chosen
+state into label blocks (``_Level.label_blocks``), :func:`detect_full` every
+state, and the :class:`Partition` they form builds no :class:`Community`
+until one is read.
 
 The streams:
 
@@ -41,7 +41,8 @@ The streams:
                   component structure as edges of highest betweenness go.
 * hierarchical -- singletons, then one state per merge (average linkage over
                   shared-neighbour Jaccard similarity, across an edge only);
-                  a merge rescores only the merged cluster's pairs.
+                  a cluster is named by its smallest rank, and a merge
+                  rescores only the merged cluster's pairs.
 * spectral     -- normalized-Laplacian embedding with seeded k-means, from
                   k = 1 to the first k whose clusters all fit.
 * random       -- singletons, then a seeded shuffle chunked into blocks of
@@ -162,17 +163,14 @@ def _detect(g, kind, m_max, seed, full) -> DetectionOutcome:
         del stream  # a stream stopped early holds its working state until freed
         # the component's rank -> label map
         labels = g.labels if len(comp) == len(g) else list(map(g.labels.__getitem__, comp))
+        states = [(level, j) for level in levels for j in range(len(level.sizes))]
         if full:
-            states = [level.state(j) for level in levels for j in range(len(level.sizes))]
-            snapshots = [Partition(tuple(sorted(state.label_blocks(labels))), g) for state in states]
+            snapshots = [Partition(tuple(sorted(level.label_blocks(j, labels))), g) for level, j in states]
             traces.append(ComponentTrace(tuple(labels), snapshots, snapshots[step]))
             all_blocks.extend(snapshots[step].blocks)
         else:
-            for level in levels:
-                if step < len(level.sizes):
-                    all_blocks.extend(level.state(step).label_blocks(labels))
-                    break
-                step -= len(level.sizes)
+            level, j = states[step]
+            all_blocks.extend(level.label_blocks(j, labels))
 
     all_blocks.sort()
     partition = Partition(tuple(all_blocks), g)
@@ -213,40 +211,29 @@ class _Level:
     A level's nodes stand for disjoint blocks of ranks: ``members`` maps each
     node to its block, and ``moves`` logs each accepted ``(node, block)`` move
     in order. The record's states are the last ``len(sizes)`` move counts on
-    the log, and ``sizes`` holds each one's largest block. A louvain level
-    holds one state per accepted move, and its level nodes are named by the
-    rank of their smallest original member, so integer order is label order.
-    Every other record holds one state, its blocks with no move made.
+    the log, and ``sizes`` holds each one's largest block; state ``i`` is
+    read off the record by :meth:`label_blocks`. A louvain level holds one
+    state per accepted move, and its level nodes are named by the rank of
+    their smallest original member, so integer order is label order. Every
+    other record holds one state, its blocks with no move made.
     """
 
     members: dict[int, list[int]]
     moves: list[tuple[int, int]]
     sizes: list[int]
 
-    def state(self, i: int) -> _State:
-        """The record's ``i``-th state."""
-        n_moves = len(self.moves) + 1 - len(self.sizes) + i
-        return _State(self.members, self.moves, n_moves, self.sizes[i])
+    def n_moves(self, i: int) -> int:
+        """How many moves of the log the record's ``i``-th state has made."""
+        return len(self.moves) + 1 - len(self.sizes) + i
 
-
-@dataclass(slots=True)
-class _State:
-    """One detector state: the first ``n_moves`` moves of a level's log, and
-    its largest block's size; :meth:`label_blocks` replays the moves."""
-
-    members: dict[int, list[int]]
-    moves: list[tuple[int, int]]
-    n_moves: int
-    max_size: int
-
-    def label_blocks(self, labels) -> list[tuple[EntityId, ...]]:
-        """The blocks as tuples of labels in label order; ``labels`` maps the
-        state's ranks to labels. Ranks follow label order, so sorted ranks
-        give sorted labels."""
+    def label_blocks(self, i: int, labels) -> list[tuple[EntityId, ...]]:
+        """The ``i``-th state's blocks as tuples of labels in label order;
+        ``labels`` maps the record's ranks to labels. Ranks follow label
+        order, so sorted ranks give sorted labels."""
         members = self.members
         # level nodes are small integers, so a list up to the largest holds them
         comm = list(range(max(members) + 1))
-        for u, c in self.moves[: self.n_moves]:
+        for u, c in self.moves[: self.n_moves(i)]:
             comm[u] = c
         grouped: dict[int, list[int]] = {}
         for u in members:
@@ -513,8 +500,9 @@ def _hierarchical_states(nbrs: list[list[int]], m_max: int, rng):
     with np.errstate(invalid="ignore", divide="ignore"):
         sim = np.where(union > 0, inter / union, 0.0)
 
-    # a cluster is keyed by its sorted ranks and lists them in merge order
-    clusters: dict[tuple, list[int]] = {(v,): [v] for v in range(len(nbrs))}
+    # a cluster is named by its smallest rank and lists its ranks in merge
+    # order. Clusters are disjoint, so names order as sorted rank lists would
+    clusters = {v: [v] for v in range(len(nbrs))}
 
     def pair(x, y):
         return (x, y) if x < y else (y, x)
@@ -527,25 +515,29 @@ def _hierarchical_states(nbrs: list[list[int]], m_max: int, rng):
     # clusters merge only across an existing edge; a pair's score depends on
     # its two clusters alone, so a merge rescores only the merged cluster's
     # pairs, and the strict-tuple minimum picks the same pair as a full scan
-    touch = {(u,): {(v,) for v in nb} for u, nb in enumerate(nbrs)}
+    touch = {u: set(nb) for u, nb in enumerate(nbrs)}
     scores = {(a, b): score(a, b) for a in touch for b in touch[a] if a < b}
-    yield _of_blocks(clusters)
+    yield _of_blocks(clusters.values())
     while scores:
         _, a, b = min((-s, x, y) for (x, y), s in scores.items())
-        merged_key = tuple(sorted(a + b))
-        clusters[merged_key] = clusters.pop(a) + clusters.pop(b)
-        touch[merged_key] = (touch.pop(a) | touch.pop(b)) - {a, b}
-        for c in touch[merged_key]:
-            touch[c] -= {a, b}
-            touch[c].add(merged_key)
-            scores.pop(pair(a, c), None)
+        # the merged cluster keeps the smaller name, a < b, in a new list: the
+        # states already yielded hold the old one
+        clusters[a] = clusters[a] + clusters.pop(b)
+        touch[a] = (touch[a] | touch.pop(b)) - {a, b}
+        for c in touch[a]:
+            touch[c].discard(b)
+            touch[c].add(a)
             scores.pop(pair(b, c), None)
-            scores[pair(merged_key, c)] = score(*pair(merged_key, c))
+            scores[pair(a, c)] = score(*pair(a, c))
         del scores[(a, b)]
-        yield _of_blocks(clusters)
+        yield _of_blocks(clusters.values())
 
 
 # -- spectral -----------------------------------------------------------------
+
+# seeded k-means runs per k, and the iterations of each run
+_KMEANS_RESTARTS = 10
+_KMEANS_MAX_ITER = 100
 
 
 def _spectral_states(nbrs: list[list[int]], m_max: int, np_rng):
@@ -573,17 +565,17 @@ def _spectral_states(nbrs: list[list[int]], m_max: int, np_rng):
             return
 
 
-def _kmeans(points, k, np_rng, restarts=10, max_iter=100):
+def _kmeans(points, k, np_rng):
     n = points.shape[0]
     if k >= n:
         return np.arange(n)
     if k == 1:
         return np.zeros(n, dtype=int)
     best_labels, best_inertia = None, np.inf
-    for _ in range(restarts):
+    for _ in range(_KMEANS_RESTARTS):
         centroids = points[np_rng.choice(n, size=k, replace=False)].copy()
         labels = np.zeros(n, dtype=int)
-        for _ in range(max_iter):
+        for _ in range(_KMEANS_MAX_ITER):
             d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
             new_labels = d2.argmin(axis=1)
             for c in range(k):

@@ -3,6 +3,9 @@ import hashlib
 import importlib.resources
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -15,7 +18,8 @@ from fasttog.engine import EngineConfig
 
 from helpers import bridged_triangles, clique_path, never_answer_script, star
 
-US_GEO = Path(__file__).resolve().parents[1] / "demos" / "data" / "us_geo.tsv"
+REPO = Path(__file__).resolve().parents[1]
+US_GEO = REPO / "demos" / "data" / "us_geo.tsv"
 
 
 def triangles_file(tmp_path):
@@ -47,6 +51,30 @@ def test_ingest_prints_canonical_dump(tmp_path, capsys):
 
 def test_ingest_missing_file_is_data_error(tmp_path):
     assert main(["ingest", str(tmp_path / "nope.tsv")]) == 2
+
+
+def test_ingest_warns_of_duplicates_once(tmp_path):
+    # in a child process: pytest's logging plugin would swallow the store's
+    # warning, which reaches stderr through logging's last-resort handler
+    raw = tmp_path / "raw.tsv"
+    raw.write_text("a\tr\tb\na\tr\tb\n", encoding="utf-8")
+    inherited = os.environ.get("PYTHONPATH", "").split(os.pathsep)
+    paths = [str(REPO / "src")] + [os.path.abspath(p) for p in inherited if p]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    done = subprocess.run(
+        [sys.executable, "-m", "fasttog.cli", "ingest", str(raw)],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "a\tr\tb\n"
+    assert done.stderr.splitlines() == ["collapsed 1 duplicate triple(s)"]
+
+
+def test_detect_on_a_file_of_comments_is_a_data_error(tmp_path, capsys):
+    graph = tmp_path / "comments.tsv"
+    graph.write_text("# no triple\n# at all\n", encoding="utf-8")
+    assert main(["detect", "--graph", str(graph)]) == 2
+    assert capsys.readouterr().err == "error: subgraph is empty\n"
 
 
 def test_detect_triangles(tmp_path, capsys):
@@ -483,6 +511,10 @@ def test_run_calls_line_counts_g2t_rewrites(tmp_path, capsys):
             ),
             "bridges must be lists of three labels",
         ),
+        (json.dumps({"event": "coarse", "current_id": 7}), "current_id must be a string"),
+        (json.dumps({"event": "coarse", "current": "a"}), "current must be a list of labels"),
+        (json.dumps({"event": "coarse", "kept": {"id": "x"}}), "kept must be a list"),
+        (json.dumps({"event": "coarse", "kept": [{"members": ["a"]}]}), "needs a string id"),
         (json.dumps({"event": "chain_grew"}), "a chain_grew event needs a string community id"),
         (json.dumps({"event": "headers", "chosen": [1]}), "chosen must be a list of ids"),
     ],

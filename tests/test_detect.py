@@ -427,14 +427,14 @@ def test_components_are_searched_only_when_the_centres_are_not_linked():
 
 def test_detect_builds_a_state_only_for_each_component_pick(monkeypatch):
     detect_module = importlib.import_module("fasttog.detect")
-    real = detect_module._State
+    real = detect_module._Level.label_blocks
     built = [0]
 
-    def counting(*args):
+    def counting(level, *args):
         built[0] += 1
-        return real(*args)
+        return real(level, *args)
 
-    monkeypatch.setattr(detect_module, "_State", counting)
+    monkeypatch.setattr(detect_module._Level, "label_blocks", counting)
     for trial, (g, m_max) in enumerate(_louvain_sweep_graphs()):
         built[0] = 0
         detect(g, "louvain", m_max, seed=trial)
@@ -445,8 +445,8 @@ def test_detect_builds_a_state_only_for_each_component_pick(monkeypatch):
 
 
 def _states(levels):
-    """Every state of the records ``levels``, in order."""
-    return [level.state(i) for level in levels for i in range(len(level.sizes))]
+    """Every state of the records ``levels``, in order, as (record, index)."""
+    return [(level, i) for level in levels for i in range(len(level.sizes))]
 
 
 def _pulled(stream, m_max, coarse_to_fine):
@@ -457,7 +457,7 @@ def _pulled(stream, m_max, coarse_to_fine):
 
 def _replayed(states, n):
     """Each state's largest block and its blocks over the ranks ``range(n)``."""
-    return [(state.max_size, sorted(state.label_blocks(range(n)))) for state in states]
+    return [(level.sizes[i], sorted(level.label_blocks(i, range(n)))) for level, i in states]
 
 
 def test_bounded_hierarchical_states_stop_at_the_first_oversized_block():
@@ -503,17 +503,17 @@ def test_bounded_louvain_states_stop_at_the_first_oversized_level():
             full = _states(levels)
             bounded = _pulled(_louvain_states(nbrs, m_max, random.Random(trial)), m_max, False)
             assert _replayed(bounded, len(nbrs)) == _replayed(full[: len(bounded)], len(nbrs))
-            assert all(state.max_size > m_max for state in full[len(bounded) :])
+            assert all(level.sizes[j] > m_max for level, j in full[len(bounded) :])
             # the singletons and each level's last state end a record, and no
             # other: the next state, if any, is on another level's move log
             level_ends = [
-                i for i, state in enumerate(full)
-                if i + 1 == len(full) or full[i + 1].moves is not state.moves
+                i for i, (level, _j) in enumerate(full)
+                if i + 1 == len(full) or full[i + 1][0].moves is not level.moves
             ]
             ends = [end - 1 for end in accumulate(len(level.sizes) for level in levels)]
             assert ends == level_ends
             # the stop falls at the end of the first level that ends oversized
-            over = [i for i in level_ends if full[i].max_size > m_max]
+            over = [i for i in level_ends if full[i][0].sizes[full[i][1]] > m_max]
             assert len(bounded) == (over[0] + 1 if over else len(full))
 
 
@@ -669,13 +669,13 @@ def test_louvain_states_track_size_and_move_one_level_node():
                 continue  # detect draws nothing for a singleton
             states = _states(_louvain_states(_rank_nbrs(g, comp), len(g.nodes), louvain_rng))
             ranks = range(len(comp))
-            blocks = [[frozenset(b) for b in state.label_blocks(ranks)] for state in states]
-            for state, replayed in zip(states, blocks):
-                assert state.max_size == max(map(len, replayed))
-            for state, before, after in zip(states[1:], blocks, blocks[1:]):
+            blocks = [[frozenset(b) for b in level.label_blocks(i, ranks)] for level, i in states]
+            for (level, i), replayed in zip(states, blocks):
+                assert level.sizes[i] == max(map(len, replayed))
+            for (level, i), before, after in zip(states[1:], blocks, blocks[1:]):
                 # the moved level node's members leave one block for another
-                u, _c = state.moves[state.n_moves - 1]
-                moved = frozenset(state.members[u])
+                u, _c = level.moves[level.n_moves(i) - 1]
+                moved = frozenset(level.members[u])
                 source = next(b for b in before if moved <= b)
                 target = next(b for b in after if moved <= b)
                 assert source != target

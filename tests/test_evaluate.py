@@ -47,11 +47,16 @@ def test_sample_is_seed_deterministic(tmp_path):
 
 
 def test_schema_violation_reports_index(tmp_path):
-    rows = [record(0), {"id": "bad", "question": "", "answers": ["x"]}]
-    path = write_jsonl(tmp_path, rows)
-    with pytest.raises(DataError) as err:
-        load_dataset(path)
-    assert err.value.index == 1
+    for bad, why in [
+        ({"id": "bad", "question": "", "answers": ["x"]}, "missing or empty 'question'"),
+        (["q", ["x"]], "record must be a JSON object"),
+        (record(1, starts=["a", 2]), "'start_entities' must be a list of strings"),
+        ({**record(1), "start_entities": "a"}, "'start_entities' must be a list of strings"),
+    ]:
+        path = write_jsonl(tmp_path, [record(0), bad])
+        with pytest.raises(DataError, match=why) as err:
+            load_dataset(path)
+        assert err.value.index == 1
 
 
 def test_missing_answers_rejected(tmp_path):

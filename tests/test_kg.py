@@ -70,6 +70,9 @@ def test_ingest_malformed_line_reports_line_number(tmp_path):
     with pytest.raises(TripleFormatError) as err:
         KnowledgeGraph.ingest(write(tmp_path, text))
     assert err.value.line_number == 2
+    with pytest.raises(TripleFormatError, match="empty field") as err:
+        KnowledgeGraph.ingest(write(tmp_path, "# c\na\tr\tb\na\t\tb\n"))
+    assert err.value.line_number == 3
 
 
 def test_ingest_skips_comments_and_blanks(tmp_path):

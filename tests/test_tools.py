@@ -1,9 +1,13 @@
 """The repository's tools, run on fixed inputs."""
 
 import importlib.util
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
-TOOLS = Path(__file__).resolve().parents[1] / "tools"
+REPO = Path(__file__).resolve().parents[1]
+TOOLS = REPO / "tools"
 
 # a blank line, comments, docstrings at three levels, a multi-line call and
 # strings that are not docstrings; the code lines are marked "code"
@@ -36,3 +40,35 @@ def test_loc_counts_lines_and_code_lines_of_a_snippet():
     spec.loader.exec_module(loc)
     code_lines = [line for line in SNIPPET.splitlines() if line.endswith("# code")]
     assert loc.count(SNIPPET) == (len(SNIPPET.splitlines()), len(code_lines)) == (20, 10)
+
+
+def _ab(parent_src, change_src):
+    return subprocess.run(
+        [sys.executable, str(TOOLS / "ab.py"), str(parent_src), str(change_src),
+         "--rounds", "1"],
+        capture_output=True, text=True, timeout=300,
+    )
+
+
+def test_ab_reports_equal_traces_for_two_copies_of_one_tree():
+    done = _ab(REPO / "src", REPO / "src")
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert "louvain: 24 questions, traces equal" in lines
+    assert "hierarchical: 24 questions, traces equal" in lines
+    assert sum("change cheaper in " in line for line in lines) == 2
+
+
+def test_ab_exits_nonzero_when_the_traces_differ(tmp_path):
+    shutil.copytree(REPO / "src" / "fasttog", tmp_path / "fasttog",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    detect = tmp_path / "fasttog" / "detect.py"
+    source = detect.read_text(encoding="utf-8")
+    swapped = source.replace('"louvain": (_louvain_states,', '"louvain": (_random_states,')
+    assert swapped != source
+    detect.write_text(swapped, encoding="utf-8")
+    done = _ab(REPO / "src", tmp_path)
+    assert done.returncode == 1, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0].startswith("louvain: 24 questions, traces differ at question ")
+    assert "hierarchical: 24 questions, traces equal" in lines
