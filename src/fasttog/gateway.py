@@ -203,12 +203,15 @@ class ChatEndpoint:
 
     Endpoint, key, and model default to the FASTTOG_ENDPOINT, FASTTOG_API_KEY,
     and FASTTOG_MODEL environment variables; the URL must be http or https.
-    Concurrent in-flight requests are bounded by a semaphore. Each thread
-    posts over its own stdlib ``http.client`` keep-alive connection, made on
-    its first call and reopened when the server has closed it. The connection
-    goes through the proxy that ``HTTP_PROXY``/``HTTPS_PROXY`` name, unless
-    ``NO_PROXY`` lists the host. The HTTP, TLS and proxy modules are loaded
-    by the first call (:mod:`fasttog._http`), not by importing the package.
+    Each thread posts over its own keep-alive connection, made on its first
+    call and reopened when the server has closed it, so the callers' threads
+    alone bound the calls in flight. Each request goes out in one write and
+    its reply is read by a short reader of its own (:mod:`fasttog._http`);
+    stdlib ``http.client`` only opens the connection, through the proxy that
+    ``HTTP_PROXY``/``HTTPS_PROXY`` name unless ``NO_PROXY`` lists the host.
+    A certificate that fails verification raises ProviderError at once.
+    The HTTP, TLS and proxy modules are loaded by the first call, not by
+    importing the package.
     """
 
     def __init__(
@@ -219,7 +222,6 @@ class ChatEndpoint:
         retry_budget: int = 3,
         backoff_base: float = 0.5,
         timeout: float = 60.0,
-        max_in_flight: int = 4,
     ):
         self.url = url or os.environ.get("FASTTOG_ENDPOINT")
         self.api_key = api_key or os.environ.get("FASTTOG_API_KEY")
@@ -237,7 +239,6 @@ class ChatEndpoint:
         self.retry_budget = retry_budget
         self.backoff_base = backoff_base
         self.timeout = timeout
-        self._slots = threading.Semaphore(max_in_flight)
         self._local = threading.local()
 
     @property
@@ -258,14 +259,15 @@ class ChatEndpoint:
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
-        from ._http import TRANSIENT  # loads the HTTP stack on the first call
+        from ._http import TRANSIENT, UNTRUSTED  # loads the HTTP stack on the first call
 
         attempt = 0
         while True:
             started = time.monotonic()
             try:
-                with self._slots:
-                    status, raw = self._post(body, headers)
+                status, raw = self._post(body, headers)
+            except UNTRUSTED as exc:
+                raise ProviderError(str(exc)) from exc
             except TRANSIENT as exc:
                 failure = str(exc)
             else:

@@ -284,7 +284,7 @@ def test_eval_g2t_with_endpoint_builds_backend(tmp_path, monkeypatch):
     assert code == 0
     # the scripted gateway answers retrieval; only g2t rewrites go to the endpoint
     assert posted and set(posted) == {g2t_preamble}
-    # one endpoint serves every record's rewrites, so max_in_flight bounds them all
+    # one endpoint serves every record's rewrites, one connection per worker thread
     assert len(built) == 1
     events = [
         json.loads(line)
@@ -440,6 +440,92 @@ def test_eval_endpoint_counts_each_record_own_calls(tmp_path, monkeypatch):
     # one shared endpoint, but each record reports its own pruning + reasoning call
     assert [it["calls"] for it in report["per_item"]] == [2, 2, 2, 2]
     assert report["avg_calls"] == 2.0
+
+
+@pytest.mark.parametrize("parallelism", [2, 6])
+def test_eval_posts_over_the_wire_one_connection_per_worker(tmp_path, monkeypatch, parallelism):
+    # a loopback chat server answers every call; it holds the first posts until
+    # `parallelism` of them are in flight at once, or gives up after a timeout
+    import threading
+    from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+    from fasttog.gateway import load_template
+
+    from test_gateway import ok_payload
+
+    graph, start, target = path_fixture(tmp_path)
+    data = tmp_path / "data.jsonl"
+    rows = [
+        {"id": f"q{i}", "question": "q?", "answers": [target], "start_entities": [start]}
+        for i in range(12)
+    ]
+    data.write_text("\n".join(json.dumps(r) for r in rows) + "\n", encoding="utf-8")
+    pruning = load_template("pruning")[0]
+    lock = threading.Lock()
+    peers, in_flight, peak = set(), [0], [0]
+    barrier, met = threading.Barrier(parallelism, timeout=10), threading.Event()
+
+    class Handler(BaseHTTPRequestHandler):
+        protocol_version = "HTTP/1.1"
+
+        def log_message(self, *args):
+            pass
+
+        def do_POST(self):
+            messages = json.loads(self.rfile.read(int(self.headers["Content-Length"])))["messages"]
+            with lock:
+                peers.add(self.client_address[1])
+                in_flight[0] += 1
+                peak[0] = max(peak[0], in_flight[0])
+            if not met.is_set():
+                try:
+                    barrier.wait()
+                    met.set()
+                except threading.BrokenBarrierError:
+                    pass
+            text = "A" if messages[0]["content"] == pruning else f"Answer: {target}"
+            body = json.dumps(ok_payload(text)).encode("utf-8")
+            with lock:
+                in_flight[0] -= 1
+            self.send_response(200)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+    class Server(ThreadingHTTPServer):
+        daemon_threads = True
+        request_queue_size = 16
+
+    server = Server(("127.0.0.1", 0), Handler)
+    threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True).start()
+    monkeypatch.setenv("NO_PROXY", "127.0.0.1,localhost")
+    report_path = tmp_path / "r.json"
+    try:
+        code = main(
+            [
+                "eval",
+                "--graph", str(graph),
+                "--data", str(data),
+                "--width", "1",
+                "--max-depth", "2",
+                "--endpoint", f"http://127.0.0.1:{server.server_address[1]}/v1/chat",
+                "--model", "m",
+                "--parallelism", str(parallelism),
+                "--out", str(report_path),
+            ]
+        )
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert code == 0
+    report = json.loads(report_path.read_text())
+    items = [(it["correct"], it["depth"], it["calls"]) for it in report["per_item"]]
+    assert items == [(True, 0, 2)] * 12
+    # each worker thread keeps its one connection across records
+    assert len(peers) <= parallelism
+    # and nothing but the workers bounds the posts in flight
+    assert peak[0] == parallelism
 
 
 def test_null_content_is_a_provider_error_not_a_traceback(tmp_path, monkeypatch, capsys):
