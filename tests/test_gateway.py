@@ -701,10 +701,7 @@ def test_endpoint_does_not_retry_a_certificate_that_fails_verification(monkeypat
     assert isinstance(caught.value.__cause__, ssl.SSLCertVerificationError)
 
 
-@pytest.mark.parametrize("says_close", [False, True])
-def test_endpoint_reconnects_after_the_server_closes_a_kept_alive_connection(
-    monkeypatch, says_close
-):
+def _reconnects_after_the_server_hangs_up(monkeypatch, says_close):
     seen = []
     closed = threading.Semaphore(0)
 
@@ -738,6 +735,14 @@ def test_endpoint_reconnects_after_the_server_closes_a_kept_alive_connection(
         assert len({port for _path, port in seen}) == 3
     finally:
         _stop(server)
+
+
+def test_endpoint_reconnects_after_the_server_closes_a_kept_alive_connection(monkeypatch):
+    _reconnects_after_the_server_hangs_up(monkeypatch, says_close=False)
+
+
+def test_endpoint_reconnects_after_a_reply_that_says_connection_close(monkeypatch):
+    _reconnects_after_the_server_hangs_up(monkeypatch, says_close=True)
 
 
 def _proxied_call(monkeypatch, no_proxy):
@@ -824,8 +829,7 @@ def test_open_link_tunnels_https_through_a_proxy_with_credentials(monkeypatch):
     assert link.host == "model.example:8443"
 
 
-@pytest.mark.parametrize("failing", ["connect", "sendall"])
-def test_post_closes_the_connection_when_the_request_raises(failing):
+def _post_closes_the_connection_when(failing):
     class Sock:
         def sendall(self, data):
             raise ConnectionResetError("reset")
@@ -848,6 +852,14 @@ def test_post_closes_the_connection_when_the_request_raises(failing):
     with pytest.raises(OSError):
         post(link, b"{}", {})
     assert conn.closed == 1
+
+
+def test_post_closes_the_connection_when_the_request_raises():
+    _post_closes_the_connection_when("connect")
+
+
+def test_post_closes_the_connection_when_the_send_raises():
+    _post_closes_the_connection_when("sendall")
 
 
 @pytest.mark.parametrize("url", ["ftp://x", "x:8000/v1", "http://x:port/v1", "http:///v1"])
