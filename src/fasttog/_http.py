@@ -34,8 +34,7 @@ _MAX_LINE = 65536
 _MAX_HEADERS = 100
 # a status line as http.client reads it: its minor version and its code
 _STATUS = re.compile(rb"HTTP/1\.(\S*)\s+([1-9]\d\d)(?:\s|$)")
-# what http.client refuses in a request target or a header value
-_BAD_URL = re.compile(r"[\x00-\x20\x7f]")
+# what http.client refuses in a header value (ChatEndpoint checks the URL)
 _BAD_VALUE = re.compile(r"\n(?![ \t])|\r(?![ \t\n])")
 
 
@@ -53,9 +52,6 @@ class Link:
     tail: bytes = field(init=False, repr=False)
 
     def __post_init__(self):
-        for part in (self.target, self.host):
-            if _BAD_URL.search(part):
-                raise http.client.InvalidURL(f"URL can't contain control characters: {part!r}")
         self.head = b"POST %s HTTP/1.1\r\nHost: %s\r\nAccept-Encoding: identity\r\n" % (
             self.target.encode("ascii"),
             _host_bytes(self.host),

@@ -273,7 +273,7 @@ class _Run:
             outcome = self._local_community_search(
                 members, n_pick=1, context_texts=context, depth=depth, chain_index=idx
             )
-            if outcome.none_selected or not outcome.chosen:
+            if outcome.none_selected:
                 self.ends[idx] = None
                 # empty candidate sets carry no model reply
                 reason = "no_candidates" if outcome.raw_reply is None else "none_selected"

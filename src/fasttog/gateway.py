@@ -37,6 +37,12 @@ TAGS = ("pruning", "reasoning", "baseline", "g2t")
 PRUNING_TEMPERATURE = 0.4
 REASONING_TEMPERATURE = 0.1
 DEFAULT_MAX_OUTPUT_TOKENS = 1024
+# both gateways retry a transient failure this many times; the endpoint sleeps
+# BACKOFF_S before its first retry, doubling the wait before each next one
+RETRY_BUDGET = 3
+BACKOFF_S = 0.5
+# what http.client refuses in a request target or a Host: controls and space
+_UNSENDABLE = re.compile(r"[\x00-\x20\x7f]")
 
 
 @dataclass(frozen=True)
@@ -160,21 +166,22 @@ class ScriptedGateway:
     """Deterministic mock: replies consumed in order, one per call.
 
     A line equal to ``FAIL`` injects one transient failure; the retry then
-    consumes the next line. Exhausting the script raises ScriptExhaustedError.
+    consumes the next line, without sleeping. As at the endpoint, a call's
+    ``RETRY_BUDGET + 1``-th failure raises TransportError. Exhausting the
+    script raises ScriptExhaustedError.
     """
 
     provider = "scripted"
 
-    def __init__(self, replies, retry_budget: int = 3):
+    def __init__(self, replies):
         self._lines = list(replies)
         self._pos = 0
         self._lock = threading.Lock()
-        self.retry_budget = retry_budget
 
     @classmethod
-    def from_file(cls, path: str | Path, retry_budget: int = 3) -> "ScriptedGateway":
+    def from_file(cls, path: str | Path) -> "ScriptedGateway":
         lines = Path(path).read_text(encoding="utf-8").splitlines()
-        return cls([ln for ln in lines if ln.strip() != ""], retry_budget)
+        return cls([ln for ln in lines if ln.strip() != ""])
 
     def _next_line(self) -> str:
         with self._lock:
@@ -192,7 +199,7 @@ class ScriptedGateway:
             line = self._next_line()
             if line == "FAIL":
                 attempt += 1
-                if attempt > self.retry_budget:
+                if attempt > RETRY_BUDGET:
                     raise TransportError(f"retry budget exhausted after {attempt} failures")
                 continue
             return GenerationResponse(line, 0, self.provider, attempt)
@@ -202,7 +209,12 @@ class ChatEndpoint:
     """Minimal chat-completion client: POST, retry transient failures, parse text.
 
     Endpoint, key, and model default to the FASTTOG_ENDPOINT, FASTTOG_API_KEY,
-    and FASTTOG_MODEL environment variables; the URL must be http or https.
+    and FASTTOG_MODEL environment variables. The URL must be http or https,
+    with a port in range and no space or control character in its host, path
+    or query, or construction raises ProviderError. A transient failure (a
+    transport error, HTTP 429 or 5xx) is retried up to ``RETRY_BUDGET`` times,
+    after sleeps of ``BACKOFF_S``, then twice that, and so on; a failure past
+    the budget raises TransportError.
     Each thread posts over its own keep-alive connection, made on its first
     call and reopened when the server has closed it, so the callers' threads
     alone bound the calls in flight. Each request goes out in one write and
@@ -219,8 +231,6 @@ class ChatEndpoint:
         url: str | None = None,
         api_key: str | None = None,
         model: str | None = None,
-        retry_budget: int = 3,
-        backoff_base: float = 0.5,
         timeout: float = 60.0,
     ):
         self.url = url or os.environ.get("FASTTOG_ENDPOINT")
@@ -235,15 +245,12 @@ class ChatEndpoint:
             port = None
         if split.scheme not in ("http", "https") or not split.hostname or port is None:
             raise ProviderError(f"endpoint URL must be http(s)://host[:port]/...: {self.url!r}")
+        # such a request target or Host could never be sent, on any attempt
+        if _UNSENDABLE.search(split.netloc + split.path + split.query):
+            raise ProviderError(f"endpoint URL holds a space or control character: {self.url!r}")
         self._split, self._port = split, port
-        self.retry_budget = retry_budget
-        self.backoff_base = backoff_base
         self.timeout = timeout
         self._local = threading.local()
-
-    @property
-    def provider(self) -> str:
-        return self.model or "chat"
 
     def generate(self, req: GenerationRequest) -> GenerationResponse:
         payload = {
@@ -281,16 +288,16 @@ class ChatEndpoint:
                             f"malformed provider response: content is {type(text).__name__}"
                         )
                     latency = int((time.monotonic() - started) * 1000)
-                    return GenerationResponse(text, latency, self.provider, attempt)
+                    return GenerationResponse(text, latency, self.model, attempt)
                 if status in (429,) or status >= 500:
                     failure = f"HTTP {status}"
                 else:
                     reason = raw.decode("utf-8", "replace")[:500]
                     raise ProviderError(f"HTTP {status}: {reason}")
             attempt += 1
-            if attempt > self.retry_budget:
+            if attempt > RETRY_BUDGET:
                 raise TransportError(f"retry budget exhausted: {failure}")
-            time.sleep(self.backoff_base * (2 ** (attempt - 1)))
+            time.sleep(BACKOFF_S * (2 ** (attempt - 1)))
 
     def _post(self, body: bytes, headers: dict[str, str]) -> tuple[int, bytes]:
         """POST ``body`` over this thread's connection; the status and raw reply."""
@@ -394,19 +401,19 @@ def normalize_answer(text: str) -> str:
 # -- inner-knowledge baselines -------------------------------------------------
 
 BASELINE_MODES = ("io", "cot", "cot_sc")
+COT_SC_SAMPLES = 5
 
 
 def baseline_answer(
     question: str,
     mode: str,
     gateway,
-    samples: int = 5,
     templates_dir: str | Path | None = None,
 ) -> ParsedVerdict:
     """Answer from the model's own knowledge: direct, step-by-step, or voted.
 
-    ``cot_sc`` issues ``samples`` step-by-step calls and majority-votes the
-    normalized answers; ties resolve to the earliest sampled answer.
+    ``cot_sc`` issues ``COT_SC_SAMPLES`` step-by-step calls and majority-votes
+    the normalized answers; ties resolve to the earliest sampled answer.
     """
     if mode not in BASELINE_MODES:
         raise ValueError(f"unknown baseline mode: {mode!r}")
@@ -417,7 +424,7 @@ def baseline_answer(
         return parse_verdict(resp.text)
 
     req = GenerationRequest(dataclasses.replace(bundle, temperature=0.7), "baseline")
-    verdicts = [parse_verdict(gateway.generate(req).text) for _ in range(samples)]
+    verdicts = [parse_verdict(gateway.generate(req).text) for _ in range(COT_SC_SAMPLES)]
     keys = [normalize_answer(v.text) if v.kind == "answer" else "\x00unknown" for v in verdicts]
     # most_common keeps first-seen order among equal counts
     ((winner, _),) = Counter(keys).most_common(1)

@@ -11,9 +11,9 @@ graph is immutable once built and safe for concurrent readers.
 An extracted :class:`Subgraph` numbers its nodes 0..n-1 in label order and
 keeps one adjacency, an integer neighbour list per node, read from the
 store's neighbour index. Every detector, the component split and candidate
-search work on those lists; labels and the subgraph's triples are views built
-when first read, and a node's triples are read from the store only when a
-lookup needs them.
+search work on those lists; the subgraph's labels are built with it, its
+triple tuple when first read, and each lookup reads the rows it needs from
+the store.
 
 Triple file format: UTF-8, one ``subject<TAB>predicate<TAB>object`` per line.
 Lines starting with ``#`` are comments; blank lines are skipped. Labels may
@@ -362,13 +362,13 @@ class Subgraph:
     hop-0 nodes. These lists are the subgraph's one adjacency: every detector,
     the component split and candidate search read them.
 
-    The label views are built on first read: ``labels`` (by local index),
-    ``nodes``, ``index`` (label -> local index), ``hop_of`` (centers first, in
-    center-set order, then discovery order) and ``triples``, every source
-    triple between retained nodes (including parallel predicates and
-    self-loops, for verbalization), sorted. A node's rows are read from the
-    store the first time a lookup needs them, and ``Triple`` objects are made
-    only for the triples a lookup returns.
+    ``labels`` (by local index), ``nodes`` and ``index`` (label -> local
+    index) are built with the subgraph, since every search reads them. Two
+    views are built on first read: ``hop_of`` (centers first, in center-set
+    order, then discovery order) and ``triples``, every source triple between
+    retained nodes (including parallel predicates and self-loops, for
+    verbalization), sorted. Each lookup reads its nodes' rows from the store,
+    and ``Triple`` objects are made only for the triples a lookup returns.
     """
 
     def __init__(self, omega: KnowledgeGraph, hop: dict[int, int], n_centres: int):
@@ -385,22 +385,12 @@ class Subgraph:
             for v in ids
         ]
         self.m = sum(map(len, self.nbrs)) // 2
-        self._rows: list[list[tuple[int, int]] | None] = [None] * len(ids)
+        self.labels = labels = list(map(omega._labels.__getitem__, ids))
+        self.nodes = frozenset(labels)
+        self.index = dict(zip(labels, range(len(ids))))
 
     def __len__(self) -> int:
         return len(self.ids)
-
-    @cached_property
-    def labels(self) -> list[EntityId]:
-        return list(map(self._omega._labels.__getitem__, self.ids))
-
-    @cached_property
-    def nodes(self) -> frozenset[EntityId]:
-        return frozenset(self.labels)
-
-    @cached_property
-    def index(self) -> dict[EntityId, int]:
-        return dict(zip(self.labels, range(len(self.ids))))
 
     @cached_property
     def hop_of(self) -> dict[EntityId, int]:
@@ -431,11 +421,11 @@ class Subgraph:
         ``right`` (sets of local indices), in triple order, each as
         ``(subject, object, triple)`` with local endpoints.
 
-        Subjects are walked in ascending order, so every lookup returns
-        triples in the order of ``triples``. A node's rows with a retained
-        object, as ``(predicate id, local object)`` in (predicate, object)
-        order, are read from the store on its first lookup."""
-        nbrs, rows, local = self.nbrs, self._rows, self._local
+        Subjects are walked in ascending order, and each one's rows are read
+        from the store in (predicate, object) order, so every lookup returns
+        triples in the order of ``triples``. An object outside the subgraph
+        has no local index, so its row is never kept."""
+        ids, nbrs, local = self.ids, self.nbrs, self._local
         labels, predicates = self.labels, self._omega._predicates
         p, o, out_start, _, _ = self._views
         either = left | right
@@ -448,17 +438,10 @@ class Subgraph:
             # a row joins i to a structural neighbour, or is a self-loop
             if i not in targets and targets.isdisjoint(nbrs[i]):
                 continue
-            if rows[i] is None:
-                v = self.ids[i]
-                lo, hi = out_start[v], out_start[v + 1]
-                rows[i] = [
-                    (q, local[u])
-                    for q, u in zip(p[lo:hi].tolist(), o[lo:hi].tolist())
-                    if u in local
-                ]
+            lo, hi = out_start[ids[i]], out_start[ids[i] + 1]
             out += [
                 (i, j, Triple(labels[i], predicates[q], labels[j]))
-                for q, j in rows[i]
+                for q, j in zip(p[lo:hi].tolist(), map(local.get, o[lo:hi].tolist()))
                 if j in targets
             ]
         return out

@@ -528,6 +528,37 @@ def test_eval_posts_over_the_wire_one_connection_per_worker(tmp_path, monkeypatc
     assert peak[0] == parallelism
 
 
+def test_eval_refuses_an_unsendable_endpoint_before_any_record(tmp_path, monkeypatch, capsys):
+    graph, start, target = path_fixture(tmp_path)
+    data = tmp_path / "data.jsonl"
+    rows = [
+        {"id": f"q{i}", "question": "q?", "answers": [target], "start_entities": [start]}
+        for i in range(2)
+    ]
+    data.write_text("\n".join(json.dumps(r) for r in rows) + "\n", encoding="utf-8")
+
+    def no_post(self, body, headers):
+        raise AssertionError("no record may run")
+
+    monkeypatch.setattr("fasttog.gateway.ChatEndpoint._post", no_post)
+    report_path = tmp_path / "r.json"
+    code = main(
+        [
+            "eval",
+            "--graph", str(graph),
+            "--data", str(data),
+            "--endpoint", "http://127.0.0.1:9/a b",
+            "--model", "m",
+            "--out", str(report_path),
+        ]
+    )
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("provider error: ") and captured.err.count("\n") == 1
+    assert not report_path.exists()
+
+
 def test_null_content_is_a_provider_error_not_a_traceback(tmp_path, monkeypatch, capsys):
     from test_gateway import fake_reply, ok_payload
 

@@ -19,6 +19,7 @@ REPO = Path(__file__).resolve().parents[1]
 CHILD = r"""
 import json, socket, sys, time
 import numpy as np
+import fasttog.gateway
 from fasttog import (
     ChatEndpoint, Engine, EngineConfig, GenerationRequest, KnowledgeGraph,
     PromptBundle, SamplerConfig, ScriptedGateway, Subgraph, TransportError,
@@ -51,7 +52,8 @@ phase("spectral")
 with socket.socket() as s:
     s.bind(("127.0.0.1", 0))
     port = s.getsockname()[1]
-endpoint = ChatEndpoint(url=f"http://127.0.0.1:{port}/", model="m", retry_budget=0, timeout=5)
+fasttog.gateway.RETRY_BUDGET = 0
+endpoint = ChatEndpoint(url=f"http://127.0.0.1:{port}/", model="m", timeout=5)
 bundle = PromptBundle(system_preamble="s", body="b")
 began = time.monotonic()
 try:

@@ -26,6 +26,7 @@ from fasttog.errors import (
     ScriptExhaustedError,
     TransportError,
 )
+from fasttog.gateway import RETRY_BUDGET
 
 from fasttog._http import Link, open_link, post
 
@@ -54,10 +55,23 @@ def test_scripted_fail_twice_then_succeed():
 
 
 def test_scripted_retry_budget_exhausted():
-    gw = Counting(ScriptedGateway(["FAIL"] * 5, retry_budget=3))
+    gw = Counting(ScriptedGateway(["FAIL"] * 5))
     with pytest.raises(TransportError):
         gw.generate(req())
     assert gw.ledger.counts()["pruning"] == 1
+
+
+def test_scripted_fail_lines_up_to_the_budget_are_retried():
+    gw = ScriptedGateway(["FAIL"] * RETRY_BUDGET + ["B"])
+    resp = gw.generate(req())
+    assert (resp.text, resp.attempt) == ("B", RETRY_BUDGET)
+
+
+def test_scripted_fail_past_the_budget_raises_and_the_next_call_reads_on():
+    gw = ScriptedGateway(["FAIL"] * (RETRY_BUDGET + 1) + ["B"])
+    with pytest.raises(TransportError):
+        gw.generate(req())
+    assert gw.generate(req()).text == "B"
 
 
 def test_scripted_exhaustion():
@@ -221,14 +235,14 @@ def test_baseline_cot_single_call():
 
 def test_baseline_cot_sc_majority():
     gw = Counting(ScriptedGateway(["A", "B", "A", "A", "C"]))
-    v = baseline_answer("q", "cot_sc", gw, samples=5)
+    v = baseline_answer("q", "cot_sc", gw)
     assert v.text == "A"
     assert gw.ledger.counts()["baseline"] == 5
 
 
 def test_baseline_cot_sc_tie_takes_first_sampled():
     gw = ScriptedGateway(["A", "B", "A", "B", "C"])
-    v = baseline_answer("q", "cot_sc", gw, samples=5)
+    v = baseline_answer("q", "cot_sc", gw)
     assert v.text == "A"
 
 
@@ -260,7 +274,7 @@ def test_endpoint_posts_chat_shape(monkeypatch):
         return fake_reply(200, ok_payload("hi"))
 
     monkeypatch.setattr("fasttog.gateway.ChatEndpoint._post", fake_post)
-    ep = Counting(ChatEndpoint(url="http://x/v1/chat", api_key="k", model="m", backoff_base=0))
+    ep = Counting(ChatEndpoint(url="http://x/v1/chat", api_key="k", model="m"))
     resp = ep.generate(req(tag="reasoning", body="question body"))
     assert resp.text == "hi"
     assert seen["json"]["model"] == "m"
@@ -280,7 +294,7 @@ def test_endpoint_retries_transient_then_succeeds(monkeypatch):
 
     monkeypatch.setattr("fasttog.gateway.ChatEndpoint._post", fake_post)
     monkeypatch.setattr("fasttog.gateway.time.sleep", lambda s: None)
-    ep = Counting(ChatEndpoint(url="http://x", model="m", backoff_base=0))
+    ep = Counting(ChatEndpoint(url="http://x", model="m"))
     resp = ep.generate(req())
     assert resp.text == "recovered"
     assert resp.attempt == 2
@@ -292,10 +306,28 @@ def test_endpoint_gives_up_after_budget(monkeypatch):
         "fasttog.gateway.ChatEndpoint._post", lambda self, body, headers: fake_reply(503)
     )
     monkeypatch.setattr("fasttog.gateway.time.sleep", lambda s: None)
-    ep = Counting(ChatEndpoint(url="http://x", model="m", retry_budget=2, backoff_base=0))
+    monkeypatch.setattr("fasttog.gateway.RETRY_BUDGET", 2)
+    ep = Counting(ChatEndpoint(url="http://x", model="m"))
     with pytest.raises(TransportError):
         ep.generate(req())
     assert ep.ledger.counts()["pruning"] == 1
+
+
+def test_endpoint_backs_off_doubling_then_gives_up(monkeypatch):
+    posts, sleeps = [], []
+
+    def unavailable(self, body, headers):
+        posts.append(body)
+        return fake_reply(503)
+
+    monkeypatch.setattr("fasttog.gateway.ChatEndpoint._post", unavailable)
+    monkeypatch.setattr("fasttog.gateway.time.sleep", sleeps.append)
+    ep = ChatEndpoint(url="http://x", model="m")
+    with pytest.raises(TransportError) as caught:
+        ep.generate(req())
+    assert str(caught.value) == "retry budget exhausted: HTTP 503"
+    assert len(posts) == RETRY_BUDGET + 1
+    assert sleeps == [0.5, 1.0, 2.0]
 
 
 def test_endpoint_retries_a_transport_error_then_gives_up(monkeypatch):
@@ -313,7 +345,8 @@ def test_endpoint_retries_a_transport_error_then_gives_up(monkeypatch):
 
     monkeypatch.setattr("fasttog.gateway.time.sleep", lambda s: None)
     monkeypatch.setattr("fasttog.gateway.ChatEndpoint._post", reset_once)
-    ep = ChatEndpoint(url="http://x", model="m", retry_budget=2, backoff_base=0)
+    monkeypatch.setattr("fasttog.gateway.RETRY_BUDGET", 2)
+    ep = ChatEndpoint(url="http://x", model="m")
     resp = ep.generate(req())
     assert (resp.text, resp.attempt, calls["n"]) == ("again", 1, 2)
     calls["n"] = 0
@@ -635,10 +668,11 @@ def test_endpoint_retries_a_reply_cut_mid_body(monkeypatch):
     cut = (b"HTTP/1.1 200 OK\r\nContent-Length: 99\r\n\r\n{\"choices\"", True)
     _no_proxy_env(monkeypatch)
     monkeypatch.setattr("fasttog.gateway.time.sleep", lambda s: None)
+    monkeypatch.setattr("fasttog.gateway.RETRY_BUDGET", 2)
     server, seen = _raw_server([cut, (_ok_bytes("again"), False)] + [cut] * 3)
     try:
         url = f"http://127.0.0.1:{server.server_address[1]}/"
-        ep = ChatEndpoint(url=url, model="m", retry_budget=2)
+        ep = ChatEndpoint(url=url, model="m")
         resp = ep.generate(req())
         assert (resp.text, resp.attempt, len(seen)) == ("again", 1, 2)
         with pytest.raises(TransportError, match="retry budget exhausted"):
@@ -868,6 +902,24 @@ def test_endpoint_rejects_a_non_http_url_at_construction(url):
         ChatEndpoint(url=url, model="m")
 
 
+@pytest.mark.parametrize(
+    "url",
+    [
+        "http://127.0.0.1:9/a b",
+        "http://127.0.0.1:9/v1?q=a b",
+        "http://127.0.0.1:9/a\x00",
+        "http://127.0.0.1:9/a\x7f",
+        "http://exa\x01mple/v1",
+    ],
+)
+def test_endpoint_refuses_an_unsendable_url_at_construction(monkeypatch, url):
+    opened = []
+    monkeypatch.setattr("fasttog._http.open_link", lambda *args: opened.append(args))
+    with pytest.raises(ProviderError, match="space or control character"):
+        ChatEndpoint(url=url, model="m")
+    assert opened == []
+
+
 def test_endpoint_requires_configuration(monkeypatch):
     monkeypatch.delenv("FASTTOG_ENDPOINT", raising=False)
     monkeypatch.delenv("FASTTOG_MODEL", raising=False)
@@ -913,7 +965,7 @@ def test_endpoint_wire_settings_per_call_kind(monkeypatch):
     monkeypatch.setattr("fasttog.gateway.ChatEndpoint._post", fake_post)
 
     def endpoint():
-        return ChatEndpoint(url="http://x", model="m", backoff_base=0)
+        return ChatEndpoint(url="http://x", model="m")
 
     # extraction, header pick, reasoning, select + confirm, reasoning, io degrade
     cfg = EngineConfig(width=1, max_depth=1, seed=4, mode="g2t")
@@ -930,5 +982,6 @@ def test_endpoint_wire_settings_per_call_kind(monkeypatch):
     baseline_answer("q?", "cot", endpoint())
     assert posted == [("baseline_cot", 0.1, 1024)]
     posted.clear()
-    baseline_answer("q?", "cot_sc", endpoint(), samples=3)
+    monkeypatch.setattr("fasttog.gateway.COT_SC_SAMPLES", 3)
+    baseline_answer("q?", "cot_sc", endpoint())
     assert posted == [("baseline_cot", 0.7, 1024)] * 3

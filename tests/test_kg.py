@@ -275,8 +275,8 @@ def test_extract_matches_full_scan_reference():
 
 
 def test_label_views_match_full_scan_references():
-    # the views and a node's rows are built lazily and cached; even trials
-    # build the views before the lookups, odd trials after
+    # ``triples`` is built lazily and cached; even trials build it before
+    # the lookups, odd trials after
     seen = {"rho<1 dropped a node": 0, "multi-center": 0, "multi-component": 0,
             "self-loop": 0, "parallel predicates": 0}
     for trial, (kg, center, cfg, g) in enumerate(mixed_extractions(31, 80)):

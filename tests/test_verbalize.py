@@ -302,7 +302,7 @@ def _rendered_prompts():
     yield "extract", req.prompt, req.tag
     for mode in ("io", "cot", "cot_sc"):
         gateway = _Recording("Answer: Paris")
-        baseline_answer("What is the capital?", mode, gateway, samples=2)
+        baseline_answer("What is the capital?", mode, gateway)
         req = gateway.requests[0]
         assert all(other == req for other in gateway.requests)
         yield f"baseline {mode}", req.prompt, req.tag
