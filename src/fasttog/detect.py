@@ -578,15 +578,23 @@ def _kmeans(points, k, np_rng):
         for _ in range(_KMEANS_MAX_ITER):
             d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
             new_labels = d2.argmin(axis=1)
-            for c in range(k):
-                mask = new_labels == c
-                if mask.any():
-                    centroids[c] = points[mask].mean(axis=0)
-                else:
-                    # revive empty clusters at the point farthest from its centroid
-                    far = d2.min(axis=1).argmax()
-                    centroids[c] = points[far]
-                    new_labels[far] = c
+            sizes = np.bincount(new_labels, minlength=k)
+            if sizes.all():
+                # every cluster's points in one run each, in point order, so
+                # each sum adds the same points in the same order as a mean
+                order = np.argsort(new_labels, kind="stable")
+                runs = np.cumsum(sizes) - sizes
+                centroids = np.add.reduceat(points[order], runs, axis=0) / sizes[:, None]
+            else:
+                for c in range(k):
+                    mask = new_labels == c
+                    if mask.any():
+                        centroids[c] = points[mask].mean(axis=0)
+                    else:
+                        # revive empty clusters at the point farthest from its centroid
+                        far = d2.min(axis=1).argmax()
+                        centroids[c] = points[far]
+                        new_labels[far] = c
             if (new_labels == labels).all():
                 break
             labels = new_labels

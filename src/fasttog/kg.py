@@ -16,8 +16,11 @@ triple tuple when first read, and each lookup reads the rows it needs from
 the store.
 
 Triple file format: UTF-8, one ``subject<TAB>predicate<TAB>object`` per line.
-Lines starting with ``#`` are comments; blank lines are skipped. Labels may
-contain spaces but not tabs.
+Lines starting with ``#`` are comments; blank and whitespace-only lines are
+skipped. Labels may contain spaces but not tabs. A file is read in batches
+of lines, each split and interned in one pass; a line that is not a triple,
+or not UTF-8, raises ``TripleFormatError`` with its line number. An iterable
+of triples is interned in the same batches.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import count, islice
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, TextIO
+from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -43,6 +46,10 @@ class Triple(NamedTuple):
     subject: EntityId
     predicate: str
     object: EntityId
+
+
+# a batch of triples as its subject, predicate and object labels
+_Columns = tuple[Sequence[str], Sequence[str], Sequence[str]]
 
 
 @dataclass(frozen=True)
@@ -97,7 +104,12 @@ class KnowledgeGraph:
     """
 
     def __init__(self, triples: Iterable[Triple]):
-        self._labels, self._predicates, columns = _intern(triples)
+        self._build(_triple_columns(triples))
+
+    def _build(self, batches: Iterable[_Columns]) -> None:
+        """Build the store from batches of label columns, as ``_parse_tsv``
+        and ``_triple_columns`` yield them."""
+        self._labels, self._predicates, columns = _intern(batches)
         n = len(self._labels)
         read = len(columns[0])
         s, p, o = _sorted_distinct(columns, n, len(self._predicates))
@@ -124,9 +136,19 @@ class KnowledgeGraph:
 
     @classmethod
     def ingest(cls, source: str | Path) -> "KnowledgeGraph":
-        """Parse a TSV triple file. Malformed lines raise TripleFormatError."""
-        with open(source, encoding="utf-8") as fh:
-            return cls(_parse_tsv(fh))
+        """Parse a TSV triple file. A malformed line, or one that is not
+        UTF-8, raises TripleFormatError with its line number."""
+        graph = cls.__new__(cls)
+        try:
+            with open(source, encoding="utf-8") as fh:
+                graph._build(_parse_tsv(fh))
+        except UnicodeDecodeError:
+            # the decoder's position counts from its chunk; find the line by
+            # reading the file again as the text reader splits it
+            with open(source, encoding="utf-8", errors="surrogateescape") as fh:
+                _check_lines(fh, 1)  # raises: some line holds an escaped byte
+            raise
+        return graph
 
     # -- queries -----------------------------------------------------------
 
@@ -217,11 +239,50 @@ _KEY_LIMIT = 2**63
 # row and neighbour offsets are int32; the neighbour index holds at most two
 # entries per row
 _OFFSET_LIMIT = 2**31 - 1
+# lines (or triples) read and interned at a time; a batch's label strings are
+# held until it is interned, and larger batches raise the ingest peak
+_BATCH = 128
 
 
-def _parse_tsv(lines: TextIO) -> Iterator[tuple[str, str, str]]:
-    for line_no, raw in enumerate(lines, start=1):
+def _parse_tsv(lines: TextIO) -> Iterator[_Columns]:
+    """The triples of a text file read with universal newlines, ``_BATCH``
+    lines at a time, each batch as its subject, predicate and object columns.
+
+    Comment, blank and whitespace-only lines are dropped with one
+    comprehension, and the batch's kept lines are joined and split on tabs
+    at once. A batch with a line that does not hold exactly two tabs, or
+    with an empty field, is read again line by line (``_check_lines``),
+    which raises TripleFormatError at its first bad line.
+    """
+    for first in count(1, _BATCH):
+        batch = list(islice(lines, _BATCH))
+        if not batch:
+            return
+        kept = [line for line in batch if line[0] != "#" and not line.isspace()]
+        if not kept:
+            continue
+        # a label holds no newline, and only a file's last line may lack one
+        text = "".join(kept).removesuffix("\n")
+        cells = text.replace("\n", "\t").split("\t")
+        # every kept line holds exactly two tabs if and only if the cells,
+        # joined three to a line, give the text back
+        rows = zip(*[iter(cells)] * 3)
+        if "\n".join(map("\t".join, rows)) != text or "" in cells:
+            _check_lines(batch, first)
+        yield cells[0::3], cells[1::3], cells[2::3]
+
+
+def _check_lines(lines: Iterable[str], first: int) -> None:
+    """Raise TripleFormatError at the first line of ``lines`` that is not a
+    triple, a comment or blank, or that holds an undecodable byte (read with
+    ``errors="surrogateescape"``); ``first`` is the first line's number."""
+    for line_no, raw in enumerate(lines, start=first):
         line = raw.rstrip("\r\n")
+        try:
+            line.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            byte = ord(line[exc.start]) - 0xDC00  # the escaped byte
+            raise TripleFormatError(line_no, f"invalid UTF-8 byte 0x{byte:02x}") from None
         if not line or line.isspace() or line[0] == "#":
             continue
         parts = line.split("\t")
@@ -229,36 +290,55 @@ def _parse_tsv(lines: TextIO) -> Iterator[tuple[str, str, str]]:
             raise TripleFormatError(
                 line_no, f"expected 3 tab-separated fields, got {len(parts)}"
             )
-        subject, predicate, obj = parts
-        if not subject or not predicate or not obj:
+        if "" in parts:
             raise TripleFormatError(line_no, "empty field")
-        yield subject, predicate, obj
 
 
-def _intern(triples: Iterable[Triple]) -> tuple[list[str], list[str], list[np.ndarray]]:
-    """Read the triples once, interning labels as they come.
+def _triple_columns(triples: Iterable[Triple]) -> Iterator[_Columns]:
+    """``triples``, ``_BATCH`` at a time, as columns, as ``_parse_tsv`` yields
+    them. A row without three fields raises ValueError."""
+    rows = iter(triples)
+    while batch := list(islice(rows, _BATCH)):
+        subjects, predicates, objects = zip(*batch, strict=True)
+        yield subjects, predicates, objects
+
+
+def _intern(batches: Iterable[_Columns]) -> tuple[list[str], list[str], list[np.ndarray]]:
+    """Intern the labels of batches of triples, each batch as its subject,
+    predicate and object columns.
 
     Returns the entity and predicate labels in id order, and the subject,
-    predicate and object id columns in input order. Ids are ranks in sorted
-    label order.
+    predicate and object id columns in input order. Each column of a batch
+    is interned in one ``map`` over a label dict, which gives a missing
+    label the next first-seen id; the ids are then renumbered as ranks in
+    sorted label order.
     """
-    # a missing label gets the next first-seen id
     entities: defaultdict[str, int] = defaultdict(count().__next__)
     predicates: defaultdict[str, int] = defaultdict(count().__next__)
+    entity, predicate = entities.__getitem__, predicates.__getitem__
     s_col, p_col, o_col = array("i"), array("i"), array("i")
-    for subject, predicate, obj in triples:
-        s_col.append(entities[subject])
-        p_col.append(predicates[predicate])
-        o_col.append(entities[obj])
+    for s_labels, p_labels, o_labels in batches:
+        k = len(s_labels)
+        # numpy converts the ids to int32 faster than an array appends them
+        s_col.frombytes(_int32_bytes(map(entity, s_labels), k))
+        p_col.frombytes(_int32_bytes(map(predicate, p_labels), k))
+        o_col.frombytes(_int32_bytes(map(entity, o_labels), k))
+    # the last batch's labels are freed before the ranked columns are made
+    s_labels = p_labels = o_labels = None
     # ids so far are in first-seen order; renumber them as ranks
     labels, rank = _rank_in_label_order(entities)
     predicate_labels, p_rank = _rank_in_label_order(predicates)
-    del entities  # freed before the ranked columns are made
+    del entities, entity  # freed before the ranked columns are made
     # rebinding frees each first-seen column once its ranked copy exists
     s_col = rank[np.asarray(s_col)]
     p_col = p_rank[np.asarray(p_col)]
     o_col = rank[np.asarray(o_col)]
     return labels, predicate_labels, [s_col, p_col, o_col]
+
+
+def _int32_bytes(ids: Iterator[int], k: int) -> memoryview:
+    """The ``k`` ints of ``ids`` as int32 bytes."""
+    return np.fromiter(ids, np.int32, k).data.cast("B")
 
 
 def _rank_in_label_order(ids: dict[str, int]) -> tuple[list[str], np.ndarray]:
@@ -270,7 +350,7 @@ def _rank_in_label_order(ids: dict[str, int]) -> tuple[list[str], np.ndarray]:
     """
     labels = sorted(ids)
     rank = np.empty(len(labels), dtype=np.int32)
-    rank[[ids[label] for label in labels]] = np.arange(len(labels), dtype=np.int32)
+    rank[list(map(ids.__getitem__, labels))] = np.arange(len(labels), dtype=np.int32)
     return labels, rank
 
 

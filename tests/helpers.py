@@ -2,13 +2,22 @@
 
 from __future__ import annotations
 
+import io
 import random
 import re
 from collections import deque
 
 import numpy as np
 
-from fasttog import KnowledgeGraph, SamplerConfig, Subgraph, Triple, extract_subgraph
+from fasttog import (
+    KnowledgeGraph,
+    SamplerConfig,
+    Subgraph,
+    Triple,
+    TripleFormatError,
+    extract_subgraph,
+)
+from fasttog.detect import _KMEANS_MAX_ITER, _KMEANS_RESTARTS
 from fasttog.gateway import GenerationRequest, GenerationResponse, CallLedger
 from fasttog.pruning import CandidateCommunity
 
@@ -194,6 +203,61 @@ class ReferenceStore:
     def dump(self):
         lines = sorted(f"{t.subject}\t{t.predicate}\t{t.object}" for t in self.triples)
         return "\n".join(lines) + ("\n" if lines else "")
+
+
+def reference_parse(data: bytes) -> list[Triple]:
+    """Independent oracle for ``KnowledgeGraph.ingest``'s reader: the UTF-8
+    file ``data`` read one line at a time, with universal newlines. Comment,
+    blank and whitespace-only lines are skipped; the first line that is not
+    three non-empty tab-separated fields raises TripleFormatError."""
+    triples = []
+    lines = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.rstrip("\r\n")
+        if not line or line.isspace() or line[0] == "#":
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise TripleFormatError(
+                line_no, f"expected 3 tab-separated fields, got {len(parts)}"
+            )
+        if not all(parts):
+            raise TripleFormatError(line_no, "empty field")
+        triples.append(Triple(*parts))
+    return triples
+
+
+def reference_kmeans(points, k, np_rng):
+    """Independent oracle for ``detect._kmeans``: the same restarts and
+    draws, with every centroid taken as its cluster's mean, one cluster at
+    a time."""
+    n = points.shape[0]
+    if k >= n:
+        return np.arange(n)
+    if k == 1:
+        return np.zeros(n, dtype=int)
+    best_labels, best_inertia = None, np.inf
+    for _ in range(_KMEANS_RESTARTS):
+        centroids = points[np_rng.choice(n, size=k, replace=False)].copy()
+        labels = np.zeros(n, dtype=int)
+        for _ in range(_KMEANS_MAX_ITER):
+            d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+            new_labels = d2.argmin(axis=1)
+            for c in range(k):
+                mask = new_labels == c
+                if mask.any():
+                    centroids[c] = points[mask].mean(axis=0)
+                else:
+                    far = d2.min(axis=1).argmax()
+                    centroids[c] = points[far]
+                    new_labels[far] = c
+            if (new_labels == labels).all():
+                break
+            labels = new_labels
+        inertia = float(((points - centroids[labels]) ** 2).sum())
+        if inertia < best_inertia - 1e-12:
+            best_inertia, best_labels = inertia, labels.copy()
+    return best_labels
 
 
 def reference_triples(kg: KnowledgeGraph, nodes) -> tuple[Triple, ...]:

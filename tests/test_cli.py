@@ -53,6 +53,15 @@ def test_ingest_missing_file_is_data_error(tmp_path):
     assert main(["ingest", str(tmp_path / "nope.tsv")]) == 2
 
 
+def test_ingest_names_the_line_that_is_not_utf8(tmp_path, capsys):
+    raw = tmp_path / "raw.tsv"
+    raw.write_bytes(b"a\tr\tb\n\xff\tr\tc\n")
+    assert main(["ingest", str(raw)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: line 2: invalid UTF-8 byte 0xff\n"
+
+
 def test_ingest_warns_of_duplicates_once(tmp_path):
     # in a child process: pytest's logging plugin would swallow the store's
     # warning, which reaches stderr through logging's last-resort handler

@@ -3,6 +3,7 @@ import importlib
 import random
 from itertools import accumulate
 
+import numpy as np
 import pytest
 
 from fasttog import (
@@ -21,6 +22,7 @@ from fasttog.detect import (
     _centres_linked,
     _girvan_newman_states,
     _hierarchical_states,
+    _kmeans,
     _Level,
     _local_components,
     _louvain_states,
@@ -41,9 +43,26 @@ from helpers import (
     multigraph,
     random_graph,
     reference_components,
+    reference_kmeans,
 )
 
 STRUCTURAL_KINDS = ("louvain", "girvan_newman", "hierarchical", "spectral")
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_kmeans_matches_the_per_cluster_mean_reference(seed):
+    # unit rows as spectral embeds them; every other seed repeats a few rows
+    # many times, so some draws start two centroids on one point and a
+    # cluster empties
+    rng = np.random.default_rng(seed)
+    points = rng.normal(size=(40, 4))
+    if seed % 2:
+        points = points[rng.integers(0, 5, size=40)]
+    points /= np.linalg.norm(points, axis=1, keepdims=True)
+    for k in range(2, 9):
+        got = _kmeans(points, k, np.random.default_rng([seed, k]))
+        want = reference_kmeans(points, k, np.random.default_rng([seed, k]))
+        assert got.tolist() == want.tolist()
 
 
 def member_sets(p: Partition):

@@ -5,6 +5,7 @@ from itertools import accumulate
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fasttog import (
     Engine,
@@ -33,6 +34,7 @@ from helpers import (
     reference_between,
     reference_components,
     reference_hops,
+    reference_parse,
     reference_triples,
     structural_edges,
     tricky_triples,
@@ -73,6 +75,103 @@ def test_ingest_malformed_line_reports_line_number(tmp_path):
     with pytest.raises(TripleFormatError, match="empty field") as err:
         KnowledgeGraph.ingest(write(tmp_path, "# c\na\tr\tb\na\t\tb\n"))
     assert err.value.line_number == 3
+
+
+def test_ingest_names_the_line_of_a_bad_line_in_a_later_batch(tmp_path, monkeypatch):
+    monkeypatch.setattr("fasttog.kg._BATCH", 2)
+    text = "a\tr\tb\n# c\nc\tr\td\nbad\n"
+    with pytest.raises(TripleFormatError) as err:
+        KnowledgeGraph.ingest(write(tmp_path, text))
+    assert str(err.value) == "line 4: expected 3 tab-separated fields, got 1"
+
+
+def test_ingest_fails_on_the_first_of_two_bad_lines_whose_fields_add_up(tmp_path, monkeypatch):
+    # 2 fields then 4: six in all, as two good lines would have
+    monkeypatch.setattr("fasttog.kg._BATCH", 4)
+    text = "a\tr\tb\nc\td\ne\tf\tg\th\ni\tr\tj\n"
+    with pytest.raises(TripleFormatError) as err:
+        KnowledgeGraph.ingest(write(tmp_path, text))
+    assert str(err.value) == "line 2: expected 3 tab-separated fields, got 2"
+
+
+def test_a_row_without_three_fields_raises_value_error():
+    good = Triple("a", "r", "b")
+    for rows in ([("a", "r")], [good, ("a", "r", "b", "c")], [good, ("a", "r"), ("a", "r", "b", "c")]):
+        with pytest.raises(ValueError):
+            KnowledgeGraph(rows)
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b"a\tr\tb\n\xff\tr\tc\n", "line 2: invalid UTF-8 byte 0xff"),
+        # CRLF and lone CR each end a line; a sequence cut at the end
+        (b"a\tr\tb\r\nc\tr\td\re\tr\t\xc3", "line 3: invalid UTF-8 byte 0xc3"),
+        # past the decoder's first chunk; an encoded surrogate is not UTF-8
+        (b"a\tr\tb\n" * 5000 + b"# \xed\xa0\x80\n", "line 5001: invalid UTF-8 byte 0xed"),
+    ],
+    ids=["lf", "crlf-cr-cut", "past-first-chunk"],
+)
+def test_ingest_names_the_first_line_that_is_not_utf8(tmp_path, data, message):
+    path = tmp_path / "graph.tsv"
+    path.write_bytes(data)
+    with pytest.raises(TripleFormatError) as err:
+        KnowledgeGraph.ingest(path)
+    assert str(err.value) == message
+    assert err.value.line_number == int(message.split()[1][:-1])
+
+
+def test_ingest_reports_a_bad_line_before_an_undecodable_one(tmp_path):
+    # the decoder fails on the chunk that holds both lines, before the
+    # first one is split
+    path = tmp_path / "graph.tsv"
+    path.write_bytes(b"a\tr\tb\na\tb\n\xff\tr\tc\n")
+    with pytest.raises(TripleFormatError) as err:
+        KnowledgeGraph.ingest(path)
+    assert str(err.value) == "line 2: expected 3 tab-separated fields, got 2"
+
+
+# NUL, and whitespace that str.splitlines() would split on but a text file
+# reader does not
+_LABEL = st.text(
+    st.sampled_from(["a", "b", "#", " ", "\x00", "\x0b", "\x85", "\u2028", "é", "日"]), max_size=3
+)
+_LINE = st.one_of(
+    st.tuples(_LABEL, _LABEL, _LABEL).map("\t".join),  # may hold an empty field
+    st.tuples(_LABEL.filter(bool), _LABEL.filter(bool), _LABEL.filter(bool)).map("\t".join),
+    st.lists(_LABEL, min_size=1, max_size=5).map("\t".join),
+    st.sampled_from(["", " ", "\t", " \t ", "\x0b", "\u3000", "# a comment", "#\tr\tb"]),
+)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(
+    lines=st.lists(st.tuples(_LINE, st.sampled_from(["\n", "\r\n", "\r"])), max_size=12),
+    final_newline=st.booleans(),
+    batch=st.integers(2, 4),
+)
+def test_batch_reader_matches_the_line_reader(tmp_path_factory, lines, final_newline, batch):
+    text = "".join(line + end for line, end in lines)
+    if lines and not final_newline:
+        text = text[: -len(lines[-1][1])]
+    data = text.encode("utf-8")
+    path = tmp_path_factory.mktemp("reader") / "graph.tsv"
+    path.write_bytes(data)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("fasttog.kg._BATCH", batch)
+        try:
+            triples = reference_parse(data)
+        except TripleFormatError as want:
+            with pytest.raises(TripleFormatError) as err:
+                KnowledgeGraph.ingest(path)
+            assert (err.value.line_number, str(err.value)) == (want.line_number, str(want))
+            return
+        kg = KnowledgeGraph.ingest(path)
+    want = ReferenceStore(triples)
+    assert kg.dump() == want.dump()
+    assert kg.duplicate_count == want.duplicate_count
+    assert kg.self_loop_count == want.self_loop_count
+    assert kg._predicates == sorted({t.predicate for t in triples})
 
 
 def test_ingest_skips_comments_and_blanks(tmp_path):

@@ -56,7 +56,7 @@ def test_ab_reports_equal_traces_for_two_copies_of_one_tree():
     lines = done.stdout.splitlines()
     assert "louvain: 24 questions, traces equal" in lines
     assert "hierarchical: 24 questions, traces equal" in lines
-    assert sum("change cheaper in " in line for line in lines) == 2
+    assert sum("change cheaper in " in line for line in lines) == 3  # louvain, hierarchical, ingest
 
 
 def test_ab_exits_nonzero_when_the_traces_differ(tmp_path):
@@ -72,3 +72,35 @@ def test_ab_exits_nonzero_when_the_traces_differ(tmp_path):
     lines = done.stdout.splitlines()
     assert lines[0].startswith("louvain: 24 questions, traces differ at question ")
     assert "hierarchical: 24 questions, traces equal" in lines
+
+
+def test_ab_reports_equal_dumps_for_two_copies_of_one_tree(tmp_path):
+    for side in ("parent", "change"):
+        shutil.copytree(REPO / "src" / "fasttog", tmp_path / side / "fasttog",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    done = _ab(tmp_path / "parent", tmp_path / "change")
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    at = lines.index("ingest: 40000 triples, dumps equal")
+    assert lines[at + 1].startswith("  parent  median ")
+    assert lines[at + 2].startswith("  change  median ")
+    assert lines[at + 3].startswith("  change cheaper in ") and "/1 rounds" in lines[at + 3]
+
+
+def test_ab_exits_nonzero_when_the_stores_differ(tmp_path):
+    # the change reads every object as its row's subject; graphs built from
+    # triples, as the engine sets build theirs, are unchanged
+    shutil.copytree(REPO / "src" / "fasttog", tmp_path / "fasttog",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    kg = tmp_path / "fasttog" / "kg.py"
+    source = kg.read_text(encoding="utf-8")
+    swapped = source.replace("yield cells[0::3], cells[1::3], cells[2::3]",
+                             "yield cells[0::3], cells[1::3], cells[0::3]")
+    assert swapped != source
+    kg.write_text(swapped, encoding="utf-8")
+    done = _ab(REPO / "src", tmp_path)
+    assert done.returncode == 1, done.stderr
+    lines = done.stdout.splitlines()
+    assert "louvain: 24 questions, traces equal" in lines
+    assert "hierarchical: 24 questions, traces equal" in lines
+    assert lines[-1] == "ingest: 40000 triples, dumps differ"

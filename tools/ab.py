@@ -17,10 +17,17 @@ sides and compares their traces byte for byte; unequal traces exit 1.
 Then each round runs the whole set on both sides back to back, the side
 that goes first alternating, and times each side by process CPU.
 
-Prints, per set, each side's median and quartiles of CPU per question, the
-rounds each side was cheaper in, and whether the gap between the medians
-exceeds the parent's interquartile range. Timings are of this host and
-process; quote them with the host they were taken on.
+The ``ingest`` set times ``KnowledgeGraph.ingest`` of one seeded triple
+file, written once per run (``INGEST_ENTITIES`` labels, ``INGEST_TRIPLES``
+triples, with comments, blank lines, CRLF endings, non-ASCII labels,
+duplicates and self-loops). Its warm-up round ingests the file on both sides
+and compares their ``dump()`` byte for byte; unequal dumps exit 1. Its
+rounds alternate as the engine sets' do, one ingest per side per round.
+
+Prints, per set, each side's median and quartiles of CPU per question (per
+ingest for ``ingest``), the rounds each side was cheaper in, and whether the
+gap between the medians exceeds the parent's interquartile range. Timings
+are of this host and process; quote them with the host they were taken on.
 """
 
 from __future__ import annotations
@@ -30,6 +37,8 @@ import contextlib
 import gc
 import importlib
 import importlib.util
+import logging
+import random
 import shutil
 import statistics
 import sys
@@ -44,6 +53,9 @@ DETECTORS = ("louvain", "hierarchical")
 GRAPH_SEEDS = range(4)
 WIDTHS = (1, 2, 3)
 ENGINE_SEEDS = (0, 1)
+INGEST_ENTITIES = 10_000
+INGEST_TRIPLES = 40_000
+INGEST_SEED = 0
 
 
 @contextlib.contextmanager
@@ -78,6 +90,7 @@ class Side:
             src / "fasttog", copies / self.package, ignore=shutil.ignore_patterns("__pycache__")
         )
         fasttog = importlib.import_module(self.package)
+        self.knowledge_graph = fasttog.KnowledgeGraph
         self.sets = {detector: [] for detector in DETECTORS}
         with self.active():
             spec = importlib.util.spec_from_file_location(f"ab_helpers_{name}", HELPERS)
@@ -110,12 +123,52 @@ class Side:
             spent = time.process_time() - began
         return spent / len(questions)
 
+    def dump(self, path: Path) -> str:
+        """The canonical dump of this side's ingest of ``path``."""
+        with self.active():
+            return self.knowledge_graph.ingest(path).dump()
+
+    def cpu_per_ingest(self, path: Path) -> float:
+        """Seconds of process CPU of one ``KnowledgeGraph.ingest`` of ``path``."""
+        gc.collect()
+        with self.active():
+            began = time.process_time()
+            self.knowledge_graph.ingest(path)
+            return time.process_time() - began
+
+
+def write_ingest_file(path: Path) -> None:
+    """The ``ingest`` set's triple file: ``INGEST_TRIPLES`` seeded triples."""
+    rng = random.Random(INGEST_SEED)
+    labels = [f"entity {i:05d}" for i in range(INGEST_ENTITIES - 2)] + ["Straße", "日本"]
+    predicates = [f"relation {i:02d}" for i in range(20)] + ["ñ"]
+    lines = []
+    for _ in range(INGEST_TRIPLES):
+        roll = rng.random()
+        if roll < 0.01:
+            lines.append("# a comment\n" if roll < 0.005 else "\n")
+        s = rng.choice(labels)
+        o = s if roll > 0.995 else rng.choice(labels)  # a self-loop
+        line = f"{s}\t{rng.choice(predicates)}\t{o}" + ("\r\n" if roll > 0.9 else "\n")
+        lines.append(line * (2 if 0.5 < roll < 0.51 else 1))  # a duplicate
+    path.write_bytes("".join(lines).encode("utf-8"))
+
 
 def _quartiles(xs: list[float]) -> list[float]:
     """The first quartile, the median and the third quartile of ``xs``."""
     if len(xs) == 1:  # quantiles() needs two points
         return xs * 3
     return statistics.quantiles(xs, n=4, method="inclusive")
+
+
+def _alternate(parent: Side, change: Side, rounds: int, measure) -> dict[str, list[float]]:
+    """``measure(side)`` of both sides per round, the side that goes first
+    alternating."""
+    cpu = {side: [] for side in SIDES}
+    for r in range(rounds):
+        for side in (parent, change) if r % 2 == 0 else (change, parent):
+            cpu[side.name].append(measure(side))
+    return cpu
 
 
 def compare(parent: Side, change: Side, rounds: int, detector: str) -> bool:
@@ -126,10 +179,23 @@ def compare(parent: Side, change: Side, rounds: int, detector: str) -> bool:
             print(f"{detector}: {n} questions, traces differ at question {i}")
             return False
     print(f"{detector}: {n} questions, traces equal")
-    cpu = {side: [] for side in SIDES}
-    for r in range(rounds):
-        for side in (parent, change) if r % 2 == 0 else (change, parent):
-            cpu[side.name].append(side.cpu_per_question(detector))
+    _report(_alternate(parent, change, rounds, lambda side: side.cpu_per_question(detector)))
+    return True
+
+
+def compare_ingest(parent: Side, change: Side, rounds: int, path: Path) -> bool:
+    """Run the ingest set; print its report; whether the dumps were equal."""
+    if parent.dump(path) != change.dump(path):
+        print(f"ingest: {INGEST_TRIPLES} triples, dumps differ")
+        return False
+    print(f"ingest: {INGEST_TRIPLES} triples, dumps equal")
+    _report(_alternate(parent, change, rounds, lambda side: side.cpu_per_ingest(path)))
+    return True
+
+
+def _report(cpu: dict[str, list[float]]) -> None:
+    """Print each side's quartiles, the rounds each side won, and the gap."""
+    rounds = len(cpu["parent"])
     stats = {side: _quartiles(cpu[side]) for side in SIDES}
     for side in SIDES:
         q1, med, q3 = (x * 1e3 for x in stats[side])
@@ -143,7 +209,6 @@ def compare(parent: Side, change: Side, rounds: int, detector: str) -> bool:
         f"  change cheaper in {won}/{rounds} rounds, parent in {lost}/{rounds}; "
         f"gap {gap * 1e3:+.3f} ms {verdict} the parent's IQR ({iqr * 1e3:.3f} ms)"
     )
-    return True
 
 
 def main(argv: list[str]) -> int:
@@ -165,6 +230,11 @@ def main(argv: list[str]) -> int:
             for side, src in zip(SIDES, (args.parent_src, args.change_src))
         ]
         equal = [compare(*sides, args.rounds, detector) for detector in DETECTORS]
+        graph = Path(tmp) / "graph.tsv"
+        write_ingest_file(graph)
+        # each ingest warns of the file's duplicates and self-loops
+        logging.disable(logging.WARNING)
+        equal.append(compare_ingest(*sides, args.rounds, graph))
     return 0 if all(equal) else 1
 
 
