@@ -34,8 +34,6 @@ _MAX_LINE = 65536
 _MAX_HEADERS = 100
 # a status line as http.client reads it: its minor version and its code
 _STATUS = re.compile(rb"HTTP/1\.(\S*)\s+([1-9]\d\d)(?:\s|$)")
-# what http.client refuses in a header value (ChatEndpoint checks the URL)
-_BAD_VALUE = re.compile(r"\n(?![ \t])|\r(?![ \t\n])")
 
 
 @dataclass
@@ -45,28 +43,32 @@ class Link:
     conn: http.client.HTTPConnection
     target: str
     host: str
-    proxy_headers: dict[str, str]
-    # the request line and the headers that every request over the link sends
-    # before its Content-Length, and the proxy headers that end each head
+    # the header lines, encoded, that every request over the link sends after
+    # its Content-Length
+    tail: bytes
+    # the request line and the header lines that every request sends before it
     head: bytes = field(init=False, repr=False)
-    tail: bytes = field(init=False, repr=False)
 
     def __post_init__(self):
         self.head = b"POST %s HTTP/1.1\r\nHost: %s\r\nAccept-Encoding: identity\r\n" % (
             self.target.encode("ascii"),
             _host_bytes(self.host),
         )
-        self.tail = _header_lines(self.proxy_headers)
 
     def __del__(self):
         self.conn.close()
 
 
-def open_link(u: urllib.parse.SplitResult, port: int, timeout: float) -> Link:
-    """A connection to ``u``, with its request target, Host and proxy headers.
+def open_link(
+    u: urllib.parse.SplitResult, port: int, timeout: float, headers: bytes = b""
+) -> Link:
+    """A connection to ``u``, with its request target and Host. Each request
+    over it sends ``headers``, header lines already encoded, after its
+    Content-Length.
 
-    An http URL goes to its proxy in absolute form, an https one through
-    a CONNECT tunnel; TLS is verified against the system's CAs.
+    An http URL goes to its proxy in absolute form, with the proxy's
+    credentials in a header line after ``headers``; an https one goes through
+    a CONNECT tunnel. TLS is verified against the system's CAs.
     """
     https = u.scheme == "https"
     path = urllib.parse.urlunsplit(("", "", u.path or "/", u.query, ""))
@@ -81,7 +83,7 @@ def open_link(u: urllib.parse.SplitResult, port: int, timeout: float) -> Link:
     else:
         make = http.client.HTTPConnection
     if not proxy:
-        return Link(make(u.hostname, port, timeout=timeout), path, host, {})
+        return Link(make(u.hostname, port, timeout=timeout), path, host, headers)
     p = urllib.parse.urlsplit(proxy if "://" in proxy else "http://" + proxy)
     auth = {}
     if p.username is not None:
@@ -90,29 +92,21 @@ def open_link(u: urllib.parse.SplitResult, port: int, timeout: float) -> Link:
     conn = make(p.hostname, p.port or 80, timeout=timeout)
     if https:
         conn.set_tunnel(u.hostname, port, headers=auth)
-        return Link(conn, path, host, {})
+        return Link(conn, path, host, headers)
     # the absolute form names the target's netloc, which is then its Host
-    return Link(conn, f"{u.scheme}://{u.netloc}{path}", u.netloc, auth)
+    lines = "".join(f"{name}: {value}\r\n" for name, value in auth.items())  # base64 is ASCII
+    return Link(conn, f"{u.scheme}://{u.netloc}{path}", u.netloc, headers + lines.encode("ascii"))
 
 
-def post(link: Link, body: bytes, headers: dict[str, str]) -> tuple[int, bytes]:
+def post(link: Link, body: bytes) -> tuple[int, bytes]:
     """POST ``body`` over ``link`` in one write; the status and raw reply."""
     conn = link.conn
     if conn.sock is not None and _readable(conn.sock):
         # an idle kept-alive socket with something to read was closed by
         # the peer; drop it, and the request below reconnects
         conn.close()
+    request = b"%sContent-Length: %d\r\n%s\r\n%s" % (link.head, len(body), link.tail, body)
     try:
-        request = b"".join(
-            (
-                link.head,
-                b"Content-Length: %d\r\n" % len(body),
-                _header_lines(headers),
-                link.tail,
-                b"\r\n",
-                body,
-            )
-        )
         if conn.sock is None:
             conn.connect()
         conn.sock.sendall(request)
@@ -196,16 +190,6 @@ def _read_exact(fp, n: int) -> bytes:
     if len(data) < n:
         raise http.client.IncompleteRead(data, n - len(data))
     return data
-
-
-def _header_lines(headers: dict[str, str]) -> bytes:
-    """``headers`` as head lines, encoded as ``http.client`` encodes them."""
-    lines = []
-    for name, value in headers.items():
-        if _BAD_VALUE.search(value):
-            raise ValueError(f"Invalid header value {value!r}")
-        lines.append(f"{name}: {value}\r\n")
-    return "".join(lines).encode("latin-1")
 
 
 def _host_bytes(host: str) -> bytes:

@@ -43,6 +43,9 @@ RETRY_BUDGET = 3
 BACKOFF_S = 0.5
 # what http.client refuses in a request target or a Host: controls and space
 _UNSENDABLE = re.compile(r"[\x00-\x20\x7f]")
+# what an API key may not hold: a C0, DEL or C1 control, or a character
+# outside Latin-1, the header's encoding
+_UNSENDABLE_KEY = re.compile(r"[^\x20-\x7e\xa0-\xff]")
 
 
 @dataclass(frozen=True)
@@ -211,7 +214,9 @@ class ChatEndpoint:
     Endpoint, key, and model default to the FASTTOG_ENDPOINT, FASTTOG_API_KEY,
     and FASTTOG_MODEL environment variables. The URL must be http or https,
     with a port in range and no space or control character in its host, path
-    or query, or construction raises ProviderError. A transient failure (a
+    or query, and the key, if any, must hold no control character and only
+    Latin-1 characters, or construction raises ProviderError; no message
+    quotes the key. A transient failure (a
     transport error, HTTP 429 or 5xx) is retried up to ``RETRY_BUDGET`` times,
     after sleeps of ``BACKOFF_S``, then twice that, and so on; a failure past
     the budget raises TransportError.
@@ -248,6 +253,12 @@ class ChatEndpoint:
         # such a request target or Host could never be sent, on any attempt
         if _UNSENDABLE.search(split.netloc + split.path + split.query):
             raise ProviderError(f"endpoint URL holds a space or control character: {self.url!r}")
+        # the header lines every request sends after its Content-Length
+        self._headers = b"Content-Type: application/json\r\n"
+        if self.api_key:
+            if _UNSENDABLE_KEY.search(self.api_key):
+                raise ProviderError("API key holds a control character or one outside Latin-1")
+            self._headers += b"Authorization: Bearer %s\r\n" % self.api_key.encode("latin-1")
         self._split, self._port = split, port
         self.timeout = timeout
         self._local = threading.local()
@@ -263,16 +274,13 @@ class ChatEndpoint:
             "max_tokens": DEFAULT_MAX_OUTPUT_TOKENS,
         }
         body = json.dumps(payload, allow_nan=False).encode("utf-8")
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
         from ._http import TRANSIENT, UNTRUSTED  # loads the HTTP stack on the first call
 
         attempt = 0
         while True:
             started = time.monotonic()
             try:
-                status, raw = self._post(body, headers)
+                status, raw = self._post(body)
             except UNTRUSTED as exc:
                 raise ProviderError(str(exc)) from exc
             except TRANSIENT as exc:
@@ -299,14 +307,15 @@ class ChatEndpoint:
                 raise TransportError(f"retry budget exhausted: {failure}")
             time.sleep(BACKOFF_S * (2 ** (attempt - 1)))
 
-    def _post(self, body: bytes, headers: dict[str, str]) -> tuple[int, bytes]:
+    def _post(self, body: bytes) -> tuple[int, bytes]:
         """POST ``body`` over this thread's connection; the status and raw reply."""
         from ._http import open_link, post
 
         link = getattr(self._local, "link", None)
         if link is None:
-            link = self._local.link = open_link(self._split, self._port, self.timeout)
-        return post(link, body, headers)
+            link = open_link(self._split, self._port, self.timeout, self._headers)
+            self._local.link = link
+        return post(link, body)
 
 
 # -- reply parsing ------------------------------------------------------------

@@ -136,16 +136,17 @@ class KnowledgeGraph:
 
     @classmethod
     def ingest(cls, source: str | Path) -> "KnowledgeGraph":
-        """Parse a TSV triple file. A malformed line, or one that is not
-        UTF-8, raises TripleFormatError with its line number."""
+        """Parse a TSV triple file. A leading byte-order mark is dropped. A
+        malformed line, or one that is not UTF-8, raises TripleFormatError
+        with its line number."""
         graph = cls.__new__(cls)
         try:
-            with open(source, encoding="utf-8") as fh:
+            with open(source, encoding="utf-8-sig") as fh:
                 graph._build(_parse_tsv(fh))
         except UnicodeDecodeError:
             # the decoder's position counts from its chunk; find the line by
             # reading the file again as the text reader splits it
-            with open(source, encoding="utf-8", errors="surrogateescape") as fh:
+            with open(source, encoding="utf-8-sig", errors="surrogateescape") as fh:
                 _check_lines(fh, 1)  # raises: some line holds an escaped byte
             raise
         return graph

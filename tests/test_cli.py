@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fasttog.cli import _engine_config, build_parser, main
+from fasttog.cli import WHOLE_GRAPH_LIMITS, _engine_config, build_parser, main
 from fasttog.detect import DETECTOR_KINDS
 from fasttog.engine import EngineConfig
 
@@ -60,6 +60,13 @@ def test_ingest_names_the_line_that_is_not_utf8(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: line 2: invalid UTF-8 byte 0xff\n"
+
+
+def test_ingest_drops_a_byte_order_mark_before_a_comment(tmp_path, capsys):
+    raw = tmp_path / "raw.tsv"
+    raw.write_bytes(b"\xef\xbb\xbf# a comment\na\tr\tb\n")
+    assert main(["ingest", str(raw)]) == 0
+    assert capsys.readouterr().out == "a\tr\tb\n"
 
 
 def test_ingest_warns_of_duplicates_once(tmp_path):
@@ -120,6 +127,44 @@ def test_detect_dump_matches_pinned_sha1(kind, bound, capsys):
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha1(out.encode("utf-8")).hexdigest() == DETECT_DUMP_SHA1[kind, bound]
+
+
+def chain_file(tmp_path, nodes):
+    path = tmp_path / f"chain{nodes}.tsv"
+    path.write_text("".join(f"e{i}\tr\te{i + 1}\n" for i in range(nodes - 1)), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("kind", sorted(WHOLE_GRAPH_LIMITS))
+def test_detect_refuses_a_graph_past_the_limit_before_detecting(tmp_path, monkeypatch, capsys, kind):
+    def no_detect(*args, **kwargs):
+        raise AssertionError("detection must not start")
+
+    monkeypatch.setattr("fasttog.cli.detect", no_detect)
+    limit = WHOLE_GRAPH_LIMITS[kind]
+    graph = chain_file(tmp_path, limit + 1)
+    assert main(["detect", "--graph", str(graph), "--detector", kind]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {kind} detects on whole graphs of at most {limit} nodes; this one has {limit + 1}\n"
+    )
+
+
+@pytest.mark.parametrize("kind", DETECTOR_KINDS)
+def test_detect_starts_on_a_graph_within_the_limit(tmp_path, monkeypatch, kind):
+    class Started(Exception):
+        pass
+
+    def started(g, *args, **kwargs):
+        raise Started(len(g))
+
+    monkeypatch.setattr("fasttog.cli.detect", started)
+    # at the limit, or past every limit for a detector without one
+    nodes = WHOLE_GRAPH_LIMITS.get(kind, max(WHOLE_GRAPH_LIMITS.values()) + 1)
+    with pytest.raises(Started) as caught:
+        main(["detect", "--graph", str(chain_file(tmp_path, nodes)), "--detector", kind])
+    assert caught.value.args == (nodes,)
 
 
 def test_run_requires_graph():
@@ -268,7 +313,7 @@ def test_eval_g2t_with_endpoint_builds_backend(tmp_path, monkeypatch):
         built.append(self)
         endpoint_init(self, *args, **kwargs)
 
-    def fake_post(self, body, headers):
+    def fake_post(self, body):
         posted.append(json.loads(body)["messages"][0]["content"])
         return fake_reply(200, ok_payload("fluent facts"))
 
@@ -425,7 +470,7 @@ def test_eval_endpoint_counts_each_record_own_calls(tmp_path, monkeypatch):
     ]
     data.write_text("\n".join(json.dumps(r) for r in rows) + "\n", encoding="utf-8")
 
-    def fake_post(self, body, headers):
+    def fake_post(self, body):
         pruning = json.loads(body)["temperature"] == PRUNING_TEMPERATURE
         return fake_reply(200, ok_payload("A" if pruning else f"Answer: {target}"))
 
@@ -537,7 +582,9 @@ def test_eval_posts_over_the_wire_one_connection_per_worker(tmp_path, monkeypatc
     assert peak[0] == parallelism
 
 
-def test_eval_refuses_an_unsendable_endpoint_before_any_record(tmp_path, monkeypatch, capsys):
+def _eval_refused_before_any_record(tmp_path, monkeypatch, capsys, *endpoint):
+    """Run ``eval`` with the ``endpoint`` flags, which must fail before any
+    record runs with exit 3 and one line on stderr; that line."""
     graph, start, target = path_fixture(tmp_path)
     data = tmp_path / "data.jsonl"
     rows = [
@@ -546,26 +593,31 @@ def test_eval_refuses_an_unsendable_endpoint_before_any_record(tmp_path, monkeyp
     ]
     data.write_text("\n".join(json.dumps(r) for r in rows) + "\n", encoding="utf-8")
 
-    def no_post(self, body, headers):
+    def no_post(self, body):
         raise AssertionError("no record may run")
 
     monkeypatch.setattr("fasttog.gateway.ChatEndpoint._post", no_post)
     report_path = tmp_path / "r.json"
     code = main(
-        [
-            "eval",
-            "--graph", str(graph),
-            "--data", str(data),
-            "--endpoint", "http://127.0.0.1:9/a b",
-            "--model", "m",
-            "--out", str(report_path),
-        ]
+        ["eval", "--graph", str(graph), "--data", str(data), "--out", str(report_path), *endpoint]
     )
     assert code == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("provider error: ") and captured.err.count("\n") == 1
     assert not report_path.exists()
+    return captured.err
+
+
+def test_eval_refuses_an_unsendable_endpoint_before_any_record(tmp_path, monkeypatch, capsys):
+    endpoint = ["--endpoint", "http://127.0.0.1:9/a b", "--model", "m"]
+    _eval_refused_before_any_record(tmp_path, monkeypatch, capsys, *endpoint)
+
+
+def test_eval_refuses_an_unsendable_api_key_before_any_record(tmp_path, monkeypatch, capsys):
+    endpoint = ["--endpoint", "http://127.0.0.1:9/", "--model", "m", "--api-key", "sk-x\r"]
+    err = _eval_refused_before_any_record(tmp_path, monkeypatch, capsys, *endpoint)
+    assert "sk-x" not in err
 
 
 def test_null_content_is_a_provider_error_not_a_traceback(tmp_path, monkeypatch, capsys):
@@ -574,7 +626,7 @@ def test_null_content_is_a_provider_error_not_a_traceback(tmp_path, monkeypatch,
     graph, start, target = path_fixture(tmp_path)
     monkeypatch.setattr(
         "fasttog.gateway.ChatEndpoint._post",
-        lambda self, body, headers: fake_reply(200, ok_payload(None)),
+        lambda self, body: fake_reply(200, ok_payload(None)),
     )
     endpoint = ["--endpoint", "http://x", "--model", "m"]
     code = main(

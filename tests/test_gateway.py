@@ -267,10 +267,9 @@ def ok_payload(content):
 def test_endpoint_posts_chat_shape(monkeypatch):
     seen = {}
 
-    def fake_post(self, body, headers):
+    def fake_post(self, body):
         seen["url"] = self.url
         seen["json"] = json.loads(body)
-        seen["headers"] = headers
         return fake_reply(200, ok_payload("hi"))
 
     monkeypatch.setattr("fasttog.gateway.ChatEndpoint._post", fake_post)
@@ -279,14 +278,13 @@ def test_endpoint_posts_chat_shape(monkeypatch):
     assert resp.text == "hi"
     assert seen["json"]["model"] == "m"
     assert seen["json"]["messages"][1]["content"] == "question body"
-    assert seen["headers"]["Authorization"] == "Bearer k"
     assert ep.ledger.counts()["reasoning"] == 1
 
 
 def test_endpoint_retries_transient_then_succeeds(monkeypatch):
     calls = {"n": 0}
 
-    def fake_post(self, body, headers):
+    def fake_post(self, body):
         calls["n"] += 1
         if calls["n"] < 3:
             return fake_reply(500, text="upstream sad")
@@ -303,7 +301,7 @@ def test_endpoint_retries_transient_then_succeeds(monkeypatch):
 
 def test_endpoint_gives_up_after_budget(monkeypatch):
     monkeypatch.setattr(
-        "fasttog.gateway.ChatEndpoint._post", lambda self, body, headers: fake_reply(503)
+        "fasttog.gateway.ChatEndpoint._post", lambda self, body: fake_reply(503)
     )
     monkeypatch.setattr("fasttog.gateway.time.sleep", lambda s: None)
     monkeypatch.setattr("fasttog.gateway.RETRY_BUDGET", 2)
@@ -316,7 +314,7 @@ def test_endpoint_gives_up_after_budget(monkeypatch):
 def test_endpoint_backs_off_doubling_then_gives_up(monkeypatch):
     posts, sleeps = [], []
 
-    def unavailable(self, body, headers):
+    def unavailable(self, body):
         posts.append(body)
         return fake_reply(503)
 
@@ -333,13 +331,13 @@ def test_endpoint_backs_off_doubling_then_gives_up(monkeypatch):
 def test_endpoint_retries_a_transport_error_then_gives_up(monkeypatch):
     calls = {"n": 0}
 
-    def reset_once(self, body, headers):
+    def reset_once(self, body):
         calls["n"] += 1
         if calls["n"] == 1:
             raise ConnectionResetError("peer reset")
         return fake_reply(200, ok_payload("again"))
 
-    def refused(self, body, headers):
+    def refused(self, body):
         calls["n"] += 1
         raise ConnectionRefusedError("refused")
 
@@ -359,7 +357,7 @@ def test_endpoint_retries_a_transport_error_then_gives_up(monkeypatch):
 @pytest.mark.parametrize("payload", [{"choices": []}, [ok_payload("A")]])
 def test_endpoint_rejects_a_malformed_reply_shape(monkeypatch, payload):
     monkeypatch.setattr(
-        "fasttog.gateway.ChatEndpoint._post", lambda self, body, headers: fake_reply(200, payload)
+        "fasttog.gateway.ChatEndpoint._post", lambda self, body: fake_reply(200, payload)
     )
     ep = ChatEndpoint(url="http://x", model="m")
     with pytest.raises(ProviderError, match="malformed provider response"):
@@ -369,7 +367,7 @@ def test_endpoint_rejects_a_malformed_reply_shape(monkeypatch, payload):
 def test_endpoint_client_error_is_not_retried(monkeypatch):
     calls = {"n": 0}
 
-    def fake_post(self, body, headers):
+    def fake_post(self, body):
         calls["n"] += 1
         return fake_reply(401, text="bad key")
 
@@ -384,7 +382,7 @@ def test_endpoint_client_error_is_not_retried(monkeypatch):
 def test_endpoint_rejects_non_string_content(monkeypatch, content):
     monkeypatch.setattr(
         "fasttog.gateway.ChatEndpoint._post",
-        lambda self, body, headers: fake_reply(200, ok_payload(content)),
+        lambda self, body: fake_reply(200, ok_payload(content)),
     )
     ep = ChatEndpoint(url="http://x", model="m")
     with pytest.raises(ProviderError, match="content is"):
@@ -542,6 +540,52 @@ def test_endpoint_request_on_the_wire(monkeypatch, through_proxy):
     assert body == json.dumps(payload).encode("utf-8")
 
 
+# the body of the request ``PromptBundle("s", "b")`` makes for model ``m``
+WIRE_BODY = (
+    b'{"model": "m", "messages": [{"role": "system", "content": "s"}, '
+    b'{"role": "user", "content": "b"}], "temperature": 0.1, "max_tokens": 1024}'
+)
+
+
+@pytest.mark.parametrize("key", [None, "k\xe9y"], ids=["no key", "latin-1 key"])
+def test_endpoint_request_on_the_wire_by_key(monkeypatch, key):
+    server, seen = _raw_server([(_ok_bytes(), False)])
+    port = server.server_address[1]
+    _no_proxy_env(monkeypatch)
+    monkeypatch.delenv("FASTTOG_API_KEY", raising=False)
+    try:
+        ep = ChatEndpoint(url=f"http://127.0.0.1:{port}/v1/chat", api_key=key, model="m")
+        assert ep.generate(GenerationRequest(PromptBundle("s", "b"), "reasoning")).text == "hi"
+    finally:
+        _stop(server)
+    auth = b"" if key is None else b"Authorization: Bearer k\xe9y\r\n"  # encoded as Latin-1
+    head = (
+        b"POST /v1/chat HTTP/1.1\r\nHost: 127.0.0.1:%d\r\nAccept-Encoding: identity\r\n"
+        b"Content-Length: 138\r\nContent-Type: application/json\r\n%s\r\n" % (port, auth)
+    )
+    assert [request for _port, request in seen] == [head + WIRE_BODY]
+
+
+@pytest.mark.parametrize(
+    "key",
+    ["sk-x\r", "sk-x\n", "sk-x\r\n y", "sk-\tx", "sk-\x00x", "sk-x\x7f", "sk-x\x85", "sk-x€"],
+)
+def test_endpoint_refuses_an_unsendable_api_key_at_construction(monkeypatch, key):
+    opened = []
+    monkeypatch.setattr("fasttog._http.open_link", lambda *args: opened.append(args))
+    with pytest.raises(ProviderError, match="API key") as caught:
+        ChatEndpoint(url="http://127.0.0.1:9/", model="m", api_key=key)
+    assert "sk-" not in str(caught.value)
+    assert opened == []
+
+
+def test_endpoint_refuses_an_unsendable_api_key_from_the_environment(monkeypatch):
+    monkeypatch.setenv("FASTTOG_API_KEY", "sk-x\r")
+    with pytest.raises(ProviderError, match="API key") as caught:
+        ChatEndpoint(url="http://127.0.0.1:9/", model="m")
+    assert "sk-x" not in str(caught.value)
+
+
 def _raw_link(server):
     port = server.server_address[1]
     return open_link(urllib.parse.urlsplit(f"http://127.0.0.1:{port}/"), port, 10.0)
@@ -601,10 +645,10 @@ def test_post_reads_each_reply_framing(monkeypatch, name):
     server, seen = _raw_server([(reply, not keeps), (NEXT, False)])
     try:
         link = _raw_link(server)
-        assert post(link, b"{}", {}) == (status, body)
+        assert post(link, b"{}") == (status, body)
         assert (link.conn.sock is not None) == keeps
         # the reply was read to its end and no further: the next one reads whole
-        assert post(link, b"{}", {}) == (200, b"next")
+        assert post(link, b"{}") == (200, b"next")
     finally:
         _stop(server)
     assert len({port for port, _request in seen}) == (1 if keeps else 2)
@@ -657,7 +701,7 @@ def test_post_raises_a_transient_error_on_a_broken_reply_and_closes(monkeypatch,
     try:
         link = _raw_link(server)
         with pytest.raises(error) as caught:
-            post(link, b"{}", {})
+            post(link, b"{}")
     finally:
         _stop(server)
     assert isinstance(caught.value, TRANSIENT)
@@ -706,9 +750,8 @@ def test_post_sends_each_request_in_one_write(monkeypatch):
         link = _raw_link(server)
         link.conn.connect()
         link.conn.sock = CountingSocket(link.conn.sock)
-        headers = {"Content-Type": "application/json"}
         for text in ("one", "two"):
-            assert post(link, b'{"n": 1}', headers) == (200, json.dumps(ok_payload(text)).encode())
+            assert post(link, b'{"n": 1}') == (200, json.dumps(ok_payload(text)).encode())
     finally:
         _stop(server)
     assert writes == [request for _port, request in seen]
@@ -719,7 +762,7 @@ def test_endpoint_does_not_retry_a_certificate_that_fails_verification(monkeypat
 
     posts = []
 
-    def untrusted(self, body, headers):
+    def untrusted(self, body):
         posts.append(body)
         raise ssl.SSLCertVerificationError(1, "[SSL: CERTIFICATE_VERIFY_FAILED] self-signed")
 
@@ -822,7 +865,7 @@ def test_open_link_to_https_makes_a_verified_tls_connection(monkeypatch):
     link = open_link(urllib.parse.urlsplit("https://model.example/v1/chat?x=1"), 443, 5.0)
     assert isinstance(link.conn, http.client.HTTPSConnection)
     assert (link.conn.host, link.conn.port, link.conn.timeout) == ("model.example", 443, 5.0)
-    assert (link.target, link.proxy_headers, link.conn.sock) == ("/v1/chat?x=1", {}, None)
+    assert (link.target, link.tail, link.conn.sock) == ("/v1/chat?x=1", b"", None)
     assert link.host == "model.example"
 
 
@@ -859,7 +902,7 @@ def test_open_link_tunnels_https_through_a_proxy_with_credentials(monkeypatch):
     auth = conn._tunnel_headers["Proxy-Authorization"]
     assert auth == "Basic " + base64.b64encode(b"u:p@ss").decode()
     # the tunnel carries the plain path, and no proxy header rides on the request
-    assert (link.target, link.proxy_headers, conn.sock) == ("/v1/chat", {}, None)
+    assert (link.target, link.tail, conn.sock) == ("/v1/chat", b"", None)
     assert link.host == "model.example:8443"
 
 
@@ -882,9 +925,9 @@ def _post_closes_the_connection_when(failing):
             self.sock = None
 
     conn = Conn()
-    link = Link(conn, "/", "x", {})  # held: a dropped link closes its connection too
+    link = Link(conn, "/", "x", b"")  # held: a dropped link closes its connection too
     with pytest.raises(OSError):
-        post(link, b"{}", {})
+        post(link, b"{}")
     assert conn.closed == 1
 
 
@@ -956,7 +999,7 @@ def test_endpoint_wire_settings_per_call_kind(monkeypatch):
     }
     posted = []
 
-    def fake_post(self, body, headers):
+    def fake_post(self, body):
         payload = json.loads(body)
         kind = kind_of[payload["messages"][0]["content"]]
         posted.append((kind, payload["temperature"], payload["max_tokens"]))

@@ -131,6 +131,27 @@ def test_ingest_reports_a_bad_line_before_an_undecodable_one(tmp_path):
     assert str(err.value) == "line 2: expected 3 tab-separated fields, got 2"
 
 
+@pytest.mark.parametrize(
+    "text", ["a\tr\tb\n", "# a comment\na\tr\tb\n"], ids=["triple first", "comment first"]
+)
+def test_ingest_drops_a_leading_byte_order_mark(tmp_path, text):
+    path = tmp_path / "bom.tsv"
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    kg = KnowledgeGraph.ingest(path)
+    assert "a" in kg
+    assert kg.dump() == KnowledgeGraph.ingest(write(tmp_path, text)).dump() == "a\tr\tb\n"
+
+
+def test_ingest_counts_the_line_of_a_byte_order_mark_as_line_1(tmp_path):
+    path = tmp_path / "bom.tsv"
+    path.write_bytes(b"\xef\xbb\xbfa\tr\tb\n\xff\tr\tc\n")
+    with pytest.raises(TripleFormatError, match=r"^line 2: invalid UTF-8 byte 0xff$"):
+        KnowledgeGraph.ingest(path)
+    path.write_bytes(b"\xef\xbb\xbfa\tr\n")
+    with pytest.raises(TripleFormatError, match=r"^line 1: expected 3 tab-separated fields, got 2$"):
+        KnowledgeGraph.ingest(path)
+
+
 # NUL, and whitespace that str.splitlines() would split on but a text file
 # reader does not
 _LABEL = st.text(

@@ -42,6 +42,39 @@ def test_loc_counts_lines_and_code_lines_of_a_snippet():
     assert loc.count(SNIPPET) == (len(SNIPPET.splitlines()), len(code_lines)) == (20, 10)
 
 
+def test_loc_against_another_tree_prints_both_counts_and_the_difference(tmp_path):
+    other = tmp_path / "src"
+    shutil.copytree(REPO / "src" / "fasttog", other / "fasttog")
+    with open(other / "fasttog" / "errors.py", "a", encoding="utf-8") as fh:
+        fh.write("# a comment\nX = 1\nY = (\n    2\n)\n")  # 5 lines, 4 of code
+    (other / "fasttog" / "kg.py").unlink()
+    (other / "fasttog" / "gone.py").write_text("A = 1\n\n", encoding="utf-8")
+    done = subprocess.run(
+        [sys.executable, str(TOOLS / "loc.py"), "--against", str(other), "src/fasttog"],
+        capture_output=True, text=True, timeout=60, cwd=REPO,
+    )
+    assert done.returncode == 0, done.stderr
+    rows = {line.split()[-1]: line.split()[:-1] for line in done.stdout.splitlines()[2:]}
+    errors = (REPO / "src" / "fasttog" / "errors.py").read_text(encoding="utf-8").splitlines()
+    kg = (REPO / "src" / "fasttog" / "kg.py").read_text(encoding="utf-8").splitlines()
+    assert rows["fasttog/errors.py"][4:] == ["-5", "-4"]
+    assert int(rows["fasttog/errors.py"][2]) == len(errors)
+    assert rows["fasttog/kg.py"][:2] == ["-", "-"]
+    assert rows["fasttog/kg.py"][4] == f"{len(kg):+,}"
+    assert rows["fasttog/gone.py"] == ["2", "1", "-", "-", "-2", "-1"]
+    assert rows["fasttog/cli.py"][4:] == ["+0", "+0"]
+    assert rows["total"][4] == f"{len(kg) - 5 - 2:+,}"  # kg.py, less errors.py's and gone.py's
+
+
+def test_loc_against_refuses_a_path_outside_src():
+    done = subprocess.run(
+        [sys.executable, str(TOOLS / "loc.py"), "--against", str(REPO / "src"), "tools"],
+        capture_output=True, text=True, timeout=60, cwd=REPO,
+    )
+    assert done.returncode == 2
+    assert "is not under" in done.stderr
+
+
 def _ab(parent_src, change_src):
     return subprocess.run(
         [sys.executable, str(TOOLS / "ab.py"), str(parent_src), str(change_src),
