@@ -128,8 +128,12 @@ def _cmd_detect(args) -> int:
 
 
 def _backends(args):
-    """Per-record factories of the retrieval gateway and of the g2t backend: a
-    fresh ScriptedGateway for each record, or one ChatEndpoint shared by all."""
+    """Per-record factories of the retrieval gateway and of the g2t backend.
+
+    Builds the ChatEndpoint, which checks its URL and key, and reads each
+    script file once, dropping blank lines. A scripted factory gives each
+    record a fresh ScriptedGateway over those replies, so every record replays
+    the script from its first line; an endpoint is shared by all records."""
     g2t = args.mode == "g2t"
     g2t_script = args.g2t_script if g2t else None
     chat = None
@@ -138,16 +142,20 @@ def _backends(args):
 
     def factory(script, shared):
         if script:
-            return lambda _record=None: ScriptedGateway.from_file(script)
+            lines = Path(script).read_text(encoding="utf-8").splitlines()
+            replies = [ln for ln in lines if ln.strip()]
+            return lambda _record=None: ScriptedGateway(replies)
         return lambda _record=None: shared
 
     return factory(args.mock_script, chat), factory(g2t_script, chat if g2t else None)
 
 
 def _cmd_run(args) -> int:
+    """Answer one question. The flags and backends are checked before the
+    graph is read, so a bad setting fails without waiting for the ingest."""
     config = _engine_config(args)
-    graph = KnowledgeGraph.ingest(args.graph)
     make_gateway, make_g2t_backend = _backends(args)
+    graph = KnowledgeGraph.ingest(args.graph)
     engine = Engine(graph, make_gateway(), config, g2t_backend=make_g2t_backend())
     verdict, trace, error = run_record(engine, args.question, args.start_entity)
     if error is None:
@@ -169,12 +177,15 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    """Run a dataset and report. Checks, in order: the engine config, the
+    counts (before an endpoint is built, which fails when none is configured),
+    the backends; only then reads the dataset and the graph."""
     config = _engine_config(args)
-    graph = KnowledgeGraph.ingest(args.graph)
-    records = load_dataset(args.data, sample_n=args.sample_n, seed=args.seed)
-    # before an endpoint is built, which fails when none is configured
     check_count("parallelism", args.parallelism)
+    check_count("sample_n", args.sample_n)
     gateway_factory, g2t_backend_factory = _backends(args)
+    records = load_dataset(args.data, sample_n=args.sample_n, seed=args.seed)
+    graph = KnowledgeGraph.ingest(args.graph)
     report = evaluate(
         records,
         graph,

@@ -181,11 +181,6 @@ class ScriptedGateway:
         self._pos = 0
         self._lock = threading.Lock()
 
-    @classmethod
-    def from_file(cls, path: str | Path) -> "ScriptedGateway":
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-        return cls([ln for ln in lines if ln.strip() != ""])
-
     def _next_line(self) -> str:
         with self._lock:
             if self._pos >= len(self._lines):

@@ -582,9 +582,18 @@ def test_eval_posts_over_the_wire_one_connection_per_worker(tmp_path, monkeypatc
     assert peak[0] == parallelism
 
 
-def _eval_refused_before_any_record(tmp_path, monkeypatch, capsys, *endpoint):
-    """Run ``eval`` with the ``endpoint`` flags, which must fail before any
-    record runs with exit 3 and one line on stderr; that line."""
+def forbid_reading_input(monkeypatch):
+    def no_input(*args, **kwargs):
+        raise AssertionError("no input may be read")
+
+    monkeypatch.setattr("fasttog.cli.KnowledgeGraph.ingest", no_input)
+    monkeypatch.setattr("fasttog.cli.load_dataset", no_input)
+
+
+def _refused_before_any_input(tmp_path, monkeypatch, capsys, command, *endpoint):
+    """Run ``command`` (``eval`` or ``run``) with the ``endpoint`` flags, which
+    must fail before the dataset or the graph is read, with exit 3 and one line
+    on stderr; that line."""
     graph, start, target = path_fixture(tmp_path)
     data = tmp_path / "data.jsonl"
     rows = [
@@ -597,27 +606,105 @@ def _eval_refused_before_any_record(tmp_path, monkeypatch, capsys, *endpoint):
         raise AssertionError("no record may run")
 
     monkeypatch.setattr("fasttog.gateway.ChatEndpoint._post", no_post)
-    report_path = tmp_path / "r.json"
-    code = main(
-        ["eval", "--graph", str(graph), "--data", str(data), "--out", str(report_path), *endpoint]
-    )
-    assert code == 3
+    forbid_reading_input(monkeypatch)
+    out = tmp_path / "out"
+    argv = {
+        "eval": ["eval", "--graph", str(graph), "--data", str(data), "--out", str(out)],
+        "run": ["run", "--graph", str(graph), "--question", "q?", "--out-dir", str(out)],
+    }[command]
+    assert main(argv + list(endpoint)) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("provider error: ") and captured.err.count("\n") == 1
-    assert not report_path.exists()
+    assert not out.exists()
     return captured.err
 
 
+UNSENDABLE_URL = ["--endpoint", "http://127.0.0.1:9/a b", "--model", "m"]
+UNSENDABLE_KEY = ["--endpoint", "http://127.0.0.1:9/", "--model", "m", "--api-key", "sk-x\r"]
+
+
 def test_eval_refuses_an_unsendable_endpoint_before_any_record(tmp_path, monkeypatch, capsys):
-    endpoint = ["--endpoint", "http://127.0.0.1:9/a b", "--model", "m"]
-    _eval_refused_before_any_record(tmp_path, monkeypatch, capsys, *endpoint)
+    _refused_before_any_input(tmp_path, monkeypatch, capsys, "eval", *UNSENDABLE_URL)
 
 
 def test_eval_refuses_an_unsendable_api_key_before_any_record(tmp_path, monkeypatch, capsys):
-    endpoint = ["--endpoint", "http://127.0.0.1:9/", "--model", "m", "--api-key", "sk-x\r"]
-    err = _eval_refused_before_any_record(tmp_path, monkeypatch, capsys, *endpoint)
+    err = _refused_before_any_input(tmp_path, monkeypatch, capsys, "eval", *UNSENDABLE_KEY)
     assert "sk-x" not in err
+
+
+def test_run_refuses_an_unsendable_endpoint_before_any_input(tmp_path, monkeypatch, capsys):
+    _refused_before_any_input(tmp_path, monkeypatch, capsys, "run", *UNSENDABLE_URL)
+
+
+def test_run_refuses_an_unsendable_api_key_before_any_input(tmp_path, monkeypatch, capsys):
+    err = _refused_before_any_input(tmp_path, monkeypatch, capsys, "run", *UNSENDABLE_KEY)
+    assert "sk-x" not in err
+
+
+@pytest.mark.parametrize("flag", ["--mock-script", "--g2t-script"])
+@pytest.mark.parametrize("command", ["eval", "run"])
+def test_a_missing_script_is_a_data_error_before_any_input(
+    tmp_path, monkeypatch, capsys, command, flag
+):
+    forbid_reading_input(monkeypatch)
+    graph, _, _ = path_fixture(tmp_path)
+    script = str(script_file(tmp_path, ["A"]))
+    missing = str(tmp_path / "no-such-script.txt")
+    scripts = {"--mock-script": script, "--g2t-script": script, flag: missing}
+    argv = [command, "--graph", str(graph), "--mode", "g2t"]
+    argv += ["--data", str(tmp_path / "data.jsonl")] if command == "eval" else ["--question", "q?"]
+    for name, path in scripts.items():
+        argv += [name, path]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert missing in captured.err
+
+
+# SHA-1 over the five records' trace files, in id order, pinned while each
+# record read its scripts afresh from disk
+SCRIPT_REPLAY_DIGESTS = {
+    "t2t": "4b8ecb7bd40e5fa3692cba0cc7fc237d646f00cf",
+    "g2t": "bdc479c6ef60260257eeb5b9f1e7724dfd326bab",
+}
+
+
+@pytest.mark.parametrize("mode", sorted(SCRIPT_REPLAY_DIGESTS))
+def test_eval_reads_each_script_once_and_replays_it_for_every_record(tmp_path, monkeypatch, mode):
+    graph, start, target = path_fixture(tmp_path)
+    data = tmp_path / "data.jsonl"
+    rows = [
+        {"id": f"q{i}", "question": f"q{i}?", "answers": [target], "start_entities": [start]}
+        for i in range(5)
+    ]
+    data.write_text("\n".join(json.dumps(r) for r in rows) + "\n", encoding="utf-8")
+    # a blank line is dropped, so each record takes the same two replies
+    script = script_file(tmp_path, ["A", "", f"Answer: {target}"])
+    argv = ["eval", "--graph", str(graph), "--data", str(data), "--width", "1"]
+    argv += ["--mode", mode, "--mock-script", str(script)]
+    rewrites = script_file(tmp_path, ["fluent facts"] * 20, name="rewrites.txt")
+    if mode == "g2t":
+        argv += ["--g2t-script", str(rewrites)]
+    traces, report = tmp_path / "traces", tmp_path / "r.json"
+    argv += ["--trace-dir", str(traces), "--out", str(report)]
+    opened = []
+    real_open = Path.open
+
+    def counting_open(self, *args, **kwargs):
+        opened.append(self)
+        return real_open(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", counting_open)
+    assert main(argv) == 0
+    assert opened.count(script) == 1
+    assert opened.count(rewrites) == (mode == "g2t")
+    assert json.loads(report.read_text())["hit_at_1"] == 1.0
+    digest = hashlib.sha1()
+    for row in rows:
+        digest.update((traces / f"{row['id']}.trace.jsonl").read_bytes())
+    assert digest.hexdigest() == SCRIPT_REPLAY_DIGESTS[mode]
 
 
 def test_null_content_is_a_provider_error_not_a_traceback(tmp_path, monkeypatch, capsys):

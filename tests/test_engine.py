@@ -16,7 +16,9 @@ from fasttog import (
     Engine,
     EngineConfig,
     GenerationResponse,
+    KnowledgeGraph,
     ScriptedGateway,
+    Triple,
     trace_to_dot,
 )
 from fasttog.detect import DETECTOR_KINDS
@@ -624,10 +626,13 @@ def test_g2t_mode_with_backend_rewrites():
 ENGINE_TRACE_DIGEST = "c80cd2edec0b7f612a8e52c81c09307f82967ffb"
 
 
-def test_engine_traces_match_pinned_digest():
-    digest = hashlib.sha1()
+def lane_traces(graph_of=lambda kg: kg):
+    """The traces of the runs the digest below pins, each engine run on
+    ``graph_of(lane graph)``; the oracle reads the lane graph alone."""
+    traces = []
     for seed in range(6):
         kg, start, target = lane_in_background(seed=seed)
+        graph = graph_of(kg)
         for detector in ("louvain", "hierarchical"):
             for bound in (4, 8):
                 cfg = EngineConfig(
@@ -638,10 +643,46 @@ def test_engine_traces_match_pinned_digest():
                     detector=detector,
                     seed=seed,
                 )
-                engine = Engine(kg, OracleGateway(kg, target), cfg)
+                engine = Engine(graph, OracleGateway(kg, target), cfg)
                 _, trace = engine.run("Which entity does the lane lead to?", [start])
-                digest.update(trace.to_jsonl().encode())
+                traces.append(trace.to_jsonl())
+    return traces
+
+
+def test_engine_traces_match_pinned_digest():
+    digest = hashlib.sha1()
+    for text in lane_traces():
+        digest.update(text.encode())
     assert digest.hexdigest() == ENGINE_TRACE_DIGEST
+
+
+def filler_triples(labels, n_labels=20_000, n_triples=60_000):
+    """Random triples that touch none of ``labels``. Each filler label sorts
+    just after one of ``labels``, so ids and label order interleave with
+    theirs. No duplicate and no self-loop."""
+    rng = random.Random(0)
+    anchors = sorted(labels)
+    filler = [f"{anchors[i % len(anchors)]}~{i}" for i in range(n_labels)]
+    pairs = set()
+    while len(pairs) < n_triples:
+        pairs.add(tuple(rng.sample(filler, 2)))
+    # "fill" sorts among the lane's predicates, so it shifts their ids too
+    return [Triple(a, "fill", b) for a, b in sorted(pairs)]
+
+
+def test_a_walk_traces_the_same_in_a_graph_a_hundred_times_larger():
+    # locality: a run reads only its walk's neighbourhood, so a disjoint filler
+    # that renumbers every entity and outweighs the lane changes no byte.
+    # Every lane graph has the same labels, so one filler serves all six
+    filler = filler_triples(lane_in_background()[0].nodes)
+
+    def joined(kg):
+        big = KnowledgeGraph([*kg.triples, *filler])
+        assert big.duplicate_count == big.self_loop_count == 0
+        assert len(big) > 60 * len(kg)
+        return big
+
+    assert lane_traces(joined) == lane_traces()
 
 
 def test_a_louvain_walk_builds_no_label_adjacency_or_subgraph_triples(monkeypatch):
